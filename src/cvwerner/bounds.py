@@ -11,9 +11,11 @@ the discord itself.
 
 The global entropy never needs the full two-mode matrix: the state splits
 into an analytic branch of product-basis eigenvalues and a correlated
-block whose n_max x n_max matrix is diagonalized numerically.  Dense
-matrix-based twins of U and MID (``*_dense``) serve as oracles for
-arbitrary states with diagonal marginals.
+block whose n_max x n_max matrix is diagonalized numerically.  A report
+evaluates each of S(rho_B), S(rho), H_eig(A|B) and H(p_AB) once per point
+and checks MID = U on those values.  Dense matrix-based twins of U and MID
+(``*_dense``) serve as oracles for arbitrary states with diagonal
+marginals.
 """
 
 from __future__ import annotations
@@ -28,8 +30,9 @@ from .fock import (
     partial_trace,
     shannon_entropy,
     von_neumann_entropy,
+    xlogx,
 )
-from .states import WernerParams, choose_cutoff, thermal_entropy
+from .states import WernerParams, check_unit, choose_cutoff, thermal_entropy
 
 
 class TruncationError(ValueError):
@@ -64,9 +67,7 @@ def _conditional_entropy_direct(p, lam, mu, n_max, weight_floor=1e-16):
     eta[np.diag_indices(n_max)] += p * (1.0 - lam**2) * lam ** (2 * m)
     keep = g > weight_floor
     eta = eta[keep] / g[keep, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xlogx = np.where(eta > 0.0, eta * np.log(np.where(eta > 0.0, eta, 1.0)), 0.0)
-    return float((g[keep] * -(xlogx.sum(axis=1))).sum())
+    return float((g[keep] * -(xlogx(eta).sum(axis=1))).sum())
 
 
 def _conditional_entropy_closed(p, lam, mu, n_max, weight_floor=1e-16):
@@ -81,9 +82,7 @@ def _conditional_entropy_closed(p, lam, mu, n_max, weight_floor=1e-16):
     tail = log_c * (1.0 / one - mu ** (2 * m)) + np.log(mu**2) * (
         m / one + mu**2 / one**2 - 2.0 * m * mu ** (2 * m)
     )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        diag_term = np.where(eta_mm > 0.0, eta_mm * np.log(np.where(eta_mm > 0.0, eta_mm, 1.0)), 0.0)
-    per_m = -k * tail - diag_term
+    per_m = -k * tail - xlogx(eta_mm)
     keep = g > weight_floor
     return float((g[keep] * per_m[keep]).sum())
 
@@ -185,22 +184,29 @@ def lower_bound(p: float, lam: float, mu: float, n_max: int) -> float:
     )
 
 
+def _entropies(p, lam, mu, n_max, check_tol=1e-8):
+    """S(rho_B), S(rho), H_eig(A|B) and MID = H(p_AB) - S(rho), each
+    evaluated once; MID = U is checked on these same values."""
+    s_b = marginal_entropy(p, lam, mu, n_max)
+    s_g = global_entropy(p, lam, mu, n_max)
+    h_eig = conditional_entropy_photon_counting(p, lam, mu, n_max)
+    m = shannon_entropy(joint_photon_distribution(p, lam, mu, n_max)) - s_g
+    u = s_b - s_g + h_eig
+    if abs(m - u) > check_tol:
+        raise TruncationError(
+            f"MID {m!r} and upper bound {u!r} differ by {abs(m - u):.3e} "
+            f"(> {check_tol:g}) at n_max={n_max}"
+        )
+    return s_b, s_g, h_eig, m
+
+
 def mid(p: float, lam: float, mu: float, n_max: int, check_tol: float = 1e-8) -> float:
     """Measurement-induced disturbance M = H(p_AB) - S(rho).
 
     The identity M = U holds exactly for this family; a violation beyond
     ``check_tol`` raises ``TruncationError``.
     """
-    value = shannon_entropy(joint_photon_distribution(p, lam, mu, n_max)) - global_entropy(
-        p, lam, mu, n_max
-    )
-    u = upper_bound(p, lam, mu, n_max)
-    if abs(value - u) > check_tol:
-        raise TruncationError(
-            f"MID {value!r} and upper bound {u!r} differ by {abs(value - u):.3e} "
-            f"(> {check_tol:g}) at n_max={n_max}"
-        )
-    return value
+    return _entropies(p, lam, mu, n_max, check_tol)[3]
 
 
 def discord_is_positive(p: float, lam: float) -> bool:
@@ -223,10 +229,8 @@ def separability_region(p: float, mu: float) -> str:
     """Classify a lam = mu^4 Werner state: below ``p_separable`` the state
     is separable, up to ``p_ppt`` it is PPT with unknown separability,
     above it is entangled."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p={p} outside [0, 1]")
-    if not 0.0 <= mu < 1.0:
-        raise ValueError(f"mu={mu} outside [0, 1)")
+    check_unit("p", p)
+    check_unit("mu", mu, upper_open=True)
     if p <= p_separable(mu):
         return "separable"
     if p <= p_ppt(mu):
@@ -258,12 +262,7 @@ def bounds_report(
     p, lam, mu = params.p, params.lam, params.mu
     if n_max is None:
         n_max = choose_cutoff(params, eps_tail)
-    s_b = marginal_entropy(p, lam, mu, n_max)
-    s_g = global_entropy(p, lam, mu, n_max)
-    h_eig = conditional_entropy_photon_counting(p, lam, mu, n_max)
-    u = s_b - s_g + h_eig
-    low = s_b - s_g + (1.0 - p) * thermal_entropy(mu)
-    m = mid(p, lam, mu, n_max)
+    s_b, s_g, h_eig, m = _entropies(p, lam, mu, n_max)
     if abs(lam - mu**4) < 1e-12:
         region = separability_region(p, mu)
     else:
@@ -276,8 +275,8 @@ def bounds_report(
         marginal_entropy=s_b,
         global_entropy=s_g,
         conditional_entropy=h_eig,
-        upper=u,
-        lower=low,
+        upper=s_b - s_g + h_eig,
+        lower=s_b - s_g + (1.0 - p) * thermal_entropy(mu),
         mid=m,
         region=region,
         tail_bound=_conditional_tail_bound(p, lam, mu, n_max),
@@ -306,9 +305,7 @@ def conditional_entropy_dense(state: TwoModeState, weight_floor: float = 1e-16) 
     blocks = np.einsum("imjm->mij", state.matrix.reshape(n, n, n, n))
     keep = p_b > weight_floor
     spectra = np.linalg.eigvalsh(blocks[keep]) / p_b[keep, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xlogx = np.where(spectra > 0.0, spectra * np.log(np.where(spectra > 0.0, spectra, 1.0)), 0.0)
-    return float((p_b[keep] * -(xlogx.sum(axis=1))).sum())
+    return float((p_b[keep] * -(xlogx(spectra).sum(axis=1))).sum())
 
 
 def upper_bound_dense(state: TwoModeState) -> float:

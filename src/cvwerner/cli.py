@@ -5,9 +5,8 @@ Exit codes: 0 success, 2 usage error (argparse), 3 domain error,
 4 sweep rows failed, 5 figure output error, 1 failed verification.
 
 All numeric output carries 12 significant digits, entropies in nats.
-Sweeps run on a thread pool capped by the CVW_THREADS environment
-variable; rows are emitted in deterministic lexicographic order over
-(p, lambda, mu) regardless of completion order.
+Sweep rows run one after another and are emitted in lexicographic order
+over (p, lambda, mu).
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import acceptance, bounds, exact, gaussian, nongauss, ppt
 from .states import WernerParams, choose_cutoff
@@ -222,12 +220,6 @@ def _sweep_rows(args):
     return rows
 
 
-def _worker_count(n_rows):
-    cap = os.environ.get("CVW_THREADS")
-    workers = int(cap) if cap else (os.cpu_count() or 1)
-    return max(1, min(workers, n_rows))
-
-
 def cmd_sweep(args):
     base = _collect(args)
     rows = _sweep_rows(args)
@@ -242,8 +234,7 @@ def cmd_sweep(args):
         except Exception as exc:
             return {}, None, f"{type(exc).__name__}: {exc}"
 
-    with ThreadPoolExecutor(max_workers=_worker_count(len(rows))) as pool:
-        outcomes = list(pool.map(run_row, rows))
+    outcomes = [run_row(row) for row in rows]
 
     columns = []
     for results, _, _ in outcomes:

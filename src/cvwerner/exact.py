@@ -45,10 +45,8 @@ class DiscordReport:
 
 
 def _check_domain(p: float, lam: float):
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p={p} outside [0, 1]")
-    if not 0.0 <= lam < 1.0:
-        raise ValueError(f"lam={lam} outside [0, 1)")
+    states.check_unit("p", p)
+    states.check_unit("lam", lam, upper_open=True)
 
 
 def eigenvalue_pair(p: float, lam: float):

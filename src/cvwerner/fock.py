@@ -115,6 +115,13 @@ def _validate_state(state, eps_tail):
         raise InvalidSpectrumError(f"eigenvalue {w[-1]:.3e} below {EIGENVALUE_FLOOR:g}")
 
 
+def xlogx(x) -> np.ndarray:
+    """Elementwise ``x ln x`` with ``0 ln 0 = 0``; entries ``<= 0`` give 0."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(x > 0.0, x * np.log(np.where(x > 0.0, x, 1.0)), 0.0)
+
+
 def von_neumann_entropy(spectrum, floor=EIGENVALUE_FLOOR) -> float:
     """-sum(v ln v) over the spectrum, with 0 ln 0 = 0.
 
@@ -126,10 +133,9 @@ def von_neumann_entropy(spectrum, floor=EIGENVALUE_FLOOR) -> float:
         raise InvalidSpectrumError(
             f"spectrum entry {v.min():.6e} below the tolerated floor {floor:g}"
         )
-    v = v[v > 0.0]
-    if not v.size:
-        return 0.0
-    return float(-(v * np.log(v)).sum()) + 0.0
+    # Summing positive entries only makes the result, to the last bit,
+    # independent of how many zeros the spectrum holds and where.
+    return float(-xlogx(v[v > 0.0]).sum()) + 0.0
 
 
 def shannon_entropy(probabilities, floor=-1e-12) -> float:
@@ -137,10 +143,7 @@ def shannon_entropy(probabilities, floor=-1e-12) -> float:
     p = np.asarray(probabilities, dtype=float).ravel()
     if p.size and float(p.min()) < floor:
         raise InvalidSpectrumError(f"negative probability {p.min():.6e}")
-    p = p[p > 0.0]
-    if not p.size:
-        return 0.0
-    return float(-(p * np.log(p)).sum()) + 0.0
+    return float(-xlogx(p[p > 0.0]).sum()) + 0.0
 
 
 def partial_trace(state: TwoModeState, mode: str = "A") -> OneModeState:

@@ -14,6 +14,12 @@ integral is taken in area-preserving squeezed coordinates
 every component is a near-isotropic Gaussian at any ``t`` and a fixed-size
 polar Gauss-Legendre grid converges uniformly.  All Gaussian decay rates
 are evaluated in cancellation-free forms (no ``1 - tanh(t)`` subtractions).
+
+The conditional entropy does not depend on ``phi``: the Werner state is
+invariant under opposite phase rotations of its two modes, and such a
+rotation turns the measurement at phase ``phi`` into the one at phase 0
+without changing any conditional entropy.  The optimizer therefore scans
+``t`` alone.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import exact
+from .fock import xlogx
 
 HOMODYNE_T = 12.0
 _T_CAP = 300.0  # exp(2t) must stay finite
@@ -175,8 +182,7 @@ def _conditional_entropy_terms(p, lam, t, phi, x, y):
     disc = np.sqrt(np.clip(1.0 - 4.0 * zeta1 * zeta2 * (1.0 - overlap_sq), 0.0, None))
     entropy = np.zeros_like(disc)
     for nu in ((1.0 + disc) / 2.0, (1.0 - disc) / 2.0):
-        pos = nu > 0.0
-        entropy -= np.where(pos, nu * np.log(np.where(pos, nu, 1.0)), 0.0)
+        entropy -= xlogx(nu)
     q = np.exp(np.logaddexp(lw1, lw2)) / math.pi
     return entropy, q
 
@@ -248,10 +254,7 @@ def conditional_entropy(
     Refuses with diagnostics when the grid fails to reproduce the outcome
     normalization within ``eps_int``.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p={p} outside [0, 1]")
-    if not 0.0 <= lam < 1.0:
-        raise ValueError(f"lam={lam} outside [0, 1)")
+    exact._check_domain(p, lam)
     if p == 0.0 or p == 1.0:
         return 0.0
     if grid is None:
@@ -337,7 +340,6 @@ def gaussian_discord(
     p: float,
     lam: float,
     t_max: float = HOMODYNE_T,
-    phi_values=(0.0, math.pi / 4, math.pi / 2),
     coarse_step: float = 0.5,
     t_tol: float = 1e-4,
     n_radial: int = 80,
@@ -346,8 +348,10 @@ def gaussian_discord(
 ) -> GaussianDiscordResult:
     """Discord restricted to Gaussian measurements, with its minimizer.
 
-    Minimizes the conditional entropy over a coarse (t, phi) grid, then
-    refines t at the best phi by golden section.  The upper end ``t_max``
+    Minimizes the conditional entropy over a coarse grid in t, then
+    refines t by golden section.  The phase stays at phi = 0: the state is
+    invariant under opposite phase rotations of its two modes, so the
+    conditional entropy does not depend on phi.  The upper end ``t_max``
     stands in for the homodyne limit.  At strong squeezing
     (``lam`` above about 0.7) the scan finds heterodyne ``t = 0`` rather
     than homodyne to be the Gaussian-optimal measurement.
@@ -358,35 +362,26 @@ def gaussian_discord(
 
     trace = []
 
-    def objective(t, phi):
+    def objective(t):
         val = conditional_entropy(
-            p, lam, GaussianPovm(t, phi), n_radial=n_radial,
+            p, lam, GaussianPovm(t), n_radial=n_radial,
             n_angular=n_angular, eps_int=eps_int,
         )
-        trace.append((t, phi, val))
+        trace.append((t, val))
         return val
 
     coarse_t = np.arange(0.0, t_max + coarse_step / 2.0, coarse_step)
-    best = None
-    for phi in phi_values:
-        for t in coarse_t:
-            val = objective(float(t), phi)
-            if best is None or val < best[2]:
-                best = (float(t), phi, val)
-    t_best, phi_best, val_best = best
+    best = min(((float(t), objective(float(t))) for t in coarse_t), key=lambda c: c[1])
 
-    lo = max(0.0, t_best - coarse_step)
-    hi = min(t_max, t_best + coarse_step)
-    t_ref = _golden_section(lambda t: objective(t, phi_best), lo, hi, t_tol)
-    val_ref = objective(t_ref, phi_best)
-
-    candidates = [(t_best, phi_best, val_best), (t_ref, phi_best, val_ref)]
-    t_opt, phi_opt, h_min = min(candidates, key=lambda c: c[2])
+    lo = max(0.0, best[0] - coarse_step)
+    hi = min(t_max, best[0] + coarse_step)
+    t_ref = _golden_section(objective, lo, hi, t_tol)
+    t_opt, h_min = min([best, (t_ref, objective(t_ref))], key=lambda c: c[1])
     if not math.isfinite(h_min) or h_min < -1e-12:
         raise OptimizationError(
             f"conditional-entropy minimization failed (min {h_min!r}); "
             f"iterates: {trace[-20:]}"
         )
     return GaussianDiscordResult(
-        base + h_min, h_min, GaussianPovm(t_opt, phi_opt), len(trace)
+        base + h_min, h_min, GaussianPovm(t_opt), len(trace)
     )

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import thermal_entropy
+from .fock import xlogx
+from .states import check_unit, thermal_entropy
 
 
 class SeriesCrossCheckError(ValueError):
@@ -43,8 +44,7 @@ def closed_form_spectrum(lam: float, n_max: int) -> np.ndarray:
 
 def global_entropy(lam: float) -> float:
     """Closed-form global entropy -[ln(2N) + lam(1+3lam) ln(lam)/(1-lam^2)]."""
-    if not 0.0 <= lam < 1.0:
-        raise ValueError(f"lam={lam} outside [0, 1)")
+    check_unit("lam", lam, upper_open=True)
     if lam == 0.0:
         return 0.0
     return -(
@@ -70,8 +70,7 @@ def reduced_probabilities(lam: float, n_max: int) -> np.ndarray:
 def reduced_entropy(lam: float, tol: float = 1e-10) -> float:
     """Entropy of either reduced state, summed until the geometric tail
     bound drops below ``tol``."""
-    if not 0.0 <= lam < 1.0:
-        raise ValueError(f"lam={lam} outside [0, 1)")
+    check_unit("lam", lam, upper_open=True)
     if lam == 0.0:
         return 0.0
     norm = norm_const(lam)
@@ -120,16 +119,20 @@ def conditional_entropy(lam: float, check_tol: float = 1e-8, tol: float = 1e-10)
 
 def joint_distribution_entropy(lam: float, tol: float = 1e-10) -> float:
     """Shannon entropy of the photon-count statistics
-    p(m, n) = N lam^(m+n) (1 + delta_mn); equals S(rho) + lam ln 2."""
+    p(m, n) = N lam^(m+n) (1 + delta_mn); equals S(rho) + lam ln 2.
+
+    The square table m, n < n_terms is summed by anti-diagonals
+    s = m + n: each holds min(s, 2(n_terms-1) - s) + 1 entries N lam^s,
+    one of which (m = n) is doubled when s is even."""
     if lam == 0.0:
         return 0.0
     norm = norm_const(lam)
     n_terms = _series_length(lam, tol, 8.0 * norm * (1.0 + abs(math.log(norm))) / (1.0 - lam))
-    m = np.arange(n_terms, dtype=float)
-    table = norm * np.exp(math.log(lam) * np.add.outer(m, m))
-    table[np.diag_indices(n_terms)] *= 2.0
-    flat = table.ravel()
-    return float(-(flat * np.log(flat)).sum())
+    s = np.arange(2 * n_terms - 1, dtype=float)
+    entry = norm * np.exp(math.log(lam) * s)
+    count = np.minimum(s, 2 * (n_terms - 1) - s) + 1.0
+    even = 1.0 - s % 2.0
+    return float(-((count - even) * xlogx(entry) + even * xlogx(2.0 * entry)).sum())
 
 
 @dataclass(frozen=True)
@@ -148,8 +151,7 @@ class PptReport:
 
 def upper_bound(lam: float) -> float:
     """U = lam ln 2 exactly; tends to the finite value ln 2 as lam -> 1."""
-    if not 0.0 <= lam < 1.0:
-        raise ValueError(f"lam={lam} outside [0, 1)")
+    check_unit("lam", lam, upper_open=True)
     return lam * math.log(2.0)
 
 

@@ -21,6 +21,14 @@ from .fock import OneModeState, TwoModeState
 DEFAULT_EPS_TAIL = 1e-12
 
 
+def check_unit(name: str, value: float, upper_open: bool = False) -> None:
+    """Raise ``ValueError`` unless ``value`` lies in [0, 1], or in [0, 1)
+    with ``upper_open``; NaN fails every comparison and is rejected."""
+    inside = 0.0 <= value < 1.0 if upper_open else 0.0 <= value <= 1.0
+    if not inside:
+        raise ValueError(f"{name}={value} outside [0, 1{')' if upper_open else ']'}")
+
+
 @dataclass(frozen=True)
 class WernerParams:
     """Mixing probability ``p``, squeezing factor ``lam``, thermal factor ``mu``."""
@@ -30,12 +38,9 @@ class WernerParams:
     mu: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p={self.p} outside [0, 1]")
-        if not 0.0 <= self.lam < 1.0:
-            raise ValueError(f"lam={self.lam} outside [0, 1)")
-        if not 0.0 <= self.mu < 1.0:
-            raise ValueError(f"mu={self.mu} outside [0, 1)")
+        check_unit("p", self.p)
+        check_unit("lam", self.lam, upper_open=True)
+        check_unit("mu", self.mu, upper_open=True)
 
     @property
     def r(self) -> float:
@@ -72,8 +77,7 @@ def choose_cutoff(params: WernerParams, eps_tail: float = DEFAULT_EPS_TAIL) -> i
 
 def tmsv_vector(lam: float, n_max: int) -> np.ndarray:
     """Schmidt coefficients sqrt(1 - lam^2) lam^n of the two-mode squeezed vacuum."""
-    if not 0.0 <= lam < 1.0:
-        raise ValueError(f"lam={lam} outside [0, 1)")
+    check_unit("lam", lam, upper_open=True)
     return np.sqrt(1.0 - lam**2) * lam ** np.arange(n_max, dtype=float)
 
 
@@ -89,8 +93,7 @@ def tmsv(lam: float, n_max: int, renormalize: bool = False) -> TwoModeState:
 
 def thermal(mu: float, n_max: int, renormalize: bool = False) -> OneModeState:
     """Thermal state diag((1 - mu^2) mu^(2n)); mean photon number mu^2/(1-mu^2)."""
-    if not 0.0 <= mu < 1.0:
-        raise ValueError(f"mu={mu} outside [0, 1)")
+    check_unit("mu", mu, upper_open=True)
     diag = (1.0 - mu**2) * mu ** (2 * np.arange(n_max, dtype=float))
     if renormalize:
         diag /= diag.sum()
@@ -99,8 +102,7 @@ def thermal(mu: float, n_max: int, renormalize: bool = False) -> OneModeState:
 
 def thermal_entropy(mu: float) -> float:
     """Closed-form entropy of the thermal state, -ln(1-mu^2) - 2 mu^2 ln(mu)/(1-mu^2)."""
-    if not 0.0 <= mu < 1.0:
-        raise ValueError(f"mu={mu} outside [0, 1)")
+    check_unit("mu", mu, upper_open=True)
     if mu == 0.0:
         return 0.0
     return float(-np.log(1.0 - mu**2) - 2.0 * mu**2 * np.log(mu) / (1.0 - mu**2))
@@ -163,8 +165,7 @@ def ppt_werner(
     positive; its matrix is ``N sum lam^(m+n) (|n,m><m,n| + |m,n><m,n|)``
     with ``N = (1 - lam^2)(1 - lam)/2``.
     """
-    if not 0.0 <= lam < 1.0:
-        raise ValueError(f"lam={lam} outside [0, 1)")
+    check_unit("lam", lam, upper_open=True)
     if n_max is None:
         n_max = choose_cutoff(WernerParams((1.0 - lam) / 2.0, lam, math.sqrt(lam)), eps_tail)
     norm = (1.0 - lam**2) * (1.0 - lam) / 2.0

@@ -175,6 +175,21 @@ def test_dense_routes_agree_with_series():
     assert bounds.mid_dense(rho) == pytest.approx(bounds.mid(p, lam, mu, n), abs=1e-8)
 
 
+def test_bounds_report_evaluates_each_entropy_once(monkeypatch):
+    calls = {"global_entropy": 0, "conditional_entropy_photon_counting": 0}
+    for name in calls:
+        original = getattr(bounds, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, name, counted)
+    rep = bounds.bounds_report(WernerParams(0.5, 0.8, 0.8))
+    assert calls == {"global_entropy": 1, "conditional_entropy_photon_counting": 1}
+    assert rep.mid == pytest.approx(rep.upper, abs=1e-8)
+
+
 def test_bounds_report_region_classification():
     mu = 0.8
     rep = bounds.bounds_report(WernerParams(0.05, mu**4, mu))

@@ -117,13 +117,6 @@ def test_sweep_json_format(capsys):
     assert docs[1]["inputs"]["p"] == 0.5
 
 
-def test_sweep_thread_cap(capsys, monkeypatch):
-    monkeypatch.setenv("CVW_THREADS", "1")
-    code, out, _ = run_cli(capsys, "sweep", "discord0", "--p", "0:1:0.5", "--lambda", "0.5")
-    assert code == 0
-    assert len(out.splitlines()) == 4
-
-
 def test_figure_ppt(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "figure", "fig-ppt", "--outdir", str(tmp_path))
     assert code == 0

@@ -140,11 +140,15 @@ def test_conditional_entropy_matches_monte_carlo():
 
 
 def test_conditional_entropy_phase_independent():
-    vals = [
-        conditional_entropy(0.5, 0.5, GaussianPovm(2.0, phi))
-        for phi in (0.0, math.pi / 4, math.pi / 2)
-    ]
-    assert max(vals) - min(vals) < 1e-6
+    # gaussian_discord scans t at phi = 0 only, relying on this invariance
+    for p in (0.25, 0.75):
+        for lam in (0.1, 0.5, 0.9):
+            for t in (0.0, 2.0, gaussian.HOMODYNE_T):
+                vals = [
+                    conditional_entropy(p, lam, GaussianPovm(t, phi))
+                    for phi in (0.0, math.pi / 4, math.pi / 2)
+                ]
+                assert max(vals) - min(vals) < 1e-10, (p, lam, t)
 
 
 def test_conditional_entropy_quadrature_refinement():

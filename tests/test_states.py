@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cvwerner import ppt
+from cvwerner import bounds, exact, gaussian, nongauss, ppt
 from cvwerner.fock import eig_spectrum, partial_trace, partial_transpose, von_neumann_entropy
 from cvwerner.states import (
     WernerParams,
@@ -26,6 +26,43 @@ def test_params_validation():
     with pytest.raises(ValueError):
         WernerParams(0.5, 0.5, -0.1)
     assert WernerParams(0.5, np.tanh(1.0), 0.0).r == pytest.approx(1.0, abs=1e-12)
+
+
+_BAD_P = (float("nan"), -0.1, 1.1)
+_BAD_FACTOR = (float("nan"), -0.1, 1.0)
+_ENTRY_POINTS = {
+    "WernerParams-p": (lambda v: WernerParams(v, 0.5, 0.5), _BAD_P),
+    "WernerParams-lam": (lambda v: WernerParams(0.5, v, 0.5), _BAD_FACTOR),
+    "WernerParams-mu": (lambda v: WernerParams(0.5, 0.5, v), _BAD_FACTOR),
+    "tmsv_vector": (lambda v: tmsv_vector(v, 4), _BAD_FACTOR),
+    "thermal": (lambda v: thermal(v, 4), _BAD_FACTOR),
+    "thermal_entropy": (thermal_entropy, _BAD_FACTOR),
+    "ppt_werner": (lambda v: ppt_werner(v, 4), _BAD_FACTOR),
+    "exact.discord-p": (lambda v: exact.discord(v, 0.5), _BAD_P),
+    "exact.discord-lam": (lambda v: exact.discord(0.5, v), _BAD_FACTOR),
+    "nongauss.symplectic_eigenvalue-p": (lambda v: nongauss.symplectic_eigenvalue(v, 0.5), _BAD_P),
+    "gaussian.conditional_entropy-p": (
+        lambda v: gaussian.conditional_entropy(v, 0.5, gaussian.HETERODYNE), _BAD_P
+    ),
+    "gaussian.conditional_entropy-lam": (
+        lambda v: gaussian.conditional_entropy(0.5, v, gaussian.HETERODYNE), _BAD_FACTOR
+    ),
+    "bounds.separability_region-p": (lambda v: bounds.separability_region(v, 0.5), _BAD_P),
+    "bounds.separability_region-mu": (lambda v: bounds.separability_region(0.5, v), _BAD_FACTOR),
+    "ppt.global_entropy": (ppt.global_entropy, _BAD_FACTOR),
+    "ppt.reduced_entropy": (ppt.reduced_entropy, _BAD_FACTOR),
+    "ppt.upper_bound": (ppt.upper_bound, _BAD_FACTOR),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, value",
+    [(name, v) for name, (_, bad) in _ENTRY_POINTS.items() for v in bad],
+)
+def test_domain_check_rejects_nan_and_out_of_range(entry, value):
+    fn = _ENTRY_POINTS[entry][0]
+    with pytest.raises(ValueError, match="outside"):
+        fn(value)
 
 
 def test_choose_cutoff_vacuum_only():
