@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import (
+    MAX_TWO_MODE_DIM,
     TwoModeState,
     eig_spectrum,
     partial_trace,
@@ -51,20 +52,9 @@ def marginal_entropy(p: float, lam: float, mu: float, n_max: int) -> float:
     return von_neumann_entropy(reduced_spectrum(p, lam, mu, n_max))
 
 
-def conditional_spectrum(p: float, lam: float, mu: float, m: int, n_max: int) -> np.ndarray:
-    """Spectrum of the post-measurement state after counting m photons."""
-    g_m = float(reduced_spectrum(p, lam, mu, m + 1)[m])
-    n = np.arange(n_max, dtype=float)
-    eta = (1.0 - p) * (1.0 - mu**2) ** 2 * mu ** (2 * (m + n))
-    eta[m] += p * (1.0 - lam**2) * lam ** (2 * m)
-    return eta / g_m
-
-
 def _conditional_entropy_direct(p, lam, mu, n_max, weight_floor=1e-16):
     g = reduced_spectrum(p, lam, mu, n_max)
-    m = np.arange(n_max, dtype=float)
-    eta = (1.0 - p) * (1.0 - mu**2) ** 2 * mu ** (2.0 * np.add.outer(m, m))
-    eta[np.diag_indices(n_max)] += p * (1.0 - lam**2) * lam ** (2 * m)
+    eta = joint_photon_distribution(p, lam, mu, n_max)
     keep = g > weight_floor
     eta = eta[keep] / g[keep, None]
     return float((g[keep] * -(xlogx(eta).sum(axis=1))).sum())
@@ -117,9 +107,18 @@ def conditional_entropy_photon_counting(
     return closed
 
 
+def _check_square_size(n_max):
+    if n_max > MAX_TWO_MODE_DIM:
+        raise ValueError(
+            f"cutoff n_max={n_max} exceeds the limit {MAX_TWO_MODE_DIM} "
+            f"on dense n_max x n_max tables"
+        )
+
+
 def correlated_block(p: float, lam: float, mu: float, n_max: int) -> np.ndarray:
     """The n_max x n_max matrix whose eigenvalues are the non-analytic part
     of the global spectrum."""
+    _check_square_size(n_max)
     powers = lam ** np.arange(n_max, dtype=float)
     block = p * (1.0 - lam**2) * np.outer(powers, powers)
     idx = np.diag_indices(n_max)
@@ -158,6 +157,7 @@ def global_entropy(
 
 def joint_photon_distribution(p: float, lam: float, mu: float, n_max: int) -> np.ndarray:
     """Photon-count statistics p(m, n) of the Werner state, in closed form."""
+    _check_square_size(n_max)
     m = np.arange(n_max, dtype=float)
     table = (1.0 - p) * (1.0 - mu**2) ** 2 * mu ** (2.0 * np.add.outer(m, m))
     table[np.diag_indices(n_max)] += p * (1.0 - lam**2) * lam ** (2 * m)

@@ -1,8 +1,15 @@
 """Command-line front end: compute single points, sweep grids, emit
 figure datasets, and run the acceptance battery.
 
-Exit codes: 0 success, 2 usage error (argparse), 3 domain error,
-4 sweep rows failed, 5 figure output error, 1 failed verification.
+Exit codes: 0 success, 1 failed verification, 2 usage error (argparse,
+also for a config value or key that the subcommand's flags reject),
+3 domain error or unreadable config file, 4 sweep rows failed,
+5 figure output error.
+
+A ``--config`` file holds ``key = value`` lines, one per flag of the
+subcommand (``lambda = 0.5``, ``eps-tail = 1e-10``, ``outdir = figs``).
+Its values are parsed exactly as the flags are, so sweeps accept ranges,
+and flags given on the command line override them.
 
 All numeric output carries 12 significant digits, entropies in nats.
 Sweep rows run one after another and are emitted in lexicographic order
@@ -19,7 +26,7 @@ import sys
 import time
 
 from . import acceptance, bounds, exact, gaussian, nongauss, ppt
-from .states import WernerParams, choose_cutoff
+from .states import WernerParams
 
 NUM_FMT = "%.12g"
 
@@ -182,7 +189,7 @@ MEASURES = {
 
 
 def cmd_compute(args):
-    opts = _collect(args)
+    opts = vars(args)
     t0 = time.perf_counter()
     results, cutoff, budget = MEASURES[args.measure](opts)
     wall = time.perf_counter() - t0
@@ -220,8 +227,13 @@ def _sweep_rows(args):
     return rows
 
 
+def _columns(dicts):
+    """Keys of ``dicts`` in first-seen order."""
+    return list(dict.fromkeys(key for d in dicts for key in d))
+
+
 def cmd_sweep(args):
-    base = _collect(args)
+    base = vars(args)
     rows = _sweep_rows(args)
     fn = MEASURES[args.measure]
 
@@ -236,11 +248,7 @@ def cmd_sweep(args):
 
     outcomes = [run_row(row) for row in rows]
 
-    columns = []
-    for results, _, _ in outcomes:
-        for key in results:
-            if key not in columns:
-                columns.append(key)
+    columns = _columns(results for results, _, _ in outcomes)
     failed = sum(1 for _, _, err in outcomes if err)
 
     if args.format == "json":
@@ -254,7 +262,7 @@ def cmd_sweep(args):
         _emit(json.dumps(docs, indent=2, sort_keys=True) + "\n", args.out)
     else:
         input_cols = [k for k in ("p", "lam", "mu") if rows and rows[0][k] is not None]
-        header = input_cols + [f"{c}_nats" if _is_entropy_column(c) else c for c in columns]
+        header = input_cols + [f"{c}_nats" if c in _ENTROPY_COLUMNS else c for c in columns]
         if failed:
             header = header + ["error"]
         lines = [",".join(header)]
@@ -288,10 +296,6 @@ _ENTROPY_COLUMNS = {
     "global_entropy",
     "gaussian_reference_entropy",
 }
-
-
-def _is_entropy_column(name):
-    return name in _ENTROPY_COLUMNS
 
 
 def _figure_grid(name):
@@ -357,7 +361,7 @@ def cmd_figure(args):
     try:
         jobs = _figure_grid(args.name)
         os.makedirs(args.outdir, exist_ok=True)
-        base = _collect(args)
+        base = vars(args)
         rows = []
         for measure, point in jobs:
             opts = dict(base)
@@ -366,11 +370,7 @@ def cmd_figure(args):
             row = dict(point)
             row.update(results)
             rows.append(row)
-        columns = []
-        for row in rows:
-            for key in row:
-                if key not in columns:
-                    columns.append(key)
+        columns = _columns(rows)
         csv_name = f"{args.name}.csv"
         csv_path = os.path.join(args.outdir, csv_name)
         with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
@@ -411,51 +411,23 @@ def cmd_verify(args):
 # ---------------------------------------------------------------------------
 
 
-def _load_config(path):
-    values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"malformed config line: {line!r}")
-            key, val = (part.strip() for part in line.split("=", 1))
-            values[key.replace("-", "_")] = val
-    return values
-
-
-_CONFIG_FLOAT_KEYS = ("p", "lam", "mu", "eps_tail", "eps_int")
-_CONFIG_INT_KEYS = ("cutoff", "seed")
-
-
-def _apply_config(args):
-    if not getattr(args, "config", None):
-        return
-    values = _load_config(args.config)
-    if "lambda" in values:
-        values["lam"] = values.pop("lambda")
-    for key, val in values.items():
-        if not hasattr(args, key) or getattr(args, key) is not None:
-            continue  # flags override config
-        if key in _CONFIG_INT_KEYS:
-            setattr(args, key, int(val))
-        elif key in _CONFIG_FLOAT_KEYS:
-            setattr(args, key, float(val))
-        else:
-            setattr(args, key, val)
-
-
-def _collect(args):
-    return {
-        "p": getattr(args, "p", None),
-        "lam": getattr(args, "lam", None),
-        "mu": getattr(args, "mu", None),
-        "cutoff": getattr(args, "cutoff", None),
-        "eps_tail": getattr(args, "eps_tail", None),
-        "eps_int": getattr(args, "eps_int", None),
-        "seed": getattr(args, "seed", None),
-    }
+def _config_argv(path):
+    """The ``key = value`` lines of a config file as ``--key=value`` flags."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise ValueError(f"cannot read config file {path!r}: {exc.strerror}") from None
+    argv = []
+    for line in lines:
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"malformed config line: {line!r}")
+        key, val = (part.strip() for part in line.split("=", 1))
+        argv.append(f"--{key.replace('_', '-')}={val}")
+    return argv
 
 
 def _emit(text, out):
@@ -478,7 +450,7 @@ def _add_common(parser, ranged=False):
     parser.add_argument("--seed", type=int, help="seed for any sampling oracle")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--out", help="output path (default stdout)")
-    parser.add_argument("--config", help="key=value file presetting the flags above")
+    parser.add_argument("--config", help="key=value file presetting any flag of this subcommand")
 
 
 def build_parser():
@@ -523,9 +495,13 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
-        _apply_config(args)
+        if args.config:
+            # Config flags go between the subcommand and the user's own
+            # arguments, so argparse checks them and the user's flags win.
+            args = parser.parse_args(argv[:1] + _config_argv(args.config) + argv[1:])
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,6 +24,11 @@ from .fock import xlogx
 from .states import check_unit, thermal_entropy
 
 
+# The series need ever more terms as lam -> 1; beyond this many they
+# raise instead of allocating.
+MAX_SERIES_TERMS = 10**7
+
+
 class SeriesCrossCheckError(ValueError):
     """Analytic expression and direct series evaluation disagree."""
 
@@ -58,7 +63,12 @@ def _series_length(lam: float, tol: float, scale: float) -> int:
     if lam == 0.0:
         return 2
     m = math.log(tol * (1.0 - lam) / scale) / math.log(lam)
-    return max(4, math.ceil(m) + 2)
+    n_terms = max(4, math.ceil(m) + 2)
+    if n_terms > MAX_SERIES_TERMS:
+        raise ValueError(
+            f"lam={lam} needs {n_terms} series terms, above the limit {MAX_SERIES_TERMS}"
+        )
+    return n_terms
 
 
 def reduced_probabilities(lam: float, n_max: int) -> np.ndarray:
@@ -124,6 +134,7 @@ def joint_distribution_entropy(lam: float, tol: float = 1e-10) -> float:
     The square table m, n < n_terms is summed by anti-diagonals
     s = m + n: each holds min(s, 2(n_terms-1) - s) + 1 entries N lam^s,
     one of which (m = n) is doubled when s is even."""
+    check_unit("lam", lam, upper_open=True)
     if lam == 0.0:
         return 0.0
     norm = norm_const(lam)

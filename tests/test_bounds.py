@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cvwerner import bounds, exact
 from cvwerner.bounds import TruncationError
-from cvwerner.fock import partial_transpose, shannon_entropy, eig_spectrum
+from cvwerner.fock import MAX_TWO_MODE_DIM, partial_transpose, shannon_entropy, eig_spectrum
 from cvwerner.states import WernerParams, choose_cutoff, thermal_entropy, werner
 
 
@@ -198,3 +200,18 @@ def test_bounds_report_region_classification():
     assert rep.region == "not-classified"
     assert rep.mid == pytest.approx(rep.upper, abs=1e-8)
     assert rep.tail_bound < 1e-10
+
+
+def test_cutoff_above_dense_limit_raises_before_allocating():
+    # lam = 0.9999 picks cutoff 138149: its n_max x n_max block would take 142 GB.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"limit {MAX_TWO_MODE_DIM}"):
+            bounds.bounds_report(WernerParams(0.5, 0.9999, 0.5))
+        for build in (bounds.correlated_block, bounds.joint_photon_distribution):
+            with pytest.raises(ValueError, match=f"limit {MAX_TWO_MODE_DIM}"):
+                build(0.5, 0.5, 0.5, MAX_TWO_MODE_DIM + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20

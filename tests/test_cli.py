@@ -159,6 +159,83 @@ def test_config_file_presets_and_flag_override(capsys, tmp_path):
     assert json.loads(out)["results"]["discord"] == pytest.approx(0.749780192825, abs=1e-10)
 
 
+def _config(tmp_path, text):
+    cfg = tmp_path / "config.txt"
+    cfg.write_text(text)
+    return str(cfg)
+
+
+def test_config_single_value_in_sweep(capsys, tmp_path):
+    cfg = _config(tmp_path, "p = 0.5\nlambda = 0.5\n")
+    code, out, _ = run_cli(capsys, "sweep", "discord0", "--config", cfg)
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 2
+    assert lines[1].startswith("0.5,0.5,0.224717318691,")
+
+
+def test_config_range_in_sweep(capsys, tmp_path):
+    cfg = _config(tmp_path, "p = 0:1:0.5\nlambda = 0.5\n")
+    code, out, _ = run_cli(capsys, "sweep", "discord0", "--config", cfg)
+    assert code == 0
+    assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["0", "0.5", "1"]
+
+
+def test_config_format_and_flag_override(capsys, tmp_path):
+    cfg = _config(tmp_path, "p = 0:1:0.5\nlambda = 0.5\nformat = json\n")
+    code, out, _ = run_cli(capsys, "sweep", "discord0", "--config", cfg)
+    assert code == 0
+    assert len(json.loads(out)) == 3
+    code, out, _ = run_cli(capsys, "sweep", "discord0", "--config", cfg, "--format", "csv")
+    assert code == 0
+    assert out.startswith("p,lam,discord_nats,")
+
+
+def test_config_figure_outdir(capsys, tmp_path):
+    outdir = tmp_path / "figs"
+    cfg = _config(tmp_path, f"outdir = {outdir}\n")
+    code, _, _ = run_cli(capsys, "figure", "fig-ppt", "--config", cfg)
+    assert code == 0
+    assert (outdir / "fig-ppt.csv").exists() and (outdir / "plot_fig_ppt.py").exists()
+
+
+def test_config_missing_file_exits_3(capsys, tmp_path):
+    code, _, err = run_cli(
+        capsys, "compute", "discord0", "--config", str(tmp_path / "absent.txt")
+    )
+    assert code == 3
+    assert err.startswith("error:") and "absent.txt" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("source", ["config", "flag"])
+def test_config_bad_value_exits_2_like_flag(capsys, tmp_path, source):
+    if source == "config":
+        argv = ["--config", _config(tmp_path, "p = 0.5\nlambda = abc\n")]
+    else:
+        argv = ["--p", "0.5", "--lambda", "abc"]
+    with pytest.raises(SystemExit) as err:
+        cli.main(["compute", "discord0", *argv])
+    assert err.value.code == 2
+    assert "invalid float value: 'abc'" in capsys.readouterr().err
+
+
+def test_config_unknown_key_exits_2(capsys, tmp_path):
+    cfg = _config(tmp_path, "p = 0.5\nlambda = 0.5\nsqueeze = 3\n")
+    with pytest.raises(SystemExit) as err:
+        cli.main(["compute", "discord0", "--config", cfg])
+    assert err.value.code == 2
+    assert "--squeeze" in capsys.readouterr().err
+
+
+def test_cutoff_above_dense_limit_exits_3(capsys):
+    code, _, err = run_cli(
+        capsys, "compute", "bounds", "--p", "0.5", "--lambda", "0.9999", "--mu", "0.5"
+    )
+    assert code == 3
+    assert err.startswith("error:") and "17000" in err
+
+
 def test_verify_wiring(capsys, monkeypatch):
     stub_results = [
         acceptance.CheckResult("alpha", True, "fine", 0.1),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,3 +107,17 @@ def test_dense_route_agreement():
     state = ppt_werner(0.5, 44)
     assert bounds.upper_bound_dense(state) == pytest.approx(0.5 * math.log(2), abs=1e-6)
     assert bounds.mid_dense(state) == pytest.approx(0.5 * math.log(2), abs=1e-6)
+
+
+def test_series_length_limit_raises_before_allocating():
+    # lam = 1 - 1e-7 would need 2.6e8 terms in the reduced-entropy series.
+    lam = 1.0 - 1e-7
+    tracemalloc.start()
+    try:
+        for fn in (ppt.reduced_entropy, ppt.joint_distribution_entropy, ppt.bounds):
+            with pytest.raises(ValueError, match=f"limit {ppt.MAX_SERIES_TERMS}"):
+                fn(lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20

@@ -52,6 +52,11 @@ _ENTRY_POINTS = {
     "ppt.global_entropy": (ppt.global_entropy, _BAD_FACTOR),
     "ppt.reduced_entropy": (ppt.reduced_entropy, _BAD_FACTOR),
     "ppt.upper_bound": (ppt.upper_bound, _BAD_FACTOR),
+    "ppt.joint_distribution_entropy": (ppt.joint_distribution_entropy, _BAD_FACTOR),
+    "ppt.mid": (ppt.mid, _BAD_FACTOR),
+    "ppt.conditional_entropy": (ppt.conditional_entropy, _BAD_FACTOR),
+    "ppt.lower_bound": (ppt.lower_bound, _BAD_FACTOR),
+    "ppt.bounds": (ppt.bounds, _BAD_FACTOR),
 }
 
 
