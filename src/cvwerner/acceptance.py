@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds, exact, gaussian, nongauss, ppt, states
-from .fock import eig_spectrum, is_more_mixed, partial_transpose, shannon_entropy
+from .fock import eig_spectrum, is_more_mixed, partial_transpose
 from .states import WernerParams, choose_cutoff
 
 DEFAULT_SEED = 20240801
@@ -136,10 +136,10 @@ def check_trivial_points(cutoff=None):
         vals["gap(p=0)"] = gaussian.gaussian_discord(0.0, 0.5).conditional_entropy
         vals["delta0(p=1)"] = nongauss.nongaussianity(1.0, 0.5)
         for lam, mu in ((0.5, 0.5), (0.7, 0.3)):
-            n = cutoff or choose_cutoff(WernerParams(0.0, lam, mu), 1e-13)
-            vals[f"U(0,{lam},{mu})"] = bounds.upper_bound(0.0, lam, mu, n)
-            vals[f"L+(0,{lam},{mu})"] = max(bounds.lower_bound(0.0, lam, mu, n), 0.0)
-            vals[f"mid(0,{lam},{mu})"] = bounds.mid(0.0, lam, mu, n)
+            rep = bounds.bounds_report(WernerParams(0.0, lam, mu), cutoff or None, 1e-13)
+            vals[f"U(0,{lam},{mu})"] = rep.upper
+            vals[f"L+(0,{lam},{mu})"] = max(rep.lower, 0.0)
+            vals[f"mid(0,{lam},{mu})"] = rep.mid
         worst = max(abs(v) for v in vals.values())
         ok = worst <= 1e-10
         return ok, f"max |value| at trivial points = {worst:.2e} (tol 1e-10)"
@@ -161,11 +161,8 @@ def check_mid_identity(cutoff=None):
         for p in _GRID_P:
             for lam in _GRID_LM:
                 for mu in _GRID_LM:
-                    n = cutoff or choose_cutoff(WernerParams(p, lam, mu), 1e-12)
-                    m = shannon_entropy(
-                        bounds.joint_photon_distribution(p, lam, mu, n)
-                    ) - bounds.global_entropy(p, lam, mu, n)
-                    worst = max(worst, abs(m - bounds.upper_bound(p, lam, mu, n)))
+                    rep = bounds.bounds_report(WernerParams(p, lam, mu), cutoff or None)
+                    worst = max(worst, abs(rep.mid - rep.upper))
         elapsed = time.perf_counter() - t0
         ok = worst <= 1e-8 and elapsed < 600.0
         return ok, f"max |MID - U| = {worst:.2e} (tol 1e-8) over 125 points, {elapsed:.1f}s"
@@ -181,18 +178,13 @@ def check_bound_ordering(cutoff=None):
         for p in _GRID_P:
             for lam in _GRID_LM:
                 for mu in _GRID_LM:
-                    n = cutoff or choose_cutoff(WernerParams(p, lam, mu), 1e-12)
-                    u = bounds.upper_bound(p, lam, mu, n)
-                    low = max(bounds.lower_bound(p, lam, mu, n), 0.0)
-                    worst_gap = max(worst_gap, low - u)
+                    rep = bounds.bounds_report(WernerParams(p, lam, mu), cutoff or None)
+                    worst_gap = max(worst_gap, max(rep.lower, 0.0) - rep.upper)
         worst_eq = 0.0
         for lam in _GRID_LM:
             for mu in _GRID_LM:
-                n = cutoff or choose_cutoff(WernerParams(1.0, lam, mu), 1e-12)
-                worst_eq = max(
-                    worst_eq,
-                    abs(bounds.upper_bound(1.0, lam, mu, n) - bounds.lower_bound(1.0, lam, mu, n)),
-                )
+                rep = bounds.bounds_report(WernerParams(1.0, lam, mu), cutoff or None)
+                worst_eq = max(worst_eq, abs(rep.upper - rep.lower))
         ok = worst_gap <= 1e-12 and worst_eq <= 1e-8
         return ok, (
             f"max(L+ - U) = {worst_gap:.2e} (<= 0 required), "

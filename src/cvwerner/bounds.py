@@ -13,9 +13,10 @@ The global entropy never needs the full two-mode matrix: the state splits
 into an analytic branch of product-basis eigenvalues and a correlated
 block whose n_max x n_max matrix is diagonalized numerically.  A report
 evaluates each of S(rho_B), S(rho), H_eig(A|B) and H(p_AB) once per point
-and checks MID = U on those values.  Dense matrix-based twins of U and MID
-(``*_dense``) serve as oracles for arbitrary states with diagonal
-marginals.
+and checks MID = U on those values; ``upper_bound``, ``lower_bound`` and
+``mid`` each read one field of that report.  Dense matrix-based twins of
+U and MID (``*_dense``) serve as oracles for arbitrary states with
+diagonal marginals.
 """
 
 from __future__ import annotations
@@ -35,6 +36,12 @@ from .fock import (
 )
 from .states import WernerParams, check_unit, choose_cutoff, thermal_entropy
 
+# Tolerance of the internal identities: eigenvalue branches sum to 1,
+# closed-form = direct conditional entropy, and MID = U.
+IDENTITY_TOL = 1e-8
+# Photon counts less likely than this carry no conditional state.
+WEIGHT_FLOOR = 1e-16
+
 
 class TruncationError(ValueError):
     """An internal identity failed, signaling an inconsistent truncation."""
@@ -49,18 +56,19 @@ def reduced_spectrum(p: float, lam: float, mu: float, n_max: int) -> np.ndarray:
 
 def marginal_entropy(p: float, lam: float, mu: float, n_max: int) -> float:
     """Entropy of the reduced state from its truncated spectrum."""
+    WernerParams(p, lam, mu)
     return von_neumann_entropy(reduced_spectrum(p, lam, mu, n_max))
 
 
-def _conditional_entropy_direct(p, lam, mu, n_max, weight_floor=1e-16):
+def _conditional_entropy_direct(p, lam, mu, n_max):
     g = reduced_spectrum(p, lam, mu, n_max)
     eta = joint_photon_distribution(p, lam, mu, n_max)
-    keep = g > weight_floor
+    keep = g > WEIGHT_FLOOR
     eta = eta[keep] / g[keep, None]
     return float((g[keep] * -(xlogx(eta).sum(axis=1))).sum())
 
 
-def _conditional_entropy_closed(p, lam, mu, n_max, weight_floor=1e-16):
+def _conditional_entropy_closed(p, lam, mu, n_max):
     # Per-m entropy in closed form: the off-diagonal thermal tail is summed
     # analytically, only the count-m term is left explicit.
     g = reduced_spectrum(p, lam, mu, n_max)
@@ -73,7 +81,7 @@ def _conditional_entropy_closed(p, lam, mu, n_max, weight_floor=1e-16):
         m / one + mu**2 / one**2 - 2.0 * m * mu ** (2 * m)
     )
     per_m = -k * tail - xlogx(eta_mm)
-    keep = g > weight_floor
+    keep = g > WEIGHT_FLOOR
     return float((g[keep] * per_m[keep]).sum())
 
 
@@ -84,25 +92,24 @@ def _conditional_tail_bound(p, lam, mu, n_max):
     return (np.log(2.0) + thermal_entropy(mu)) * weight_tail
 
 
-def conditional_entropy_photon_counting(
-    p: float, lam: float, mu: float, n_max: int, check_tol: float = 1e-8
-) -> float:
+def conditional_entropy_photon_counting(p: float, lam: float, mu: float, n_max: int) -> float:
     """Conditional entropy after photon counting on one mode,
     ``sum_m p_B(m) S(rho_A|m)``.
 
     Evaluated twice, from the closed per-m expression and from the raw
-    conditional spectra; a mismatch beyond ``check_tol`` raises
+    conditional spectra; a mismatch beyond ``IDENTITY_TOL`` raises
     ``TruncationError``.  At ``mu = 0`` or ``p = 1`` every conditional
     state is pure and the result is exactly zero.
     """
+    WernerParams(p, lam, mu)
     if mu == 0.0 or p == 1.0:
         return 0.0
     closed = _conditional_entropy_closed(p, lam, mu, n_max)
     direct = _conditional_entropy_direct(p, lam, mu, n_max)
-    if abs(closed - direct) > check_tol:
+    if abs(closed - direct) > IDENTITY_TOL:
         raise TruncationError(
             f"closed-form vs direct conditional entropy differ by "
-            f"{abs(closed - direct):.3e} (> {check_tol:g}) at n_max={n_max}"
+            f"{abs(closed - direct):.3e} (> {IDENTITY_TOL:g}) at n_max={n_max}"
         )
     return closed
 
@@ -126,15 +133,14 @@ def correlated_block(p: float, lam: float, mu: float, n_max: int) -> np.ndarray:
     return block
 
 
-def global_entropy(
-    p: float, lam: float, mu: float, n_max: int, trace_tol: float = 1e-8
-) -> float:
+def global_entropy(p: float, lam: float, mu: float, n_max: int) -> float:
     """Global entropy from the analytic product-basis branch plus the
     numerically diagonalized correlated block.
 
     Raises ``TruncationError`` when the two eigenvalue branches fail to sum
-    to 1 within ``trace_tol``.
+    to 1 within ``IDENTITY_TOL``.
     """
+    WernerParams(p, lam, mu)
     if mu == 0.0 or p == 1.0:
         branch_sum = 0.0
         branch_entropy = 0.0
@@ -147,10 +153,10 @@ def global_entropy(
     block = correlated_block(p, lam, mu, n_max)
     f = np.linalg.eigvalsh(block)
     total = branch_sum + float(f.sum())
-    if abs(total - 1.0) > trace_tol:
+    if abs(total - 1.0) > IDENTITY_TOL:
         raise TruncationError(
             f"eigenvalue branches sum to {total!r} (off by {total - 1.0:.3e} "
-            f"> {trace_tol:g}); increase n_max={n_max}"
+            f"> {IDENTITY_TOL:g}); increase n_max={n_max}"
         )
     return float(branch_entropy) + von_neumann_entropy(f)
 
@@ -166,47 +172,23 @@ def joint_photon_distribution(p: float, lam: float, mu: float, n_max: int) -> np
 
 def upper_bound(p: float, lam: float, mu: float, n_max: int) -> float:
     """Photon-counting upper bound U = S(rho_B) - S(rho) + H_eig(A|B)."""
-    return (
-        marginal_entropy(p, lam, mu, n_max)
-        - global_entropy(p, lam, mu, n_max)
-        + conditional_entropy_photon_counting(p, lam, mu, n_max)
-    )
+    return bounds_report(WernerParams(p, lam, mu), n_max).upper
 
 
 def lower_bound(p: float, lam: float, mu: float, n_max: int) -> float:
     """Concavity lower bound L = S(rho_B) - S(rho) + (1-p) S_th(mu).
 
     Reported signed; it may be negative (clip for plotting)."""
-    return (
-        marginal_entropy(p, lam, mu, n_max)
-        - global_entropy(p, lam, mu, n_max)
-        + (1.0 - p) * thermal_entropy(mu)
-    )
+    return bounds_report(WernerParams(p, lam, mu), n_max).lower
 
 
-def _entropies(p, lam, mu, n_max, check_tol=1e-8):
-    """S(rho_B), S(rho), H_eig(A|B) and MID = H(p_AB) - S(rho), each
-    evaluated once; MID = U is checked on these same values."""
-    s_b = marginal_entropy(p, lam, mu, n_max)
-    s_g = global_entropy(p, lam, mu, n_max)
-    h_eig = conditional_entropy_photon_counting(p, lam, mu, n_max)
-    m = shannon_entropy(joint_photon_distribution(p, lam, mu, n_max)) - s_g
-    u = s_b - s_g + h_eig
-    if abs(m - u) > check_tol:
-        raise TruncationError(
-            f"MID {m!r} and upper bound {u!r} differ by {abs(m - u):.3e} "
-            f"(> {check_tol:g}) at n_max={n_max}"
-        )
-    return s_b, s_g, h_eig, m
-
-
-def mid(p: float, lam: float, mu: float, n_max: int, check_tol: float = 1e-8) -> float:
+def mid(p: float, lam: float, mu: float, n_max: int) -> float:
     """Measurement-induced disturbance M = H(p_AB) - S(rho).
 
     The identity M = U holds exactly for this family; a violation beyond
-    ``check_tol`` raises ``TruncationError``.
+    ``IDENTITY_TOL`` raises ``TruncationError``.
     """
-    return _entropies(p, lam, mu, n_max, check_tol)[3]
+    return bounds_report(WernerParams(p, lam, mu), n_max).mid
 
 
 def discord_is_positive(p: float, lam: float) -> bool:
@@ -259,10 +241,21 @@ class BoundsReport:
 def bounds_report(
     params: WernerParams, n_max: int | None = None, eps_tail: float = 1e-12
 ) -> BoundsReport:
+    """U, L and MID at one point, from S(rho_B), S(rho), H_eig(A|B) and
+    H(p_AB), each evaluated once; MID = U is checked on these values."""
     p, lam, mu = params.p, params.lam, params.mu
     if n_max is None:
         n_max = choose_cutoff(params, eps_tail)
-    s_b, s_g, h_eig, m = _entropies(p, lam, mu, n_max)
+    s_b = marginal_entropy(p, lam, mu, n_max)
+    s_g = global_entropy(p, lam, mu, n_max)
+    h_eig = conditional_entropy_photon_counting(p, lam, mu, n_max)
+    upper = s_b - s_g + h_eig
+    m = shannon_entropy(joint_photon_distribution(p, lam, mu, n_max)) - s_g
+    if abs(m - upper) > IDENTITY_TOL:
+        raise TruncationError(
+            f"MID {m!r} and upper bound {upper!r} differ by {abs(m - upper):.3e} "
+            f"(> {IDENTITY_TOL:g}) at n_max={n_max}"
+        )
     if abs(lam - mu**4) < 1e-12:
         region = separability_region(p, mu)
     else:
@@ -275,7 +268,7 @@ def bounds_report(
         marginal_entropy=s_b,
         global_entropy=s_g,
         conditional_entropy=h_eig,
-        upper=s_b - s_g + h_eig,
+        upper=upper,
         lower=s_b - s_g + (1.0 - p) * thermal_entropy(mu),
         mid=m,
         region=region,
@@ -294,7 +287,7 @@ def _diagonal_marginal(state: TwoModeState, tol=1e-10):
     return np.real(np.diag(reduced))
 
 
-def conditional_entropy_dense(state: TwoModeState, weight_floor: float = 1e-16) -> float:
+def conditional_entropy_dense(state: TwoModeState) -> float:
     """Photon-counting conditional entropy of an explicit matrix.
 
     Requires a Fock-diagonal marginal, so that counting is measurement in
@@ -303,7 +296,7 @@ def conditional_entropy_dense(state: TwoModeState, weight_floor: float = 1e-16) 
     n = state.n_max
     p_b = _diagonal_marginal(state)
     blocks = np.einsum("imjm->mij", state.matrix.reshape(n, n, n, n))
-    keep = p_b > weight_floor
+    keep = p_b > WEIGHT_FLOOR
     spectra = np.linalg.eigvalsh(blocks[keep]) / p_b[keep, None]
     return float((p_b[keep] * -(xlogx(spectra).sum(axis=1))).sum())
 

@@ -4,7 +4,8 @@ figure datasets, and run the acceptance battery.
 Exit codes: 0 success, 1 failed verification, 2 usage error (argparse,
 also for a config value or key that the subcommand's flags reject),
 3 domain error or unreadable config file, 4 sweep rows failed,
-5 figure output error.
+5 output error (``compute --out``, ``sweep --out`` or ``figure`` cannot
+write its file).
 
 A ``--config`` file holds ``key = value`` lines, one per flag of the
 subcommand (``lambda = 0.5``, ``eps-tail = 1e-10``, ``outdir = figs``).
@@ -358,37 +359,33 @@ print("wrote {name}.png")
 
 
 def cmd_figure(args):
-    try:
-        jobs = _figure_grid(args.name)
-        os.makedirs(args.outdir, exist_ok=True)
-        base = vars(args)
-        rows = []
-        for measure, point in jobs:
-            opts = dict(base)
-            opts.update(point)
-            results, cutoff, _ = MEASURES[measure](opts)
-            row = dict(point)
-            row.update(results)
-            rows.append(row)
-        columns = _columns(rows)
-        csv_name = f"{args.name}.csv"
-        csv_path = os.path.join(args.outdir, csv_name)
-        with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(columns) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(row[c]) if c in row else "" for c in columns) + "\n")
-        extras = ""
-        if args.name == "fig-bounds-mu4":
-            extras = (
-                f'ax.axvline({bounds.p_separable(0.8)!r}, linestyle="-", color="gray")\n'
-                f'ax.axvline({bounds.p_ppt(0.8)!r}, linestyle="--", color="gray")\n'
-            )
-        stub = _PLOT_STUB.format(name=args.name, csv_name=csv_name, extras=extras)
-        with open(os.path.join(args.outdir, f"plot_{args.name.replace('-', '_')}.py"), "w") as fh:
-            fh.write(stub)
-    except OSError as exc:
-        print(f"error: figure output failed: {exc}", file=sys.stderr)
-        return 5
+    jobs = _figure_grid(args.name)
+    os.makedirs(args.outdir, exist_ok=True)
+    base = vars(args)
+    rows = []
+    for measure, point in jobs:
+        opts = dict(base)
+        opts.update(point)
+        results, cutoff, _ = MEASURES[measure](opts)
+        row = dict(point)
+        row.update(results)
+        rows.append(row)
+    columns = _columns(rows)
+    csv_name = f"{args.name}.csv"
+    csv_path = os.path.join(args.outdir, csv_name)
+    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(row[c]) if c in row else "" for c in columns) + "\n")
+    extras = ""
+    if args.name == "fig-bounds-mu4":
+        extras = (
+            f'ax.axvline({bounds.p_separable(0.8)!r}, linestyle="-", color="gray")\n'
+            f'ax.axvline({bounds.p_ppt(0.8)!r}, linestyle="--", color="gray")\n'
+        )
+    stub = _PLOT_STUB.format(name=args.name, csv_name=csv_name, extras=extras)
+    with open(os.path.join(args.outdir, f"plot_{args.name.replace('-', '_')}.py"), "w") as fh:
+        fh.write(stub)
     print(f"wrote {csv_path}")
     return 0
 
@@ -506,6 +503,9 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"error: {args.command} output failed: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -17,6 +17,10 @@ from scipy.linalg import eigh
 
 HERMITICITY_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
+PROBABILITY_FLOOR = -1e-12
+# eig_spectrum checks its decomposition on this many seeded random vectors.
+RESIDUAL_PROBES = 4
+RESIDUAL_SEED = 0
 # Dense two-mode matrices above this dimension would not fit desk-scale RAM.
 MAX_TWO_MODE_DIM = 17_000
 
@@ -122,26 +126,29 @@ def xlogx(x) -> np.ndarray:
         return np.where(x > 0.0, x * np.log(np.where(x > 0.0, x, 1.0)), 0.0)
 
 
-def von_neumann_entropy(spectrum, floor=EIGENVALUE_FLOOR) -> float:
+def von_neumann_entropy(spectrum) -> float:
     """-sum(v ln v) over the spectrum, with 0 ln 0 = 0.
 
-    Entries in ``[floor, 0)`` are treated as truncation noise and clipped to
-    zero; anything below ``floor`` raises ``InvalidSpectrumError``.
+    Entries in ``[EIGENVALUE_FLOOR, 0)`` are treated as truncation noise and
+    clipped to zero; anything below raises ``InvalidSpectrumError``.
     """
     v = np.asarray(spectrum, dtype=float).ravel()
-    if v.size and float(v.min()) < floor:
+    if v.size and float(v.min()) < EIGENVALUE_FLOOR:
         raise InvalidSpectrumError(
-            f"spectrum entry {v.min():.6e} below the tolerated floor {floor:g}"
+            f"spectrum entry {v.min():.6e} below the tolerated floor {EIGENVALUE_FLOOR:g}"
         )
     # Summing positive entries only makes the result, to the last bit,
     # independent of how many zeros the spectrum holds and where.
     return float(-xlogx(v[v > 0.0]).sum()) + 0.0
 
 
-def shannon_entropy(probabilities, floor=-1e-12) -> float:
-    """Shannon entropy -sum(p ln p) of a probability table, in nats."""
+def shannon_entropy(probabilities) -> float:
+    """Shannon entropy -sum(p ln p) of a probability table, in nats.
+
+    Entries in ``[PROBABILITY_FLOOR, 0)`` count as zero; anything below
+    raises ``InvalidSpectrumError``."""
     p = np.asarray(probabilities, dtype=float).ravel()
-    if p.size and float(p.min()) < floor:
+    if p.size and float(p.min()) < PROBABILITY_FLOOR:
         raise InvalidSpectrumError(f"negative probability {p.min():.6e}")
     return float(-xlogx(p[p > 0.0]).sum()) + 0.0
 
@@ -200,23 +207,21 @@ def is_more_mixed(a, b, tol=1e-12) -> bool:
     return bool(np.all(np.cumsum(a) <= np.cumsum(b) + tol))
 
 
-def eig_spectrum(rho, residual_probes=4, seed=0) -> np.ndarray:
+def eig_spectrum(rho) -> np.ndarray:
     """Descending real eigenvalues of a Hermitian state or matrix.
 
     Uses LAPACK's divide-and-conquer driver: the default driver stalls on
     the large eigenvalue clusters of these states.  The decomposition is
-    verified by applying it to a few random probe vectors; the residual
-    must stay below ``1e-9 * dim``.
+    verified by applying it to ``RESIDUAL_PROBES`` random probe vectors;
+    the residual must stay below ``1e-9 * dim``.
     """
     m = getattr(rho, "matrix", None)
     if m is None:
         m = _as_state_matrix(rho, np.asarray(rho).shape[0])
     dim = m.shape[0]
     w, v = eigh(m, check_finite=False, driver="evd")
-    if residual_probes:
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal((dim, residual_probes))
-        resid = np.max(np.abs(m @ x - v @ (w[:, None] * (v.conj().T @ x))))
-        if resid > 1e-9 * dim:
-            raise ValueError(f"eigendecomposition residual {resid:.3e} > {1e-9 * dim:.1e}")
+    x = np.random.default_rng(RESIDUAL_SEED).standard_normal((dim, RESIDUAL_PROBES))
+    resid = np.max(np.abs(m @ x - v @ (w[:, None] * (v.conj().T @ x))))
+    if resid > 1e-9 * dim:
+        raise ValueError(f"eigendecomposition residual {resid:.3e} > {1e-9 * dim:.1e}")
     return w[::-1].copy()

@@ -35,6 +35,10 @@ from .fock import xlogx
 
 HOMODYNE_T = 12.0
 _T_CAP = 300.0  # exp(2t) must stay finite
+# Envelope mass the quadrature grid may leave outside its radius.
+TAIL_EPS = 1e-10
+# Width to which golden section refines the optimal t.
+T_TOL = 1e-4
 
 
 class QuadratureError(ValueError):
@@ -95,7 +99,8 @@ def conditional_params(lam: float, povm: GaussianPovm, alpha: complex) -> Condit
     """Squeezing ``s`` and displacement ``beta`` of the conditional pure state.
 
     Detecting ``|alpha, xi>`` on one mode of the two-mode squeezed vacuum
-    leaves the other in ``|beta, s exp(-2i phi)>``.
+    leaves the other in ``|beta, s exp(-2i phi)>``.  ``alpha`` may be an
+    array of outcomes; ``beta`` then has its shape.
     """
     c2r, s2r = _cosh2r(lam), _sinh2r(lam)
     e2t = math.exp(2.0 * povm.t)
@@ -165,14 +170,9 @@ def _conditional_entropy_terms(p, lam, t, phi, x, y):
     if p == 0.0 or p == 1.0:
         logq = (math.log(p) + logu) if p == 1.0 else (math.log1p(-p) + logv)
         return np.zeros_like(x), np.exp(logq) / math.pi
-    cp = conditional_params(lam, GaussianPovm(t, phi), 0.0)
-    c2r, s2r = _cosh2r(lam), _sinh2r(lam)
-    beta = 0.5 * s2r * (
-        (cp.z_plus + cp.z_minus) * np.conj(alpha)
-        + (cp.z_plus - cp.z_minus) * np.exp(-2j * phi) * alpha
-    )
+    cp = conditional_params(lam, GaussianPovm(t, phi), alpha)
     overlap_sq = (
-        np.exp(-np.abs(beta) ** 2 + math.tanh(cp.s) * np.real(np.exp(2j * phi) * beta**2))
+        np.exp(-np.abs(cp.beta) ** 2 + math.tanh(cp.s) * np.real(np.exp(2j * phi) * cp.beta**2))
         / math.cosh(cp.s)
     )
     lw1 = math.log(p) + logu
@@ -193,14 +193,10 @@ def _leggauss(n):
 
 
 def quadrature_grid(
-    lam: float,
-    povm: GaussianPovm,
-    n_radial: int = 80,
-    n_angular: int = 64,
-    tail_eps: float = 1e-10,
+    lam: float, povm: GaussianPovm, n_radial: int = 80, n_angular: int = 64
 ) -> QuadratureGrid:
     """Polar grid sized so the Gaussian envelope tail mass stays below
-    ``tail_eps``.
+    ``TAIL_EPS``.
 
     Node counts grow with the anisotropy of the outcome density (which
     stretches like 1/(1 - lam^2) at strong squeezing) so that the requested
@@ -209,7 +205,7 @@ def quadrature_grid(
     """
     rates = _frame_rates(lam, povm.t)
     c_min = min(rates)
-    r_max = math.sqrt((math.log(1.0 / tail_eps) + 3.0) / c_min)
+    r_max = math.sqrt((math.log(1.0 / TAIL_EPS) + 3.0) / c_min)
     tau = math.tanh(povm.t)
     stretch = math.sqrt((1.0 + lam**2 * tau) / (1.0 - lam**2))
     ecc = math.sqrt((1.0 + lam**2 * tau) / (1.0 - lam**2 * tau))
@@ -341,7 +337,6 @@ def gaussian_discord(
     lam: float,
     t_max: float = HOMODYNE_T,
     coarse_step: float = 0.5,
-    t_tol: float = 1e-4,
     n_radial: int = 80,
     n_angular: int = 64,
     eps_int: float = 1e-7,
@@ -375,7 +370,7 @@ def gaussian_discord(
 
     lo = max(0.0, best[0] - coarse_step)
     hi = min(t_max, best[0] + coarse_step)
-    t_ref = _golden_section(objective, lo, hi, t_tol)
+    t_ref = _golden_section(objective, lo, hi, T_TOL)
     t_opt, h_min = min([best, (t_ref, objective(t_ref))], key=lambda c: c[1])
     if not math.isfinite(h_min) or h_min < -1e-12:
         raise OptimizationError(

@@ -27,6 +27,8 @@ from .states import check_unit, thermal_entropy
 # The series need ever more terms as lam -> 1; beyond this many they
 # raise instead of allocating.
 MAX_SERIES_TERMS = 10**7
+# Tolerance of the cross-checks against the direct series.
+CHECK_TOL = 1e-8
 
 
 class SeriesCrossCheckError(ValueError):
@@ -98,7 +100,7 @@ def reduced_entropy(lam: float, tol: float = 1e-10) -> float:
     )
 
 
-def conditional_entropy(lam: float, check_tol: float = 1e-8, tol: float = 1e-10) -> float:
+def conditional_entropy(lam: float, tol: float = 1e-10) -> float:
     """Photon-counting conditional entropy, analytically
     S(rho) - S(rho_B) + lam ln 2, cross-checked against the direct sum
     over post-measurement spectra."""
@@ -109,7 +111,7 @@ def conditional_entropy(lam: float, check_tol: float = 1e-8, tol: float = 1e-10)
     n_terms = _series_length(lam, tol, 8.0 * norm * (1.0 + abs(math.log(norm))) / (1.0 - lam) ** 2)
     n_terms = min(n_terms, 6000)
     powers = lam ** np.arange(n_terms, dtype=float)
-    p_b = norm * powers * (powers + 1.0 / (1.0 - lam))
+    p_b = reduced_probabilities(lam, n_terms)
     direct = 0.0
     for m in range(n_terms):
         spec = norm * powers[m] * powers
@@ -119,7 +121,7 @@ def conditional_entropy(lam: float, check_tol: float = 1e-8, tol: float = 1e-10)
         direct += p_b[m] * float(-(spec * np.log(spec)).sum())
         if p_b[m] < tol * 1e-3:
             break
-    if abs(analytic - direct) > check_tol:
+    if abs(analytic - direct) > CHECK_TOL:
         raise SeriesCrossCheckError(
             f"analytic conditional entropy {analytic!r} vs direct sum {direct!r} "
             f"differ by {abs(analytic - direct):.3e}"
@@ -177,13 +179,13 @@ def lower_bound(lam: float, tol: float = 1e-10) -> float:
     )
 
 
-def mid(lam: float, check_tol: float = 1e-8, tol: float = 1e-10) -> float:
+def mid(lam: float, tol: float = 1e-10) -> float:
     """Measurement-induced disturbance H(p_AB) - S(rho) = lam ln 2,
     verified against the direct series for H(p_AB)."""
     if lam == 0.0:
         return 0.0
     value = joint_distribution_entropy(lam, tol) - global_entropy(lam)
-    if abs(value - lam * math.log(2.0)) > check_tol:
+    if abs(value - lam * math.log(2.0)) > CHECK_TOL:
         raise SeriesCrossCheckError(
             f"MID series gives {value!r}, expected {lam * math.log(2.0)!r}"
         )

@@ -128,8 +128,12 @@ def test_mid_identity_and_values():
 
 
 def test_mid_flags_bad_truncation():
-    with pytest.raises(TruncationError):
-        bounds.mid(0.5, 0.8, 0.8, 6)
+    # Every bound reads one report and so runs all its identity checks; at
+    # (0.5, 0.0, 0.3) only closed-form vs direct conditional entropy fails.
+    for point in ((0.5, 0.8, 0.8), (0.5, 0.0, 0.3)):
+        for fn in (bounds.mid, bounds.upper_bound, bounds.lower_bound):
+            with pytest.raises(TruncationError):
+                fn(*point, 6)
 
 
 def test_cutoff_doubling_stability():

@@ -147,6 +147,20 @@ def test_figure_io_error_exits_5(capsys, tmp_path):
     assert "figure output failed" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compute", "discord0", "--p", "0.5", "--lambda", "0.5"),
+        ("sweep", "discord0", "--p", "0:1:0.5", "--lambda", "0.5"),
+    ],
+    ids=["compute", "sweep"],
+)
+def test_out_io_error_exits_5(capsys, tmp_path, argv):
+    code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "missing" / "x.out"))
+    assert code == 5
+    assert f"error: {argv[0]} output failed" in err
+
+
 def test_config_file_presets_and_flag_override(capsys, tmp_path):
     cfg = tmp_path / "config.txt"
     cfg.write_text("p = 0.5\nlambda = 0.5  # squeezing\n")

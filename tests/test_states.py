@@ -60,6 +60,27 @@ _ENTRY_POINTS = {
 }
 
 
+def _at_point(fn, i):
+    """``v -> fn(p, lam, mu, 20)`` with argument ``i`` of (0.5, 0.5, 0.5) set to ``v``."""
+    return lambda v: fn(*(v if j == i else 0.5 for j in range(3)), 20)
+
+
+_ENTRY_POINTS.update(
+    {
+        f"bounds.{fn.__name__}-{arg}": (_at_point(fn, i), bad)
+        for fn in (
+            bounds.global_entropy,
+            bounds.marginal_entropy,
+            bounds.conditional_entropy_photon_counting,
+            bounds.upper_bound,
+            bounds.lower_bound,
+            bounds.mid,
+        )
+        for i, (arg, bad) in enumerate((("p", _BAD_P), ("lam", _BAD_FACTOR), ("mu", _BAD_FACTOR)))
+    }
+)
+
+
 @pytest.mark.parametrize(
     "entry, value",
     [(name, v) for name, (_, bad) in _ENTRY_POINTS.items() for v in bad],
