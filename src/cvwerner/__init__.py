@@ -18,7 +18,6 @@ ppt       analytic results for the positive partial-transpose state
 from . import bounds, exact, fock, gaussian, nongauss, ppt, states
 from .fock import (
     OneModeState,
-    Spectrum,
     TwoModeState,
     eig_spectrum,
     is_more_mixed,
@@ -42,7 +41,6 @@ from .states import (
 
 __all__ = [
     "OneModeState",
-    "Spectrum",
     "TwoModeState",
     "WernerParams",
     "GaussianPovm",

@@ -50,13 +50,13 @@ class TruncationError(ValueError):
 def reduced_spectrum(p: float, lam: float, mu: float, n_max: int) -> np.ndarray:
     """Eigenvalues g_m = p(1-lam^2)lam^(2m) + (1-p)(1-mu^2)mu^(2m) of either
     reduced state (diagonal in the Fock basis)."""
+    WernerParams(p, lam, mu)
     m = np.arange(n_max, dtype=float)
     return p * (1.0 - lam**2) * lam ** (2 * m) + (1.0 - p) * (1.0 - mu**2) * mu ** (2 * m)
 
 
 def marginal_entropy(p: float, lam: float, mu: float, n_max: int) -> float:
     """Entropy of the reduced state from its truncated spectrum."""
-    WernerParams(p, lam, mu)
     return von_neumann_entropy(reduced_spectrum(p, lam, mu, n_max))
 
 
@@ -125,6 +125,7 @@ def _check_square_size(n_max):
 def correlated_block(p: float, lam: float, mu: float, n_max: int) -> np.ndarray:
     """The n_max x n_max matrix whose eigenvalues are the non-analytic part
     of the global spectrum."""
+    WernerParams(p, lam, mu)
     _check_square_size(n_max)
     powers = lam ** np.arange(n_max, dtype=float)
     block = p * (1.0 - lam**2) * np.outer(powers, powers)
@@ -163,6 +164,7 @@ def global_entropy(p: float, lam: float, mu: float, n_max: int) -> float:
 
 def joint_photon_distribution(p: float, lam: float, mu: float, n_max: int) -> np.ndarray:
     """Photon-count statistics p(m, n) of the Werner state, in closed form."""
+    WernerParams(p, lam, mu)
     _check_square_size(n_max)
     m = np.arange(n_max, dtype=float)
     table = (1.0 - p) * (1.0 - mu**2) ** 2 * mu ** (2.0 * np.add.outer(m, m))

@@ -81,11 +81,16 @@ def tmsv_vector(lam: float, n_max: int) -> np.ndarray:
     return np.sqrt(1.0 - lam**2) * lam ** np.arange(n_max, dtype=float)
 
 
+def _tmsv_ket(lam: float, n_max: int) -> np.ndarray:
+    """The truncated two-mode squeezed vacuum as a flat two-mode vector."""
+    vec = np.zeros(n_max * n_max)
+    vec[np.arange(n_max) * (n_max + 1)] = tmsv_vector(lam, n_max)
+    return vec
+
+
 def tmsv(lam: float, n_max: int, renormalize: bool = False) -> TwoModeState:
     """Projector onto the two-mode squeezed vacuum, truncated at ``n_max``."""
-    amps = tmsv_vector(lam, n_max)
-    vec = np.zeros(n_max * n_max)
-    vec[np.arange(n_max) * n_max + np.arange(n_max)] = amps
+    vec = _tmsv_ket(lam, n_max)
     if renormalize:
         vec /= np.linalg.norm(vec)
     return TwoModeState(n_max, np.outer(vec, vec))
@@ -121,7 +126,8 @@ def werner(
     """
     if n_max is None:
         n_max = choose_cutoff(params, eps_tail)
-    proj = tmsv(params.lam, n_max).matrix
+    vec = _tmsv_ket(params.lam, n_max)
+    proj = np.outer(vec, vec)
     th = thermal(params.mu, n_max).matrix
     rho = params.p * proj + (1.0 - params.p) * np.kron(th, th)
     if renormalize:

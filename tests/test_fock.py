@@ -210,3 +210,81 @@ def test_two_mode_state_validation():
     rho.validate(eps_tail=1e-10)
     with pytest.raises(ValueError):
         rho.matrix[0, 0] = 2.0  # frozen storage
+
+
+def _hidden_block_matrix(sizes, dtype, seed):
+    """Hermitian matrix with blocks of the given sizes, eigenvalues of order
+    1, in a randomly permuted basis so that no block is contiguous."""
+    rng = np.random.default_rng(seed)
+    dim = sum(sizes)
+    m = np.zeros((dim, dim), dtype=dtype)
+    start = 0
+    for s in sizes:
+        a = rng.standard_normal((s, s))
+        if dtype == complex:
+            a = a + 1j * rng.standard_normal((s, s))
+        m[start : start + s, start : start + s] = (a + a.conj().T) / (2.0 * s)
+        start += s
+    perm = rng.permutation(dim)
+    return m[np.ix_(perm, perm)]
+
+
+@pytest.fixture
+def eigh_shapes(monkeypatch):
+    """Shapes of the stacks passed to ``np.linalg.eigh``."""
+    shapes = []
+    real_eigh = np.linalg.eigh
+
+    def recording_eigh(a):
+        shapes.append(np.shape(a))
+        return real_eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    return shapes
+
+
+_BLOCK_SIZES = [1, 1, 2, 3, 3, 3, 5, 8, 13]
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize(
+    "sizes, stacks",
+    [
+        # one stacked call per block size, each block found despite the permutation
+        (_BLOCK_SIZES, [(2, 1, 1), (1, 2, 2), (3, 3, 3), (1, 5, 5), (1, 8, 8), (1, 13, 13)]),
+        # a dense matrix is a single block
+        ([60], [(1, 60, 60)]),
+    ],
+    ids=["hidden-blocks", "dense"],
+)
+def test_eig_spectrum_blocks_match_full_eigvalsh(sizes, stacks, dtype, eigh_shapes):
+    m = _hidden_block_matrix(sizes, dtype, seed=len(sizes))
+    spec = eig_spectrum(m)
+    assert np.max(np.abs(spec - np.linalg.eigvalsh(m)[::-1])) < 1e-12
+    assert eigh_shapes == stacks
+
+
+def test_eig_spectrum_blocks_of_oracle_states(eigh_shapes):
+    eig_spectrum(states.ppt_werner(0.5, 40))
+    assert max(s[-1] for s in eigh_shapes) == 2
+    eigh_shapes.clear()
+    n = 12
+    eig_spectrum(states.werner(states.WernerParams(0.5, 0.6, 0.4), n))
+    assert max(s[-1] for s in eigh_shapes) == n
+
+
+def test_eig_spectrum_residual_check_rejects_bad_decomposition(monkeypatch):
+    real_eigh = np.linalg.eigh
+
+    def perturbed_eigh(a):
+        w, v = real_eigh(a)
+        return w + 1e-6, v
+
+    monkeypatch.setattr(np.linalg, "eigh", perturbed_eigh)
+    with pytest.raises(ValueError, match="residual"):
+        eig_spectrum(_hidden_block_matrix(_BLOCK_SIZES, float, seed=9))
+
+
+def test_eig_spectrum_rejects_nan():
+    with pytest.raises(ValueError, match="residual"):
+        eig_spectrum(np.array([[0.5, np.nan], [np.nan, 0.5]]))

@@ -75,6 +75,9 @@ _ENTRY_POINTS.update(
             bounds.upper_bound,
             bounds.lower_bound,
             bounds.mid,
+            bounds.reduced_spectrum,
+            bounds.correlated_block,
+            bounds.joint_photon_distribution,
         )
         for i, (arg, bad) in enumerate((("p", _BAD_P), ("lam", _BAD_FACTOR), ("mu", _BAD_FACTOR)))
     }
