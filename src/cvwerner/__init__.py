@@ -2,9 +2,10 @@
 
 Submodules
 ----------
-fock      truncated Fock-basis linear algebra (entropies, partial trace
-          and transpose, majorization, spectra)
-states    constructors for the state families and cutoff selection
+fock      truncated Fock-basis state types and linear algebra
+          (entropies, partial trace and transpose, majorization, spectra)
+states    constructors for the Werner, TMSV, thermal and PPT states, and
+          cutoff selection
 exact     closed-form discord and related indicators for the vacuum
           Werner state (squeezed vacuum mixed with the vacuum)
 gaussian  Gaussian measurements: conditional entropy quadrature and
@@ -24,7 +25,6 @@ from .fock import (
     partial_trace,
     partial_transpose,
     shannon_entropy,
-    two_component_mixture_spectrum,
     von_neumann_entropy,
 )
 from .gaussian import GaussianPovm, gaussian_discord
@@ -32,7 +32,6 @@ from .nongauss import discord_gap, nongaussianity
 from .states import (
     WernerParams,
     choose_cutoff,
-    maximally_correlated,
     ppt_werner,
     thermal,
     tmsv,
@@ -53,7 +52,6 @@ __all__ = [
     "gaussian",
     "gaussian_discord",
     "is_more_mixed",
-    "maximally_correlated",
     "nongauss",
     "nongaussianity",
     "partial_trace",
@@ -64,7 +62,6 @@ __all__ = [
     "states",
     "thermal",
     "tmsv",
-    "two_component_mixture_spectrum",
     "von_neumann_entropy",
     "werner",
 ]

@@ -12,8 +12,9 @@ the discord itself.
 The global entropy never needs the full two-mode matrix: the state splits
 into an analytic branch of product-basis eigenvalues and a correlated
 block whose n_max x n_max matrix is diagonalized numerically.  A report
-evaluates each of S(rho_B), S(rho), H_eig(A|B) and H(p_AB) once per point
-and checks MID = U on those values; ``upper_bound``, ``lower_bound`` and
+evaluates each of S(rho_B), S(rho), H_eig(A|B) and H(p_AB) once per point,
+the last summed by anti-diagonals of the photon-count table, and checks
+MID = U on those values; ``upper_bound``, ``lower_bound`` and
 ``mid`` each read one field of that report.  Dense matrix-based twins of
 U and MID (``*_dense``) serve as oracles for arbitrary states with
 diagonal marginals.
@@ -28,6 +29,7 @@ import numpy as np
 from .fock import (
     MAX_TWO_MODE_DIM,
     TwoModeState,
+    antidiagonal_entropy,
     eig_spectrum,
     partial_trace,
     shannon_entropy,
@@ -70,9 +72,13 @@ def _conditional_entropy_direct(p, lam, mu, n_max):
 
 def _conditional_entropy_closed(p, lam, mu, n_max):
     # Per-m entropy in closed form: the off-diagonal thermal tail is summed
-    # analytically, only the count-m term is left explicit.
+    # analytically, only the count-m term is left explicit.  Only counts
+    # with g_m > WEIGHT_FLOOR are evaluated: at large cutoffs g_m underflows
+    # to 0, and the terms below divide by it.
     g = reduced_spectrum(p, lam, mu, n_max)
-    m = np.arange(n_max, dtype=float)
+    keep = g > WEIGHT_FLOOR
+    g = g[keep]
+    m = np.arange(n_max, dtype=float)[keep]
     one = 1.0 - mu**2
     k = (1.0 - p) * one**2 * mu ** (2 * m) / g
     eta_mm = (p * (1.0 - lam**2) * lam ** (2 * m) + (1.0 - p) * one**2 * mu ** (4 * m)) / g
@@ -81,8 +87,7 @@ def _conditional_entropy_closed(p, lam, mu, n_max):
         m / one + mu**2 / one**2 - 2.0 * m * mu ** (2 * m)
     )
     per_m = -k * tail - xlogx(eta_mm)
-    keep = g > WEIGHT_FLOOR
-    return float((g[keep] * per_m[keep]).sum())
+    return float((g * per_m).sum())
 
 
 def _conditional_tail_bound(p, lam, mu, n_max):
@@ -172,6 +177,16 @@ def joint_photon_distribution(p: float, lam: float, mu: float, n_max: int) -> np
     return table
 
 
+def _joint_photon_entropy(p, lam, mu, n_max):
+    # H(p_AB) of joint_photon_distribution without building it: off the
+    # diagonal the table depends on m + n only.  The entries are formed
+    # with the table's own arithmetic.
+    s = np.arange(2 * n_max - 1, dtype=float)
+    entry = (1.0 - p) * (1.0 - mu**2) ** 2 * mu ** (2.0 * s)
+    m = np.arange(n_max, dtype=float)
+    return antidiagonal_entropy(entry, entry[::2] + p * (1.0 - lam**2) * lam ** (2 * m))
+
+
 def upper_bound(p: float, lam: float, mu: float, n_max: int) -> float:
     """Photon-counting upper bound U = S(rho_B) - S(rho) + H_eig(A|B)."""
     return bounds_report(WernerParams(p, lam, mu), n_max).upper
@@ -252,7 +267,7 @@ def bounds_report(
     s_g = global_entropy(p, lam, mu, n_max)
     h_eig = conditional_entropy_photon_counting(p, lam, mu, n_max)
     upper = s_b - s_g + h_eig
-    m = shannon_entropy(joint_photon_distribution(p, lam, mu, n_max)) - s_g
+    m = _joint_photon_entropy(p, lam, mu, n_max) - s_g
     if abs(m - upper) > IDENTITY_TOL:
         raise TruncationError(
             f"MID {m!r} and upper bound {upper!r} differ by {abs(m - upper):.3e} "

@@ -43,8 +43,16 @@ def _as_state_matrix(matrix, dim, tol=HERMITICITY_TOL):
         m = m.astype(complex)
     if m.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} matrix, got shape {m.shape}")
-    dev = np.max(np.abs(m - m.conj().T)) if dim else 0.0
-    if dev > tol:
+    # A NaN or infinite entry makes dev NaN or infinite, so it fails dev <= tol.
+    with np.errstate(invalid="ignore"):
+        dev = np.max(np.abs(m - m.conj().T)) if dim else 0.0
+    if not dev <= tol:
+        bad = np.argwhere(~np.isfinite(m))
+        if bad.size:
+            i, j = bad[0]
+            raise ValueError(
+                f"matrix has {len(bad)} non-finite entries, the first {m[i, j]} at ({i}, {j})"
+            )
         raise NonHermitianError(f"matrix deviates from Hermiticity by {dev:.3e}")
     if m.dtype == np.complex128 and np.max(np.abs(m.imag)) == 0.0:
         m = np.ascontiguousarray(m.real)
@@ -154,6 +162,24 @@ def shannon_entropy(probabilities) -> float:
     return float(-xlogx(p[p > 0.0]).sum()) + 0.0
 
 
+def antidiagonal_entropy(entry, diag) -> float:
+    """Shannon entropy of an n x n probability table, in nats, whose
+    off-diagonal entries depend on ``m + n`` only.
+
+    ``entry[s]`` is the value of every off-diagonal entry on the
+    anti-diagonal ``s = m + n`` (length ``2n - 1``), and ``diag[m]`` is the
+    entry at ``(m, m)`` (length ``n``).  Anti-diagonal ``s`` holds
+    ``min(s, 2(n-1) - s) + 1`` entries, one of which is diagonal when ``s``
+    is even, so the sum takes O(n) time and memory."""
+    n = len(diag)
+    s = np.arange(2 * n - 1, dtype=float)
+    even = 1.0 - s % 2.0
+    off = np.minimum(s, 2 * (n - 1) - s) + 1.0 - even
+    on = np.zeros(2 * n - 1)
+    on[::2] = xlogx(diag)
+    return float(-(off * xlogx(entry) + on).sum())
+
+
 def partial_trace(state: TwoModeState, mode: str = "A") -> OneModeState:
     """Trace out the named mode, returning the state of the other one."""
     n = state.n_max
@@ -178,20 +204,6 @@ def partial_transpose(state: TwoModeState, mode: str = "A") -> TwoModeState:
     else:
         raise ValueError("mode must be 'A' or 'B'")
     return TwoModeState(n, out.reshape(n * n, n * n))
-
-
-def two_component_mixture_spectrum(zeta1, zeta2, overlap_sq):
-    """Eigenvalue pair of ``z1 |a><a| + z2 |b><b|`` with ``|<a|b>|^2`` given.
-
-    The support is at most two-dimensional, with eigenvalues
-    ``(1 +- sqrt(1 - 4 z1 z2 (1 - overlap_sq))) / 2``.
-    """
-    if zeta1 < 0 or zeta2 < 0 or abs(zeta1 + zeta2 - 1.0) > 1e-12:
-        raise ValueError(f"weights ({zeta1}, {zeta2}) are not a probability pair")
-    if not 0.0 <= overlap_sq <= 1.0 + 1e-12:
-        raise ValueError(f"overlap_sq {overlap_sq} outside [0, 1]")
-    disc = np.sqrt(max(0.0, 1.0 - 4.0 * zeta1 * zeta2 * (1.0 - min(overlap_sq, 1.0))))
-    return (1.0 + disc) / 2.0, (1.0 - disc) / 2.0
 
 
 def is_more_mixed(a, b, tol=1e-12) -> bool:

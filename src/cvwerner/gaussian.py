@@ -2,8 +2,8 @@
 
 A rank-1 Gaussian POVM ``Pi(alpha) = |alpha, xi><alpha, xi| / pi`` with
 ``xi = t exp(2i phi)`` is applied to one mode; ``t = 0`` is heterodyne and
-``t -> infinity`` homodyne detection (handled at a configurable proxy
-``t* = 12`` where ``exp(-2t*) < 4e-11``).  Conditioned on the outcome
+``t -> infinity`` homodyne detection (handled at the proxy
+``HOMODYNE_T = 12``, where ``exp(-2t) < 4e-11``).  Conditioned on the outcome
 ``alpha`` the other mode is left in a two-component mixture of a displaced
 squeezed state and the vacuum, whose entropy has a closed form; only the
 average over outcomes needs quadrature.
@@ -164,6 +164,15 @@ def weight_densities(p: float, lam: float, povm: GaussianPovm, alpha):
     return u, v, q
 
 
+def _mixture_spectrum(zeta1, overlap_sq):
+    """Eigenvalue pair of ``z1 |a><a| + (1 - z1) |b><b|`` with
+    ``|<a|b>|^2 = overlap_sq``, elementwise:
+    ``(1 +- sqrt(1 - 4 z1 (1 - z1) (1 - overlap_sq))) / 2``."""
+    zeta2 = 1.0 - zeta1
+    disc = np.sqrt(np.clip(1.0 - 4.0 * zeta1 * zeta2 * (1.0 - overlap_sq), 0.0, None))
+    return (1.0 + disc) / 2.0, (1.0 - disc) / 2.0
+
+
 def _conditional_entropy_terms(p, lam, t, phi, x, y):
     """Per-outcome conditional entropy S and outcome density q."""
     logu, logv, alpha = _log_densities(p, lam, t, phi, x, y)
@@ -178,11 +187,8 @@ def _conditional_entropy_terms(p, lam, t, phi, x, y):
     lw1 = math.log(p) + logu
     lw2 = math.log1p(-p) + logv
     zeta1 = 1.0 / (1.0 + np.exp(np.clip(lw2 - lw1, -700.0, 700.0)))
-    zeta2 = 1.0 - zeta1
-    disc = np.sqrt(np.clip(1.0 - 4.0 * zeta1 * zeta2 * (1.0 - overlap_sq), 0.0, None))
-    entropy = np.zeros_like(disc)
-    for nu in ((1.0 + disc) / 2.0, (1.0 - disc) / 2.0):
-        entropy -= xlogx(nu)
+    nu_plus, nu_minus = _mixture_spectrum(zeta1, overlap_sq)
+    entropy = -xlogx(nu_plus) - xlogx(nu_minus)
     q = np.exp(np.logaddexp(lw1, lw2)) / math.pi
     return entropy, q
 
@@ -333,21 +339,15 @@ class GaussianDiscordResult:
 
 
 def gaussian_discord(
-    p: float,
-    lam: float,
-    t_max: float = HOMODYNE_T,
-    coarse_step: float = 0.5,
-    n_radial: int = 80,
-    n_angular: int = 64,
-    eps_int: float = 1e-7,
+    p: float, lam: float, coarse_step: float = 0.5, eps_int: float = 1e-7
 ) -> GaussianDiscordResult:
     """Discord restricted to Gaussian measurements, with its minimizer.
 
     Minimizes the conditional entropy over a coarse grid in t, then
     refines t by golden section.  The phase stays at phi = 0: the state is
     invariant under opposite phase rotations of its two modes, so the
-    conditional entropy does not depend on phi.  The upper end ``t_max``
-    stands in for the homodyne limit.  At strong squeezing
+    conditional entropy does not depend on phi.  The upper end
+    ``HOMODYNE_T`` stands in for the homodyne limit.  At strong squeezing
     (``lam`` above about 0.7) the scan finds heterodyne ``t = 0`` rather
     than homodyne to be the Gaussian-optimal measurement.
     """
@@ -358,18 +358,15 @@ def gaussian_discord(
     trace = []
 
     def objective(t):
-        val = conditional_entropy(
-            p, lam, GaussianPovm(t), n_radial=n_radial,
-            n_angular=n_angular, eps_int=eps_int,
-        )
+        val = conditional_entropy(p, lam, GaussianPovm(t), eps_int=eps_int)
         trace.append((t, val))
         return val
 
-    coarse_t = np.arange(0.0, t_max + coarse_step / 2.0, coarse_step)
+    coarse_t = np.arange(0.0, HOMODYNE_T + coarse_step / 2.0, coarse_step)
     best = min(((float(t), objective(float(t))) for t in coarse_t), key=lambda c: c[1])
 
     lo = max(0.0, best[0] - coarse_step)
-    hi = min(t_max, best[0] + coarse_step)
+    hi = min(HOMODYNE_T, best[0] + coarse_step)
     t_ref = _golden_section(objective, lo, hi, T_TOL)
     t_opt, h_min = min([best, (t_ref, objective(t_ref))], key=lambda c: c[1])
     if not math.isfinite(h_min) or h_min < -1e-12:

@@ -114,17 +114,18 @@ class GapReport:
     gap_approx: float
 
 
-def discord_gap(p: float, lam: float, **quad_options) -> GapReport:
+def discord_gap(p: float, lam: float, eps_int: float = 1e-7) -> GapReport:
     """Gap between Gaussian and optimal discord with its scaling report.
 
     The gap is the minimized Gaussian conditional entropy itself;
     ``gap_normalized`` rescales it by the quadratic-order ratio so that it
-    tracks the non-Gaussianity at low squeezing.
+    tracks the non-Gaussianity at low squeezing.  ``eps_int`` is the
+    quadrature tolerance of :func:`cvwerner.gaussian.gaussian_discord`.
     """
     if p == 0.0 or p == 1.0 or lam == 0.0:
         gap = 0.0
     else:
-        gap = gaussian.gaussian_discord(p, lam, **quad_options).conditional_entropy
+        gap = gaussian.gaussian_discord(p, lam, eps_int=eps_int).conditional_entropy
     ratio = low_squeezing_ratio(lam) if lam > 0.0 else float("nan")
     return GapReport(
         p=p,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import xlogx
+from .fock import antidiagonal_entropy
 from .states import check_unit, thermal_entropy
 
 
@@ -133,9 +133,8 @@ def joint_distribution_entropy(lam: float, tol: float = 1e-10) -> float:
     """Shannon entropy of the photon-count statistics
     p(m, n) = N lam^(m+n) (1 + delta_mn); equals S(rho) + lam ln 2.
 
-    The square table m, n < n_terms is summed by anti-diagonals
-    s = m + n: each holds min(s, 2(n_terms-1) - s) + 1 entries N lam^s,
-    one of which (m = n) is doubled when s is even."""
+    The square table m, n < n_terms is summed by anti-diagonals s = m + n,
+    whose off-diagonal entries are all N lam^s."""
     check_unit("lam", lam, upper_open=True)
     if lam == 0.0:
         return 0.0
@@ -143,9 +142,7 @@ def joint_distribution_entropy(lam: float, tol: float = 1e-10) -> float:
     n_terms = _series_length(lam, tol, 8.0 * norm * (1.0 + abs(math.log(norm))) / (1.0 - lam))
     s = np.arange(2 * n_terms - 1, dtype=float)
     entry = norm * np.exp(math.log(lam) * s)
-    count = np.minimum(s, 2 * (n_terms - 1) - s) + 1.0
-    even = 1.0 - s % 2.0
-    return float(-((count - even) * xlogx(entry) + even * xlogx(2.0 * entry)).sum())
+    return antidiagonal_entropy(entry, 2.0 * entry[::2])
 
 
 @dataclass(frozen=True)

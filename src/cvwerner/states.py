@@ -88,20 +88,16 @@ def _tmsv_ket(lam: float, n_max: int) -> np.ndarray:
     return vec
 
 
-def tmsv(lam: float, n_max: int, renormalize: bool = False) -> TwoModeState:
+def tmsv(lam: float, n_max: int) -> TwoModeState:
     """Projector onto the two-mode squeezed vacuum, truncated at ``n_max``."""
     vec = _tmsv_ket(lam, n_max)
-    if renormalize:
-        vec /= np.linalg.norm(vec)
     return TwoModeState(n_max, np.outer(vec, vec))
 
 
-def thermal(mu: float, n_max: int, renormalize: bool = False) -> OneModeState:
+def thermal(mu: float, n_max: int) -> OneModeState:
     """Thermal state diag((1 - mu^2) mu^(2n)); mean photon number mu^2/(1-mu^2)."""
     check_unit("mu", mu, upper_open=True)
     diag = (1.0 - mu**2) * mu ** (2 * np.arange(n_max, dtype=float))
-    if renormalize:
-        diag /= diag.sum()
     return OneModeState(n_max, np.diag(diag))
 
 
@@ -114,15 +110,12 @@ def thermal_entropy(mu: float) -> float:
 
 
 def werner(
-    params: WernerParams,
-    n_max: int | None = None,
-    eps_tail: float = DEFAULT_EPS_TAIL,
-    renormalize: bool = False,
+    params: WernerParams, n_max: int | None = None, eps_tail: float = DEFAULT_EPS_TAIL
 ) -> TwoModeState:
     """Two-mode Werner state at the given cutoff (auto-chosen when omitted).
 
-    By default the raw truncation is kept so tail-mass diagnostics stay
-    meaningful; ``renormalize=True`` rescales the trace to 1.
+    The truncation is not renormalized, so the trace deficit stays a
+    measure of the tail mass cut off.
     """
     if n_max is None:
         n_max = choose_cutoff(params, eps_tail)
@@ -130,34 +123,6 @@ def werner(
     proj = np.outer(vec, vec)
     th = thermal(params.mu, n_max).matrix
     rho = params.p * proj + (1.0 - params.p) * np.kron(th, th)
-    if renormalize:
-        rho = rho / np.trace(rho).real
-    return TwoModeState(n_max, rho)
-
-
-def maximally_correlated(q: np.ndarray, renormalize: bool = False) -> TwoModeState:
-    """State sum_{m,n} q[m, n] |m, m><n, n| from a coefficient matrix.
-
-    ``q`` must be Hermitian with unit trace, and positive semidefinite: a
-    photon-count on either mode then projects the other onto the same Fock
-    state, which makes every measure in this package analytic for the family.
-    """
-    q = np.asarray(q, dtype=complex)
-    if q.ndim != 2 or q.shape[0] != q.shape[1]:
-        raise ValueError("q must be a square matrix")
-    n_max = q.shape[0]
-    if np.max(np.abs(q - q.conj().T)) > 1e-12:
-        raise ValueError("q must be Hermitian")
-    w = np.linalg.eigvalsh(q)
-    if w[0] < -1e-10:
-        raise ValueError(f"coefficient matrix not positive semidefinite (min eig {w[0]:.3e})")
-    rho = np.zeros((n_max**2, n_max**2), dtype=q.dtype)
-    diag_idx = np.arange(n_max) * n_max + np.arange(n_max)
-    rho[np.ix_(diag_idx, diag_idx)] = q
-    if np.max(np.abs(rho.imag)) == 0.0:
-        rho = rho.real
-    if renormalize:
-        rho = rho / np.trace(rho).real
     return TwoModeState(n_max, rho)
 
 
@@ -186,33 +151,3 @@ def ppt_werner(
     cols = (mm * n_max + nn).ravel()
     rho[rows, cols] += weights.ravel()
     return TwoModeState(n_max, rho)
-
-
-def save_state(state: TwoModeState, path) -> None:
-    """Write a two-mode state as plain text: header ``n_max``, then one
-    ``row col re im`` line per nonzero entry."""
-    m = state.matrix
-    rows, cols = np.nonzero(m)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{state.n_max}\n")
-        for i, j in zip(rows, cols):
-            z = complex(m[i, j])
-            fh.write(f"{i} {j} {z.real!r} {z.imag!r}\n")
-
-
-def load_state(path) -> TwoModeState:
-    """Read a two-mode state written by :func:`save_state`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 1:
-            raise ValueError("malformed header: expected a single integer n_max")
-        n_max = int(header[0])
-        mat = np.zeros((n_max**2, n_max**2), dtype=complex)
-        for line in fh:
-            if not line.strip():
-                continue
-            i, j, re, im = line.split()
-            mat[int(i), int(j)] = complex(float(re), float(im))
-    if np.max(np.abs(mat.imag)) == 0.0:
-        mat = mat.real
-    return TwoModeState(n_max, mat)

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -182,7 +183,11 @@ def test_dense_routes_agree_with_series():
 
 
 def test_bounds_report_evaluates_each_entropy_once(monkeypatch):
-    calls = {"global_entropy": 0, "conditional_entropy_photon_counting": 0}
+    calls = {
+        "global_entropy": 0,
+        "conditional_entropy_photon_counting": 0,
+        "joint_photon_distribution": 0,
+    }
     for name in calls:
         original = getattr(bounds, name)
 
@@ -192,8 +197,35 @@ def test_bounds_report_evaluates_each_entropy_once(monkeypatch):
 
         monkeypatch.setattr(bounds, name, counted)
     rep = bounds.bounds_report(WernerParams(0.5, 0.8, 0.8))
-    assert calls == {"global_entropy": 1, "conditional_entropy_photon_counting": 1}
+    # The one photon-count table is the direct conditional-entropy oracle's;
+    # H(p_AB) is summed by anti-diagonals without a table.
+    assert calls == {
+        "global_entropy": 1,
+        "conditional_entropy_photon_counting": 1,
+        "joint_photon_distribution": 1,
+    }
     assert rep.mid == pytest.approx(rep.upper, abs=1e-8)
+
+
+@pytest.mark.parametrize(
+    "p, lam, mu, n",
+    [(0.5, 0.8, 0.8, None), (0.2, 0.3, 0.9, None), (0.0, 0.5, 0.6, None),
+     (1.0, 0.7, 0.4, None), (0.5, 0.5, 0.0, None), (0.8, 0.9, 0.5, 6)],
+)
+def test_joint_entropy_by_antidiagonals_matches_table(p, lam, mu, n):
+    n = n or _cutoff(p, lam, mu)
+    table = shannon_entropy(bounds.joint_photon_distribution(p, lam, mu, n))
+    assert abs(bounds._joint_photon_entropy(p, lam, mu, n) - table) < 1e-14
+
+
+def test_conditional_entropy_with_underflowing_weights_warns_nothing():
+    # At cutoff 200 the count weights g_m underflow to 0 from m of about 160.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = bounds.bounds_report(WernerParams(0.5, 0.1, 0.1), 200)
+    assert rep.conditional_entropy == pytest.approx(
+        bounds._conditional_entropy_direct(0.5, 0.1, 0.1, 200), abs=1e-12
+    )
 
 
 def test_bounds_report_region_classification():

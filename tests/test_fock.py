@@ -5,13 +5,13 @@ from cvwerner import states
 from cvwerner.fock import (
     InvalidSpectrumError,
     NonHermitianError,
+    OneModeState,
     TwoModeState,
     eig_spectrum,
     is_more_mixed,
     partial_trace,
     partial_transpose,
     shannon_entropy,
-    two_component_mixture_spectrum,
     von_neumann_entropy,
 )
 
@@ -114,41 +114,6 @@ def test_partial_transpose_vacuum_werner_goes_negative():
     rho = states.werner(states.WernerParams(0.5, 0.5, 0.0))
     spec = eig_spectrum(partial_transpose(rho, "A"))
     assert spec[-1] < -1e-3
-
-
-def test_mixture_spectrum_trivial_cases():
-    assert two_component_mixture_spectrum(1.0, 0.0, 0.3) == (1.0, 0.0)
-    assert two_component_mixture_spectrum(0.5, 0.5, 1.0) == (1.0, 0.0)
-
-
-def test_mixture_spectrum_worked_example():
-    nu1, nu2 = two_component_mixture_spectrum(0.5, 0.5, 0.25)
-    assert nu1 == pytest.approx(0.75, abs=1e-15)
-    assert nu2 == pytest.approx(0.25, abs=1e-15)
-
-
-def test_mixture_spectrum_domain_errors():
-    with pytest.raises(ValueError):
-        two_component_mixture_spectrum(0.7, 0.7, 0.5)
-    with pytest.raises(ValueError):
-        two_component_mixture_spectrum(0.5, 0.5, 1.5)
-    with pytest.raises(ValueError):
-        two_component_mixture_spectrum(-0.1, 1.1, 0.5)
-
-
-def test_mixture_spectrum_matches_gram_construction():
-    rng = np.random.default_rng(5)
-    for _ in range(25):
-        z1 = rng.uniform(0.0, 1.0)
-        ov = rng.uniform(0.0, 1.0)
-        c = np.sqrt(ov)
-        phi1 = np.array([1.0, 0.0])
-        phi2 = np.array([c, np.sqrt(1 - ov)])
-        sigma = z1 * np.outer(phi1, phi1) + (1 - z1) * np.outer(phi2, phi2)
-        direct = np.sort(np.linalg.eigvalsh(sigma))[::-1]
-        closed = two_component_mixture_spectrum(z1, 1 - z1, ov)
-        assert abs(direct[0] - closed[0]) < 1e-12
-        assert abs(direct[1] - closed[1]) < 1e-12
 
 
 def test_is_more_mixed_basics():
@@ -286,5 +251,19 @@ def test_eig_spectrum_residual_check_rejects_bad_decomposition(monkeypatch):
 
 
 def test_eig_spectrum_rejects_nan():
-    with pytest.raises(ValueError, match="residual"):
+    with pytest.raises(ValueError, match="non-finite"):
         eig_spectrum(np.array([[0.5, np.nan], [np.nan, 0.5]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_states_reject_non_finite_entries(bad):
+    one = np.diag([0.5, 0.5])
+    one[1, 1] = bad
+    with pytest.raises(ValueError, match="non-finite entries, the first"):
+        OneModeState(2, one)
+    two = np.eye(4) / 4
+    two[2, 3] = bad
+    with pytest.raises(ValueError, match=r"1 non-finite entries, the first \S+ at \(2, 3\)"):
+        TwoModeState(2, two)
+    with pytest.raises(ValueError, match="16 non-finite entries"):
+        TwoModeState(2, np.full((4, 4), bad))

@@ -8,6 +8,7 @@ from cvwerner import exact, gaussian
 from cvwerner.gaussian import (
     GaussianPovm,
     QuadratureError,
+    _mixture_spectrum,
     conditional_entropy,
     conditional_entropy_mc,
     conditional_params,
@@ -23,6 +24,32 @@ def test_povm_validation():
         GaussianPovm(-0.1, 0.0)
     with pytest.raises(ValueError):
         GaussianPovm(1.0, 3.5)
+
+
+def test_mixture_spectrum_trivial_cases():
+    assert _mixture_spectrum(1.0, 0.3) == (1.0, 0.0)
+    assert _mixture_spectrum(0.5, 1.0) == (1.0, 0.0)
+
+
+def test_mixture_spectrum_worked_example():
+    nu1, nu2 = _mixture_spectrum(0.5, 0.25)
+    assert nu1 == pytest.approx(0.75, abs=1e-15)
+    assert nu2 == pytest.approx(0.25, abs=1e-15)
+
+
+def test_mixture_spectrum_matches_gram_construction():
+    rng = np.random.default_rng(5)
+    for _ in range(25):
+        z1 = rng.uniform(0.0, 1.0)
+        ov = rng.uniform(0.0, 1.0)
+        c = np.sqrt(ov)
+        phi1 = np.array([1.0, 0.0])
+        phi2 = np.array([c, np.sqrt(1 - ov)])
+        sigma = z1 * np.outer(phi1, phi1) + (1 - z1) * np.outer(phi2, phi2)
+        direct = np.sort(np.linalg.eigvalsh(sigma))[::-1]
+        closed = _mixture_spectrum(z1, ov)
+        assert abs(direct[0] - closed[0]) < 1e-12
+        assert abs(direct[1] - closed[1]) < 1e-12
 
 
 def test_conditional_params_trivial():

@@ -6,10 +6,7 @@ from cvwerner.fock import eig_spectrum, partial_trace, partial_transpose, von_ne
 from cvwerner.states import (
     WernerParams,
     choose_cutoff,
-    load_state,
-    maximally_correlated,
     ppt_werner,
-    save_state,
     thermal,
     thermal_entropy,
     tmsv,
@@ -157,42 +154,6 @@ def test_werner_positivity_and_renormalize():
     params = WernerParams(0.6, 0.5, 0.4)
     rho = werner(params)
     assert eig_spectrum(rho)[-1] > -1e-10
-    assert abs(werner(params, renormalize=True).trace() - 1.0) < 1e-14
-
-
-def test_maximally_correlated_rank_one_is_tmsv():
-    lam, n = 0.4, 15
-    vec = tmsv_vector(lam, n)
-    q = np.outer(vec, vec)
-    rho = maximally_correlated(q)
-    assert np.max(np.abs(rho.matrix - tmsv(lam, n).matrix)) < 1e-14
-
-
-def test_maximally_correlated_tmsv_mixture_photon_counting():
-    # mixture of two squeezed vacua: counting m on one mode leaves the
-    # other exactly in the Fock state |m>
-    n = 20
-    lams = (0.3, 0.6)
-    weights = (0.4, 0.6)
-    q = sum(
-        w * (1 - l**2) * np.outer(l ** np.arange(n), l ** np.arange(n))
-        for w, l in zip(weights, lams)
-    )
-    rho = maximally_correlated(q)
-    r = rho.matrix.reshape(n, n, n, n)
-    for m in (0, 1, 3):
-        block = r[:, m, :, m]
-        prob = np.real(np.trace(block))
-        assert prob > 0
-        cond = block / prob
-        assert cond[m, m] == pytest.approx(1.0, abs=1e-12)
-        assert von_neumann_entropy(np.linalg.eigvalsh(cond)) < 1e-12
-
-
-def test_maximally_correlated_rejects_non_psd():
-    q = np.diag([0.6, 0.5, -0.1])
-    with pytest.raises(ValueError):
-        maximally_correlated(q)
 
 
 def test_ppt_werner_vacuum_limit():
@@ -227,11 +188,3 @@ def test_ppt_werner_reduced_weights():
     # the truncated marginal misses one geometric tail per row
     assert np.max(np.abs(red - expected)) < 1e-9
 
-
-def test_save_load_round_trip(tmp_path):
-    rho = werner(WernerParams(0.45, 0.5, 0.25), n_max=12)
-    path = tmp_path / "state.txt"
-    save_state(rho, path)
-    back = load_state(path)
-    assert back.n_max == rho.n_max
-    assert np.max(np.abs(back.matrix - rho.matrix)) == 0.0
