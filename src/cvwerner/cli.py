@@ -3,7 +3,8 @@ figure datasets, and run the acceptance battery.
 
 Exit codes: 0 success, 1 failed verification, 2 usage error (argparse,
 also for a config value or key that the subcommand's flags reject),
-3 domain error or unreadable config file, 4 sweep rows failed,
+3 domain error, an input the measure does not read, or unreadable
+config file, 4 sweep rows failed,
 5 output error (``compute --out``, ``sweep --out`` or ``figure`` cannot
 write its file).
 
@@ -20,6 +21,8 @@ over (p, lambda, mu).
 from __future__ import annotations
 
 import argparse
+import inspect
+import itertools
 import json
 import math
 import os
@@ -61,20 +64,13 @@ def report_json(measure, inputs, results, cutoff, error_budget, wall_time):
     return json.dumps(_round12(doc), indent=2, sort_keys=True)
 
 
-def _require(opts, measure, *keys):
-    missing = [k for k in keys if opts.get(k) is None]
-    if missing:
-        raise ValueError(f"measure '{measure}' needs --{' --'.join(missing)}")
-    return [opts[k] for k in keys]
-
-
 # ---------------------------------------------------------------------------
-# measures: each returns (results, cutoff, error_budget)
+# measures: each returns (results, cutoff, error_budget); the signature
+# names the inputs it reads, with the default of each optional one
 # ---------------------------------------------------------------------------
 
 
-def _m_discord0(opts):
-    p, lam = _require(opts, "discord0", "p", "lam")
+def _m_discord0(p, lam):
     rep = exact.discord_report(p, lam)
     results = {
         "discord": rep.discord,
@@ -86,9 +82,7 @@ def _m_discord0(opts):
     return results, None, {"closed_form": 0.0}
 
 
-def _m_gaussian_discord(opts):
-    p, lam = _require(opts, "gaussian-discord", "p", "lam")
-    eps_int = opts.get("eps_int") or 1e-7
+def _m_gaussian_discord(p, lam, eps_int=1e-7):
     res = gaussian.gaussian_discord(p, lam, eps_int=eps_int)
     d = exact.discord(p, lam)
     results = {
@@ -102,8 +96,7 @@ def _m_gaussian_discord(opts):
     return results, None, {"eps_int": eps_int, "evaluations": float(res.evaluations)}
 
 
-def _m_delta0(opts):
-    p, lam = _require(opts, "delta0", "p", "lam")
+def _m_delta0(p, lam):
     nu = nongauss.symplectic_eigenvalue(p, lam)
     results = {
         "delta0": nongauss.nongaussianity(p, lam),
@@ -113,9 +106,7 @@ def _m_delta0(opts):
     return results, None, {"closed_form": 0.0}
 
 
-def _m_gap(opts):
-    p, lam = _require(opts, "gap", "p", "lam")
-    eps_int = opts.get("eps_int") or 1e-7
+def _m_gap(p, lam, eps_int=1e-7):
     rep = nongauss.discord_gap(p, lam, eps_int=eps_int)
     results = {
         "delta0": rep.delta0,
@@ -128,11 +119,8 @@ def _m_gap(opts):
     return results, None, {"eps_int": eps_int}
 
 
-def _m_bounds(opts):
-    p, lam, mu = _require(opts, "bounds", "p", "lam", "mu")
-    params = WernerParams(p, lam, mu)
-    eps_tail = opts.get("eps_tail") or 1e-12
-    rep = bounds.bounds_report(params, opts.get("cutoff"), eps_tail)
+def _m_bounds(p, lam, mu, cutoff=None, eps_tail=1e-12):
+    rep = bounds.bounds_report(WernerParams(p, lam, mu), cutoff, eps_tail)
     results = {
         "upper": rep.upper,
         "lower": rep.lower,
@@ -147,8 +135,7 @@ def _m_bounds(opts):
     return results, rep.n_max, budget
 
 
-def _m_region(opts):
-    p, mu = _require(opts, "region", "p", "mu")
+def _m_region(p, mu):
     results = {
         "region": bounds.separability_region(p, mu),
         "p_sep": bounds.p_separable(mu),
@@ -157,10 +144,8 @@ def _m_region(opts):
     return results, None, {"closed_form": 0.0}
 
 
-def _m_ppt_bounds(opts):
-    (lam,) = _require(opts, "ppt-bounds", "lam")
-    tol = opts.get("eps_tail") or 1e-10
-    rep = ppt.bounds(lam, tol)
+def _m_ppt_bounds(lam, eps_tail=1e-10):
+    rep = ppt.bounds(lam, eps_tail)
     results = {
         "upper": rep.upper,
         "lower": rep.lower,
@@ -170,7 +155,7 @@ def _m_ppt_bounds(opts):
         "conditional_entropy": rep.conditional_entropy,
         "norm_const": rep.norm_const,
     }
-    return results, None, {"series_tol": tol}
+    return results, None, {"series_tol": eps_tail}
 
 
 MEASURES = {
@@ -189,43 +174,56 @@ MEASURES = {
 # ---------------------------------------------------------------------------
 
 
+POINT = ("p", "lam", "mu")
+SETTINGS = ("cutoff", "eps_tail", "eps_int")
+
+
+def _given(args, keys):
+    """The flags among ``keys`` that are set, by name."""
+    return {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
+
+
+def _measure(name, inputs):
+    """The measure ``name``, once ``inputs`` are checked against its
+    signature: every required input given and no input it does not read."""
+    params = inspect.signature(MEASURES[name]).parameters
+    missing = [k for k, v in params.items() if v.default is v.empty and k not in inputs]
+    unread = [k for k in inputs if k not in params]
+    for keys, verb in ((missing, "needs"), (unread, "does not take")):
+        if keys:
+            flags = " ".join("--" + k.replace("_", "-") for k in keys)
+            raise ValueError(f"measure '{name}' {verb} {flags}")
+    return MEASURES[name]
+
+
 def cmd_compute(args):
-    opts = vars(args)
+    inputs = _given(args, POINT + SETTINGS)
+    fn = _measure(args.measure, inputs)
     t0 = time.perf_counter()
-    results, cutoff, budget = MEASURES[args.measure](opts)
+    results, cutoff, budget = fn(**inputs)
     wall = time.perf_counter() - t0
-    inputs = {k: v for k, v in opts.items() if k in ("p", "lam", "mu") and v is not None}
-    text = report_json(args.measure, inputs, results, cutoff, budget, wall)
+    point = {k: v for k, v in inputs.items() if k in POINT}
+    text = report_json(args.measure, point, results, cutoff, budget, wall)
     _emit(text + "\n", args.out)
     return 0
 
 
 def _parse_range(spec):
     """'start:stop:step' -> list of floats; a bare number -> [number]."""
-    if spec is None:
-        return [None]
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"range '{spec}' must be start:stop:step")
-        start, stop, step = (float(x) for x in parts)
-        if step <= 0:
-            raise ValueError(f"range '{spec}' must have step > 0")
-        n = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return [start + i * step for i in range(n)]
-    return [float(spec)]
-
-
-def _sweep_rows(args):
-    ps = _parse_range(args.p)
-    lams = _parse_range(args.lam)
-    mus = _parse_range(args.mu)
-    rows = []
-    for p in ps:
-        for lam in lams:
-            for mu in mus:
-                rows.append({"p": p, "lam": lam, "mu": mu})
-    return rows
+    if ":" not in spec:
+        return [float(spec)]
+    parts = spec.split(":")
+    if len(parts) != 3:
+        raise ValueError(f"range '{spec}' must be start:stop:step")
+    start, stop, step = (float(x) for x in parts)
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise ValueError(f"range '{spec}' must have finite start, stop and step")
+    if step <= 0:
+        raise ValueError(f"range '{spec}' must have step > 0")
+    if stop < start:
+        raise ValueError(f"range '{spec}' must have stop >= start")
+    n = int(math.floor((stop - start) / step + 1e-9)) + 1
+    return [start + i * step for i in range(n)]
 
 
 def _columns(dicts):
@@ -234,15 +232,15 @@ def _columns(dicts):
 
 
 def cmd_sweep(args):
-    base = vars(args)
-    rows = _sweep_rows(args)
-    fn = MEASURES[args.measure]
+    given = _given(args, POINT + SETTINGS)
+    fn = _measure(args.measure, given)
+    axes = {k: _parse_range(v) for k, v in given.items() if k in POINT}
+    settings = {k: v for k, v in given.items() if k not in POINT}
+    rows = [dict(zip(axes, values)) for values in itertools.product(*axes.values())]
 
     def run_row(row):
-        opts = dict(base)
-        opts.update({k: v for k, v in row.items() if v is not None})
         try:
-            results, cutoff, _ = fn(opts)
+            results, cutoff, _ = fn(**row, **settings)
             return results, cutoff, ""
         except Exception as exc:
             return {}, None, f"{type(exc).__name__}: {exc}"
@@ -255,20 +253,18 @@ def cmd_sweep(args):
     if args.format == "json":
         docs = []
         for row, (results, cutoff, err) in zip(rows, outcomes):
-            inputs = {k: v for k, v in row.items() if v is not None}
-            doc = {"inputs": inputs, "results": results, "cutoff": cutoff}
+            doc = {"inputs": row, "results": results, "cutoff": cutoff}
             if err:
                 doc["error"] = err
             docs.append(_round12(doc))
         _emit(json.dumps(docs, indent=2, sort_keys=True) + "\n", args.out)
     else:
-        input_cols = [k for k in ("p", "lam", "mu") if rows and rows[0][k] is not None]
-        header = input_cols + [f"{c}_nats" if c in _ENTROPY_COLUMNS else c for c in columns]
+        header = list(axes) + [f"{c}_nats" if c in _ENTROPY_COLUMNS else c for c in columns]
         if failed:
             header = header + ["error"]
         lines = [",".join(header)]
         for row, (results, _, err) in zip(rows, outcomes):
-            cells = [_fmt(row[k]) for k in input_cols]
+            cells = [_fmt(v) for v in row.values()]
             cells += [_fmt(results[c]) if c in results else "" for c in columns]
             if failed:
                 cells.append(err.replace(",", ";"))
@@ -359,17 +355,13 @@ print("wrote {name}.png")
 
 
 def cmd_figure(args):
-    jobs = _figure_grid(args.name)
+    settings = _given(args, SETTINGS)
+    jobs = [(_measure(m, {**point, **settings}), point) for m, point in _figure_grid(args.name)]
     os.makedirs(args.outdir, exist_ok=True)
-    base = vars(args)
     rows = []
-    for measure, point in jobs:
-        opts = dict(base)
-        opts.update(point)
-        results, cutoff, _ = MEASURES[measure](opts)
-        row = dict(point)
-        row.update(results)
-        rows.append(row)
+    for fn, point in jobs:
+        results, _, _ = fn(**point, **settings)
+        rows.append({**point, **results})
     columns = _columns(rows)
     csv_name = f"{args.name}.csv"
     csv_path = os.path.join(args.outdir, csv_name)
@@ -391,11 +383,7 @@ def cmd_figure(args):
 
 
 def cmd_verify(args):
-    results = acceptance.run_all(
-        cutoff=args.cutoff,
-        eps_int=args.eps_int if args.eps_int is not None else 1e-7,
-        seed=args.seed if args.seed is not None else acceptance.DEFAULT_SEED,
-    )
+    results = acceptance.run_all(**_given(args, ("cutoff", "eps_int", "seed")))
     for res in results:
         print(res.line)
     failed = sum(1 for r in results if not r.passed)
@@ -435,19 +423,25 @@ def _emit(text, out):
         sys.stdout.write(text)
 
 
-def _add_common(parser, ranged=False):
+def _add_flags(parser, *names, ranged=False):
     kind = str if ranged else float
     hint = " (accepts start:stop:step)" if ranged else ""
-    parser.add_argument("--p", type=kind, help="mixing probability" + hint)
-    parser.add_argument("--lambda", dest="lam", type=kind, help="squeezing factor" + hint)
-    parser.add_argument("--mu", type=kind, help="thermal factor" + hint)
-    parser.add_argument("--cutoff", type=int, help="Fock cutoff override")
-    parser.add_argument("--eps-tail", dest="eps_tail", type=float, help="truncation tail tolerance")
-    parser.add_argument("--eps-int", dest="eps_int", type=float, help="quadrature tolerance")
-    parser.add_argument("--seed", type=int, help="seed for any sampling oracle")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--out", help="output path (default stdout)")
-    parser.add_argument("--config", help="key=value file presetting any flag of this subcommand")
+    flags = {
+        "p": ("--p", dict(type=kind, help="mixing probability" + hint)),
+        "lam": ("--lambda", dict(dest="lam", type=kind, help="squeezing factor" + hint)),
+        "mu": ("--mu", dict(type=kind, help="thermal factor" + hint)),
+        "cutoff": ("--cutoff", dict(type=int, help="Fock cutoff override")),
+        "eps_tail": ("--eps-tail", dict(type=float, help="truncation tail tolerance")),
+        "eps_int": ("--eps-int", dict(type=float, help="quadrature tolerance")),
+        "seed": ("--seed", dict(type=int, help="seed for the sampling oracles")),
+        "format": ("--format", dict(choices=("csv", "json"), default="csv")),
+        "out": ("--out", dict(help="output path (default stdout)")),
+        "outdir": ("--outdir", dict(default=".", help="output directory")),
+        "config": ("--config", dict(help="key=value file presetting any flag of this subcommand")),
+    }
+    for name in names:
+        flag, options = flags[name]
+        parser.add_argument(flag, **options)
 
 
 def build_parser():
@@ -459,12 +453,12 @@ def build_parser():
 
     p_compute = sub.add_parser("compute", help="evaluate one measure at one point")
     p_compute.add_argument("measure", choices=sorted(MEASURES))
-    _add_common(p_compute)
+    _add_flags(p_compute, *POINT, *SETTINGS, "out", "config")
     p_compute.set_defaults(func=cmd_compute)
 
     p_sweep = sub.add_parser("sweep", help="evaluate a measure over a parameter grid")
     p_sweep.add_argument("measure", choices=sorted(MEASURES))
-    _add_common(p_sweep, ranged=True)
+    _add_flags(p_sweep, *POINT, *SETTINGS, "format", "out", "config", ranged=True)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_fig = sub.add_parser("figure", help="emit a named figure dataset plus plot stub")
@@ -479,12 +473,11 @@ def build_parser():
             "fig-ppt",
         ),
     )
-    p_fig.add_argument("--outdir", default=".", help="output directory")
-    _add_common(p_fig)
+    _add_flags(p_fig, *SETTINGS, "outdir", "config")
     p_fig.set_defaults(func=cmd_figure)
 
     p_verify = sub.add_parser("verify", help="run the acceptance battery")
-    _add_common(p_verify)
+    _add_flags(p_verify, "cutoff", "eps_int", "seed", "config")
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

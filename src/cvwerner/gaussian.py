@@ -32,6 +32,7 @@ import numpy as np
 
 from . import exact
 from .fock import xlogx
+from .states import check_tolerance
 
 HOMODYNE_T = 12.0
 _T_CAP = 300.0  # exp(2t) must stay finite
@@ -257,6 +258,7 @@ def conditional_entropy(
     normalization within ``eps_int``.
     """
     exact._check_domain(p, lam)
+    check_tolerance("eps_int", eps_int)
     if p == 0.0 or p == 1.0:
         return 0.0
     if grid is None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import antidiagonal_entropy
-from .states import check_unit, thermal_entropy
+from .states import check_tolerance, check_unit, thermal_entropy
 
 
 # The series need ever more terms as lam -> 1; beyond this many they
@@ -62,6 +62,7 @@ def global_entropy(lam: float) -> float:
 
 def _series_length(lam: float, tol: float, scale: float) -> int:
     # Geometric tail: scale * lam^M / (1 - lam) < tol.
+    check_tolerance("tol", tol)
     if lam == 0.0:
         return 2
     m = math.log(tol * (1.0 - lam) / scale) / math.log(lam)

@@ -29,6 +29,13 @@ def check_unit(name: str, value: float, upper_open: bool = False) -> None:
         raise ValueError(f"{name}={value} outside [0, 1{')' if upper_open else ']'}")
 
 
+def check_tolerance(name: str, value: float) -> None:
+    """Raise ``ValueError`` unless the tolerance ``value`` is finite and
+    positive; NaN fails the comparison and is rejected."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name}={value} must be finite and positive")
+
+
 @dataclass(frozen=True)
 class WernerParams:
     """Mixing probability ``p``, squeezing factor ``lam``, thermal factor ``mu``."""
@@ -61,8 +68,7 @@ def choose_cutoff(params: WernerParams, eps_tail: float = DEFAULT_EPS_TAIL) -> i
     The bound covers every mixing probability, so states built at this
     cutoff have truncated-trace deficit below ``eps_tail``.
     """
-    if eps_tail <= 0:
-        raise ValueError("eps_tail must be positive")
+    check_tolerance("eps_tail", eps_tail)
     lam2, mu2 = params.lam**2, params.mu**2
     q = max(lam2, mu2)
     if q == 0.0:

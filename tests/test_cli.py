@@ -1,5 +1,7 @@
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,6 +55,82 @@ def test_missing_parameter_exits_3(capsys):
     code, _, err = run_cli(capsys, "compute", "discord0", "--p", "0.5")
     assert code == 3
     assert "--lam" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compute", "discord0", "--p", "0.5", "--lambda", "0.5", "--mu", "0.7"),
+        ("sweep", "delta0", "--p", "0.5", "--lambda", "0.3", "--mu", "0:0.8:0.4"),
+        ("compute", "ppt-bounds", "--lambda", "0.5", "--mu", "0.7"),
+    ],
+    ids=["compute", "sweep", "ppt-bounds"],
+)
+def test_unread_input_exits_3(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err == f"error: measure '{argv[1]}' does not take --mu\n"
+
+
+def test_unread_setting_exits_3(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "compute", "discord0", "--p", "0.5", "--lambda", "0.5",
+                             "--cutoff", "10")
+    assert (code, out) == (3, "")
+    assert "does not take --cutoff" in err
+    code, _, err = run_cli(capsys, "figure", "fig-ppt", "--eps-int", "1e-6",
+                           "--outdir", str(tmp_path / "figs"))
+    assert code == 3
+    assert "measure 'ppt-bounds' does not take --eps-int" in err
+    assert not (tmp_path / "figs").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compute", "bounds", "--p", "0.2", "--lambda", "0.9", "--mu", "0.5", "--format", "csv"),
+        ("compute", "discord0", "--p", "0.5", "--lambda", "0.5", "--seed", "1"),
+        ("sweep", "discord0", "--p", "0:1:0.5", "--lambda", "0.5", "--seed", "1"),
+        ("figure", "fig-ppt", "--p", "0.3"),
+        ("verify", "--lambda", "0.5"),
+    ],
+    ids=["compute-format", "compute-seed", "sweep-seed", "figure-p", "verify-lambda"],
+)
+def test_flag_of_another_subcommand_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        cli.main(list(argv))
+    assert err.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compute", "bounds", "--p", "0.5", "--lambda", "0.5", "--mu", "0.5", "--eps-tail", "0"),
+        ("compute", "ppt-bounds", "--lambda", "0.5", "--eps-tail", "0"),
+        ("compute", "ppt-bounds", "--lambda", "0.5", "--eps-tail", "-1"),
+        ("compute", "gaussian-discord", "--p", "0.5", "--lambda", "0.5", "--eps-int", "0"),
+        ("compute", "gap", "--p", "0.5", "--lambda", "0.5", "--eps-int", "nan"),
+    ],
+    ids=["bounds-0", "ppt-bounds-0", "ppt-bounds-negative", "gaussian-discord-0", "gap-nan"],
+)
+def test_bad_tolerance_reaches_library_exits_3(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error:") and "must be finite and positive" in err
+
+
+@pytest.mark.parametrize("spec", ["1:0:0.1", "0:1:nan", "0:inf:0.5"])
+def test_sweep_rejects_empty_or_non_finite_range(capsys, spec):
+    code, out, err = run_cli(capsys, "sweep", "discord0", "--p", spec, "--lambda", "0.5")
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: range '{spec}' must have")
+
+
+def test_sweep_missing_input_exits_3_before_any_row(capsys):
+    code, out, err = run_cli(capsys, "sweep", "discord0", "--p", "0:1:0.5")
+    assert (code, out) == (3, "")
+    assert err == "error: measure 'discord0' needs --lam\n"
 
 
 def test_sweep_monotone_and_deterministic(capsys, tmp_path):
@@ -213,6 +291,14 @@ def test_config_figure_outdir(capsys, tmp_path):
     assert (outdir / "fig-ppt.csv").exists() and (outdir / "plot_fig_ppt.py").exists()
 
 
+def test_config_key_of_another_subcommand_exits_2(capsys, tmp_path):
+    cfg = _config(tmp_path, "p = 0.5\nlambda = 0.5\nformat = json\n")
+    with pytest.raises(SystemExit) as err:
+        cli.main(["compute", "discord0", "--config", cfg])
+    assert err.value.code == 2
+    assert "--format=json" in capsys.readouterr().err
+
+
 def test_config_missing_file_exits_3(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "compute", "discord0", "--config", str(tmp_path / "absent.txt")
@@ -261,10 +347,28 @@ def test_verify_wiring(capsys, monkeypatch):
     assert "[PASS] alpha" in out and "[FAIL] beta" in out
     assert "1/2 checks passed" in out
 
-    monkeypatch.setattr(acceptance, "run_all", lambda **kw: stub_results[:1])
+    calls = []
+    monkeypatch.setattr(acceptance, "run_all", lambda **kw: calls.append(kw) or stub_results[:1])
     code, out, _ = run_cli(capsys, "verify")
     assert code == 0
     assert "1/1 checks passed" in out
+    run_cli(capsys, "verify", "--eps-int", "1e-6", "--seed", "5")
+    assert calls == [{}, {"eps_int": 1e-6, "seed": 5}]
+
+
+def _readme_cli_examples():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```")[1]
+    lines = [line.split("#", 1)[0].strip() for line in block.splitlines()]
+    # The bracketed verify line runs the whole battery; test_acceptance covers it.
+    return [line for line in lines if line.startswith("cvwerner ") and "[" not in line]
+
+
+@pytest.mark.parametrize("line", _readme_cli_examples())
+def test_readme_cli_example_runs(capsys, tmp_path, monkeypatch, line):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, *shlex.split(line)[1:])
+    assert code == 0, err
 
 
 def test_verify_forced_small_cutoff_fails_truncation_checks():

@@ -91,6 +91,27 @@ def test_domain_check_rejects_nan_and_out_of_range(entry, value):
         fn(value)
 
 
+_TOLERANCE_ENTRY_POINTS = {
+    "choose_cutoff-eps_tail": lambda v: choose_cutoff(WernerParams(0.5, 0.5, 0.5), v),
+    # At this coarse grid the default eps_int raises QuadratureError (defect 7.1e-2).
+    "gaussian.conditional_entropy-eps_int": lambda v: gaussian.conditional_entropy(
+        0.5, 0.5, gaussian.GaussianPovm(2.0), n_radial=4, n_angular=4, eps_int=v
+    ),
+    "ppt.reduced_entropy-tol": lambda v: ppt.reduced_entropy(0.5, v),
+    "ppt.joint_distribution_entropy-tol": lambda v: ppt.joint_distribution_entropy(0.5, v),
+    "ppt.bounds-tol": lambda v: ppt.bounds(0.5, v),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, value",
+    [(name, v) for name in _TOLERANCE_ENTRY_POINTS for v in (float("nan"), 0.0, -1e-10, float("inf"))],
+)
+def test_tolerance_check_rejects_non_positive_and_non_finite(entry, value):
+    with pytest.raises(ValueError, match="must be finite and positive"):
+        _TOLERANCE_ENTRY_POINTS[entry](value)
+
+
 def test_choose_cutoff_vacuum_only():
     assert choose_cutoff(WernerParams(1.0, 0.0, 0.0)) == 2
 
