@@ -27,6 +27,8 @@ from .fock import eig_spectrum, is_more_mixed, partial_transpose
 from .states import WernerParams, choose_cutoff
 
 DEFAULT_SEED = 20240801
+# The outcome density of the quadrature check must integrate to 1 within this.
+NORM_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -55,7 +57,7 @@ def _guard(name, fn):
     return _finish(name, started, passed, detail)
 
 
-def check_exact_discord_oracle(cutoff=None, seed=DEFAULT_SEED):
+def check_exact_discord_oracle(seed=DEFAULT_SEED):
     """Closed-form discord equals S(rho_B) - S(rho) from truncated matrices
     at 50 random (p, lam) points, within 1e-8, in under 30 s."""
 
@@ -66,7 +68,7 @@ def check_exact_discord_oracle(cutoff=None, seed=DEFAULT_SEED):
         for _ in range(50):
             p = rng.uniform(0.02, 0.98)
             lam = rng.uniform(0.05, 0.65)
-            n = cutoff or choose_cutoff(WernerParams(p, lam, 0.0), 1e-12)
+            n = choose_cutoff(WernerParams(p, lam, 0.0), 1e-12)
             worst = max(worst, abs(exact.discord(p, lam) - exact.discord_numeric(p, lam, n)))
         elapsed = time.perf_counter() - t0
         ok = worst <= 1e-8 and elapsed < 30.0
@@ -75,7 +77,7 @@ def check_exact_discord_oracle(cutoff=None, seed=DEFAULT_SEED):
     return _guard("exact-discord-oracle", body)
 
 
-def check_photon_counting_optimality(cutoff=None):
+def check_photon_counting_optimality():
     """At mu = 0 the photon-counting conditional entropy vanishes (so the
     upper bound is the discord) and the Gaussian discord exceeds the true
     discord by more than 1e-3 at (0.5, 0.5)."""
@@ -86,7 +88,7 @@ def check_photon_counting_optimality(cutoff=None):
         worst_u = 0.0
         for p in (0.1, 0.3, 0.5, 0.7, 0.9):
             for lam in (0.1, 0.3, 0.5, 0.65, 0.8):
-                n = cutoff or choose_cutoff(WernerParams(p, lam, 0.0), 1e-12)
+                n = choose_cutoff(WernerParams(p, lam, 0.0), 1e-12)
                 h = bounds._conditional_entropy_direct(p, lam, 0.0, n)
                 worst_h = max(worst_h, abs(h))
                 worst_u = max(worst_u, abs(bounds.upper_bound(p, lam, 0.0, n) - exact.discord(p, lam)))
@@ -125,7 +127,7 @@ def check_low_squeezing_ratio_pi():
     return _guard("low-squeezing-ratio-pi", body)
 
 
-def check_trivial_points(cutoff=None):
+def check_trivial_points():
     """Every measure vanishes at p = 0, and the non-Gaussianity at p = 1,
     each within 1e-10."""
 
@@ -136,7 +138,7 @@ def check_trivial_points(cutoff=None):
         vals["gap(p=0)"] = gaussian.gaussian_discord(0.0, 0.5).conditional_entropy
         vals["delta0(p=1)"] = nongauss.nongaussianity(1.0, 0.5)
         for lam, mu in ((0.5, 0.5), (0.7, 0.3)):
-            rep = bounds.bounds_report(WernerParams(0.0, lam, mu), cutoff or None, 1e-13)
+            rep = bounds.bounds_report(WernerParams(0.0, lam, mu), eps_tail=1e-13)
             vals[f"U(0,{lam},{mu})"] = rep.upper
             vals[f"L+(0,{lam},{mu})"] = max(rep.lower, 0.0)
             vals[f"mid(0,{lam},{mu})"] = rep.mid
@@ -151,7 +153,7 @@ _GRID_P = (0.05, 0.275, 0.5, 0.725, 0.95)
 _GRID_LM = (0.1, 0.3, 0.5, 0.65, 0.8)
 
 
-def check_mid_identity(cutoff=None):
+def check_mid_identity():
     """MID equals the photon-counting upper bound within 1e-8 on a 5x5x5
     (p, lam, mu) grid, in under 10 minutes."""
 
@@ -161,7 +163,7 @@ def check_mid_identity(cutoff=None):
         for p in _GRID_P:
             for lam in _GRID_LM:
                 for mu in _GRID_LM:
-                    rep = bounds.bounds_report(WernerParams(p, lam, mu), cutoff or None)
+                    rep = bounds.bounds_report(WernerParams(p, lam, mu))
                     worst = max(worst, abs(rep.mid - rep.upper))
         elapsed = time.perf_counter() - t0
         ok = worst <= 1e-8 and elapsed < 600.0
@@ -170,7 +172,7 @@ def check_mid_identity(cutoff=None):
     return _guard("mid-equals-upper-bound", body)
 
 
-def check_bound_ordering(cutoff=None):
+def check_bound_ordering():
     """max(L, 0) <= U on the 5x5x5 grid; L = U at p = 1 within 1e-8."""
 
     def body():
@@ -178,12 +180,12 @@ def check_bound_ordering(cutoff=None):
         for p in _GRID_P:
             for lam in _GRID_LM:
                 for mu in _GRID_LM:
-                    rep = bounds.bounds_report(WernerParams(p, lam, mu), cutoff or None)
+                    rep = bounds.bounds_report(WernerParams(p, lam, mu))
                     worst_gap = max(worst_gap, max(rep.lower, 0.0) - rep.upper)
         worst_eq = 0.0
         for lam in _GRID_LM:
             for mu in _GRID_LM:
-                rep = bounds.bounds_report(WernerParams(1.0, lam, mu), cutoff or None)
+                rep = bounds.bounds_report(WernerParams(1.0, lam, mu))
                 worst_eq = max(worst_eq, abs(rep.upper - rep.lower))
         ok = worst_gap <= 1e-12 and worst_eq <= 1e-8
         return ok, (
@@ -194,7 +196,7 @@ def check_bound_ordering(cutoff=None):
     return _guard("bound-ordering", body)
 
 
-def check_separability_thresholds(cutoff=None):
+def check_separability_thresholds():
     """Closed-form thresholds at mu = 0.8 and the numerical sign change of
     the partial transpose bracketing p_ppt within 0.005."""
 
@@ -206,7 +208,7 @@ def check_separability_thresholds(cutoff=None):
 
         def min_eig(p):
             params = WernerParams(p, mu**4, mu)
-            n = cutoff or choose_cutoff(params, 1e-10)
+            n = choose_cutoff(params, 1e-10)
             rho = states.werner(params, n)
             return float(eig_spectrum(partial_transpose(rho, "A")).min())
 
@@ -222,7 +224,7 @@ def check_separability_thresholds(cutoff=None):
     return _guard("separability-thresholds", body)
 
 
-def check_ppt_analytics(cutoff=None):
+def check_ppt_analytics():
     """Analytic U = lam ln 2 matches the dense matrix route within 1e-6;
     the spectrum matches its closed form within 1e-10; L(0.5) is 0.165
     within 2e-3; U(0.999) exceeds 0.692."""
@@ -230,13 +232,12 @@ def check_ppt_analytics(cutoff=None):
     def body():
         details = []
         worst_u = 0.0
-        for lam, n_default in ((0.2, 24), (0.5, 44), (0.8, 76)):
-            n = cutoff or n_default
+        for lam, n in ((0.2, 24), (0.5, 44), (0.8, 76)):
             state = states.ppt_werner(lam, n)
             dev = abs(bounds.upper_bound_dense(state) - ppt.upper_bound(lam))
             worst_u = max(worst_u, dev)
             details.append(f"U dev {dev:.1e} at lam={lam} (n={n})")
-        spec_n = cutoff or 40
+        spec_n = 40
         state = states.ppt_werner(0.5, spec_n)
         spec = eig_spectrum(state)
         closed = ppt.closed_form_spectrum(0.5, spec_n)
@@ -255,9 +256,9 @@ def check_ppt_analytics(cutoff=None):
     return _guard("ppt-analytics", body)
 
 
-def check_quadrature_robustness(eps_int=1e-7):
+def check_quadrature_robustness():
     """Node doubling moves the conditional entropy by < 1e-6, the outcome
-    density integrates to 1 within eps_int, and the value is phase
+    density integrates to 1 within ``NORM_TOL``, and the value is phase
     independent within 1e-6."""
 
     def body():
@@ -267,29 +268,29 @@ def check_quadrature_robustness(eps_int=1e-7):
         h2 = gaussian.conditional_entropy(p, lam, povm, n_radial=160, n_angular=128)
         refine = abs(h1 - h2)
         defect = abs(gaussian.outcome_norm(p, lam, povm) - 1.0)
-        margin = eps_int / defect if defect > 0 else float("inf")
+        margin = NORM_TOL / defect if defect > 0 else float("inf")
         phis = [
             gaussian.conditional_entropy(p, lam, gaussian.GaussianPovm(t, phi))
             for phi in (0.0, math.pi / 4, math.pi / 2)
         ]
         spread = max(phis) - min(phis)
-        ok = refine < 1e-6 and defect <= eps_int and spread < 1e-6
+        ok = refine < 1e-6 and defect <= NORM_TOL and spread < 1e-6
         return ok, (
             f"refinement change {refine:.2e} (tol 1e-6); norm defect {defect:.2e} "
-            f"(tol {eps_int:g}, margin {margin:.0f}x); phase spread {spread:.2e} (tol 1e-6)"
+            f"(tol {NORM_TOL:g}, margin {margin:.0f}x); phase spread {spread:.2e} (tol 1e-6)"
         )
 
     return _guard("quadrature-robustness", body)
 
 
-def check_majorization_amid(cutoff=None, seed=DEFAULT_SEED):
+def check_majorization_amid(seed=DEFAULT_SEED):
     """The reduced state majorizes the global one on a 10x10 grid, and
     discord = AMID = REQ within 1e-8 at 10 random points."""
 
     def body():
         for p in np.linspace(0.05, 0.95, 10):
             for lam in np.linspace(0.05, 0.85, 10):
-                n = cutoff or choose_cutoff(WernerParams(p, lam, 0.0), 1e-12)
+                n = choose_cutoff(WernerParams(p, lam, 0.0), 1e-12)
                 if not is_more_mixed(exact.reduced_spectrum(p, lam, n), exact.eigenvalue_pair(p, lam)):
                     return False, f"majorization fails at p={p:.3f}, lam={lam:.3f}"
         rng = np.random.default_rng(seed)
@@ -297,7 +298,7 @@ def check_majorization_amid(cutoff=None, seed=DEFAULT_SEED):
         for _ in range(10):
             p = rng.uniform(0.05, 0.95)
             lam = rng.uniform(0.05, 0.65)
-            n = cutoff or choose_cutoff(WernerParams(p, lam, 0.0), 1e-12)
+            n = choose_cutoff(WernerParams(p, lam, 0.0), 1e-12)
             d, amid, req = exact.quantumness_indicators(p, lam, n)
             worst = max(worst, abs(d - amid), abs(d - req), abs(amid - req))
         ok = worst <= 1e-8
@@ -306,17 +307,17 @@ def check_majorization_amid(cutoff=None, seed=DEFAULT_SEED):
     return _guard("majorization-amid", body)
 
 
-def run_all(cutoff=None, eps_int=1e-7, seed=DEFAULT_SEED):
+def run_all(seed=DEFAULT_SEED):
     """Run the full battery in order and return the results."""
     return [
-        check_exact_discord_oracle(cutoff, seed),
-        check_photon_counting_optimality(cutoff),
+        check_exact_discord_oracle(seed),
+        check_photon_counting_optimality(),
         check_low_squeezing_ratio_pi(),
-        check_trivial_points(cutoff),
-        check_mid_identity(cutoff),
-        check_bound_ordering(cutoff),
-        check_separability_thresholds(cutoff),
-        check_ppt_analytics(cutoff),
-        check_quadrature_robustness(eps_int),
-        check_majorization_amid(cutoff, seed),
+        check_trivial_points(),
+        check_mid_identity(),
+        check_bound_ordering(),
+        check_separability_thresholds(),
+        check_ppt_analytics(),
+        check_quadrature_robustness(),
+        check_majorization_amid(seed),
     ]

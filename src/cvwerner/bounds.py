@@ -211,16 +211,19 @@ def mid(p: float, lam: float, mu: float, n_max: int) -> float:
 def discord_is_positive(p: float, lam: float) -> bool:
     """Commutator witness: the off-diagonal blocks <i|rho|j> are non-normal
     exactly when p > 0 and 0 < lam < 1, certifying positive discord."""
+    WernerParams(p, lam)
     return p > 0.0 and 0.0 < lam < 1.0
 
 
 def p_separable(mu: float) -> float:
     """Separability threshold of the lam = mu^4 family."""
+    check_unit("mu", mu, upper_open=True)
     return (1.0 - mu**2) ** 2 / (2.0 * (1.0 - mu**2 + mu**4))
 
 
 def p_ppt(mu: float) -> float:
     """Positive-partial-transpose threshold of the lam = mu^4 family."""
+    check_unit("mu", mu, upper_open=True)
     return (1.0 - mu**2) ** 2 / ((1.0 - mu**2) ** 2 + (1.0 - mu**8) * mu**2)
 
 
@@ -229,7 +232,6 @@ def separability_region(p: float, mu: float) -> str:
     is separable, up to ``p_ppt`` it is PPT with unknown separability,
     above it is entangled."""
     check_unit("p", p)
-    check_unit("mu", mu, upper_open=True)
     if p <= p_separable(mu):
         return "separable"
     if p <= p_ppt(mu):

@@ -3,9 +3,9 @@ figure datasets, and run the acceptance battery.
 
 Exit codes: 0 success, 1 failed verification, 2 usage error (argparse,
 also for a config value or key that the subcommand's flags reject),
-3 domain error, an input the measure does not read, or unreadable
-config file, 4 sweep rows failed,
-5 output error (``compute --out``, ``sweep --out`` or ``figure`` cannot
+3 domain error, an input the measure does not read, a sweep of more
+than ``MAX_SWEEP_ROWS`` rows, or unreadable config file, 4 sweep rows
+failed, 5 output error (``compute --out``, ``sweep --out`` or ``figure`` cannot
 write its file).
 
 A ``--config`` file holds ``key = value`` lines, one per flag of the
@@ -30,9 +30,11 @@ import sys
 import time
 
 from . import acceptance, bounds, exact, gaussian, nongauss, ppt
-from .states import WernerParams
+from .states import WernerParams, check_tolerance
 
 NUM_FMT = "%.12g"
+# A sweep asking for more rows than this is rejected before any row is made.
+MAX_SWEEP_ROWS = 100_000
 
 
 def _fmt(x):
@@ -61,7 +63,7 @@ def report_json(measure, inputs, results, cutoff, error_budget, wall_time):
         "units": "nats",
         "wall_time_s": wall_time,
     }
-    return json.dumps(_round12(doc), indent=2, sort_keys=True)
+    return json.dumps(_round12(doc), indent=2, sort_keys=True, allow_nan=False)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +187,10 @@ def _given(args, keys):
 
 def _measure(name, inputs):
     """The measure ``name``, once ``inputs`` are checked against its
-    signature: every required input given and no input it does not read."""
+    signature: every required input given and no input it does not read.
+    Each tolerance given is checked here, also where the library would not
+    read it (``--eps-tail`` next to ``--cutoff``, or at ``lam = 0``), so
+    that no output echoes a NaN."""
     params = inspect.signature(MEASURES[name]).parameters
     missing = [k for k, v in params.items() if v.default is v.empty and k not in inputs]
     unread = [k for k in inputs if k not in params]
@@ -193,6 +198,9 @@ def _measure(name, inputs):
         if keys:
             flags = " ".join("--" + k.replace("_", "-") for k in keys)
             raise ValueError(f"measure '{name}' {verb} {flags}")
+    for key in ("eps_tail", "eps_int"):
+        if key in inputs:
+            check_tolerance(key, inputs[key])
     return MEASURES[name]
 
 
@@ -209,9 +217,14 @@ def cmd_compute(args):
 
 
 def _parse_range(spec):
-    """'start:stop:step' -> list of floats; a bare number -> [number]."""
+    """'start:stop:step' -> (count, values), the values not yet made;
+    a bare number -> (1, [number]).  A count above ``MAX_SWEEP_ROWS`` is
+    rejected, as is a non-finite field."""
     if ":" not in spec:
-        return [float(spec)]
+        value = float(spec)
+        if not math.isfinite(value):
+            raise ValueError(f"value '{spec}' must be finite")
+        return 1, [value]
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError(f"range '{spec}' must be start:stop:step")
@@ -222,8 +235,13 @@ def _parse_range(spec):
         raise ValueError(f"range '{spec}' must have step > 0")
     if stop < start:
         raise ValueError(f"range '{spec}' must have stop >= start")
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [start + i * step for i in range(n)]
+    span = (stop - start) / step
+    if not span < MAX_SWEEP_ROWS:
+        raise ValueError(
+            f"range '{spec}' asks for {span + 1:.6g} values, above the limit {MAX_SWEEP_ROWS}"
+        )
+    n = int(math.floor(span + 1e-9)) + 1
+    return n, (start + i * step for i in range(n))
 
 
 def _columns(dicts):
@@ -234,7 +252,11 @@ def _columns(dicts):
 def cmd_sweep(args):
     given = _given(args, POINT + SETTINGS)
     fn = _measure(args.measure, given)
-    axes = {k: _parse_range(v) for k, v in given.items() if k in POINT}
+    ranges = {k: _parse_range(v) for k, v in given.items() if k in POINT}
+    n_rows = math.prod(n for n, _ in ranges.values())
+    if n_rows > MAX_SWEEP_ROWS:
+        raise ValueError(f"sweep asks for {n_rows} rows, above the limit {MAX_SWEEP_ROWS}")
+    axes = {k: list(values) for k, (_, values) in ranges.items()}
     settings = {k: v for k, v in given.items() if k not in POINT}
     rows = [dict(zip(axes, values)) for values in itertools.product(*axes.values())]
 
@@ -257,7 +279,7 @@ def cmd_sweep(args):
             if err:
                 doc["error"] = err
             docs.append(_round12(doc))
-        _emit(json.dumps(docs, indent=2, sort_keys=True) + "\n", args.out)
+        _emit(json.dumps(docs, indent=2, sort_keys=True, allow_nan=False) + "\n", args.out)
     else:
         header = list(axes) + [f"{c}_nats" if c in _ENTROPY_COLUMNS else c for c in columns]
         if failed:
@@ -383,7 +405,7 @@ def cmd_figure(args):
 
 
 def cmd_verify(args):
-    results = acceptance.run_all(**_given(args, ("cutoff", "eps_int", "seed")))
+    results = acceptance.run_all(**_given(args, ("seed",)))
     for res in results:
         print(res.line)
     failed = sum(1 for r in results if not r.passed)
@@ -477,7 +499,7 @@ def build_parser():
     p_fig.set_defaults(func=cmd_figure)
 
     p_verify = sub.add_parser("verify", help="run the acceptance battery")
-    _add_flags(p_verify, "cutoff", "eps_int", "seed", "config")
+    _add_flags(p_verify, "seed", "config")
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

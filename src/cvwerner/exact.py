@@ -44,14 +44,9 @@ class DiscordReport:
     discord: float
 
 
-def _check_domain(p: float, lam: float):
-    states.check_unit("p", p)
-    states.check_unit("lam", lam, upper_open=True)
-
-
 def eigenvalue_pair(p: float, lam: float):
     """The two nonzero global eigenvalues (1 +- sqrt(1 - 4p(1-p)lam^2))/2."""
-    _check_domain(p, lam)
+    states.WernerParams(p, lam)
     disc = np.sqrt(1.0 - 4.0 * p * (1.0 - p) * lam**2)
     return (1.0 + disc) / 2.0, (1.0 - disc) / 2.0
 
@@ -63,13 +58,14 @@ def global_entropy(p: float, lam: float) -> float:
 
 def reduced_spectrum(p: float, lam: float, n_max: int) -> np.ndarray:
     """Eigenvalues of the reduced state: 1 - p lam^2, then p(1-lam^2)lam^(2n)."""
+    states.WernerParams(p, lam)
     n = np.arange(1, n_max, dtype=float)
     return np.concatenate([[1.0 - p * lam**2], p * (1.0 - lam**2) * lam ** (2 * n)])
 
 
 def reduced_entropy(p: float, lam: float) -> float:
     """Closed-form entropy of the reduced state of either mode."""
-    _check_domain(p, lam)
+    states.WernerParams(p, lam)
     if lam == 0.0 or p == 0.0:
         return 0.0
     pl2 = p * lam**2
@@ -94,26 +90,26 @@ def discord_report(p: float, lam: float) -> DiscordReport:
     return DiscordReport(p, lam, nu1, nu2, s_global, s_reduced, s_reduced - s_global)
 
 
-def vacuum_werner(p: float, lam: float, n_max=None, eps_tail=1e-12) -> TwoModeState:
+def vacuum_werner(p: float, lam: float, n_max=None) -> TwoModeState:
     """The truncated matrix itself (mu = 0 Werner state)."""
-    return states.werner(states.WernerParams(p, lam, 0.0), n_max, eps_tail)
+    return states.werner(states.WernerParams(p, lam, 0.0), n_max)
 
 
-def global_entropy_numeric(p, lam, n_max=None, eps_tail=1e-12) -> float:
+def global_entropy_numeric(p, lam, n_max=None) -> float:
     """Truncated-matrix oracle for :func:`global_entropy`."""
-    rho = vacuum_werner(p, lam, n_max, eps_tail)
+    rho = vacuum_werner(p, lam, n_max)
     return von_neumann_entropy(eig_spectrum(rho))
 
 
-def reduced_entropy_numeric(p, lam, n_max=None, eps_tail=1e-12) -> float:
+def reduced_entropy_numeric(p, lam, n_max=None) -> float:
     """Truncated-matrix oracle for :func:`reduced_entropy`."""
-    rho = vacuum_werner(p, lam, n_max, eps_tail)
+    rho = vacuum_werner(p, lam, n_max)
     return von_neumann_entropy(eig_spectrum(partial_trace(rho, "A")))
 
 
-def discord_numeric(p, lam, n_max=None, eps_tail=1e-12) -> float:
+def discord_numeric(p, lam, n_max=None) -> float:
     """Truncated-matrix oracle for :func:`discord` (one state build)."""
-    rho = vacuum_werner(p, lam, n_max, eps_tail)
+    rho = vacuum_werner(p, lam, n_max)
     s_b = von_neumann_entropy(eig_spectrum(partial_trace(rho, "A")))
     return s_b - von_neumann_entropy(eig_spectrum(rho))
 
@@ -133,7 +129,7 @@ def classical_mutual_information(state: TwoModeState) -> float:
     return h_a + h_b - shannon_entropy(p_ab)
 
 
-def quantumness_indicators(p: float, lam: float, n_max=None, eps_tail=1e-12):
+def quantumness_indicators(p: float, lam: float, n_max=None):
     """(discord, amid, req) computed along three distinct routes.
 
     discord comes from the closed forms; the ameliorated
@@ -143,7 +139,7 @@ def quantumness_indicators(p: float, lam: float, n_max=None, eps_tail=1e-12):
     Shannon entropy minus the global entropy.  For this family all three
     coincide.
     """
-    rho = vacuum_werner(p, lam, n_max, eps_tail)
+    rho = vacuum_werner(p, lam, n_max)
     s_global = von_neumann_entropy(eig_spectrum(rho))
     s_a = von_neumann_entropy(eig_spectrum(partial_trace(rho, "B")))
     s_b = von_neumann_entropy(eig_spectrum(partial_trace(rho, "A")))

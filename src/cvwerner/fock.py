@@ -21,6 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 HERMITICITY_TOL = 1e-12
+# The Hermiticity scan compares square tiles of this size, so that its
+# temporaries stay small next to the matrix.
+HERMITICITY_TILE = 128
+# ``validate`` accepts a trace this close to 1.
+TRACE_TOL = 1e-10
+# Slack of each partial-sum comparison in ``is_more_mixed``.
+MAJORIZATION_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 PROBABILITY_FLOOR = -1e-12
 # eig_spectrum checks its decomposition on this many seeded random vectors.
@@ -37,16 +44,31 @@ class NonHermitianError(ValueError):
     """A matrix that must be Hermitian is not, beyond tolerance."""
 
 
-def _as_state_matrix(matrix, dim, tol=HERMITICITY_TOL):
+def _hermiticity_deviation(m):
+    """max |m - m^H|, taken over the square tiles on and above the block
+    diagonal, so that each entry pair is compared once and the temporaries
+    are tile-sized."""
+    t = HERMITICITY_TILE
+    dim = m.shape[0]
+    tile_max = [
+        np.max(np.abs(m[i : i + t, j : j + t] - m[j : j + t, i : i + t].conj().T))
+        for i in range(0, dim, t)
+        for j in range(i, dim, t)
+    ]
+    # np.max keeps a NaN tile maximum, where the builtin max may drop it.
+    return np.max(tile_max) if tile_max else 0.0
+
+
+def _as_state_matrix(matrix, dim):
     m = np.asarray(matrix)
     if m.dtype not in (np.float64, np.complex128):
         m = m.astype(complex)
     if m.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} matrix, got shape {m.shape}")
-    # A NaN or infinite entry makes dev NaN or infinite, so it fails dev <= tol.
+    # A NaN or infinite entry makes dev NaN or infinite, so it fails the check.
     with np.errstate(invalid="ignore"):
-        dev = np.max(np.abs(m - m.conj().T)) if dim else 0.0
-    if not dev <= tol:
+        dev = _hermiticity_deviation(m)
+    if not dev <= HERMITICITY_TOL:
         bad = np.argwhere(~np.isfinite(m))
         if bad.size:
             i, j = bad[0]
@@ -80,8 +102,8 @@ class OneModeState:
     def trace(self) -> float:
         return float(np.real(np.trace(self.matrix)))
 
-    def validate(self, eps_tail=1e-10):
-        _validate_state(self, eps_tail)
+    def validate(self):
+        _validate_state(self)
         return self
 
 
@@ -114,15 +136,15 @@ class TwoModeState:
     def trace(self) -> float:
         return float(np.real(np.trace(self.matrix)))
 
-    def validate(self, eps_tail=1e-10):
-        _validate_state(self, eps_tail)
+    def validate(self):
+        _validate_state(self)
         return self
 
 
-def _validate_state(state, eps_tail):
+def _validate_state(state):
     tr = state.trace()
-    if abs(tr - 1.0) > eps_tail:
-        raise ValueError(f"trace {tr!r} deviates from 1 by more than {eps_tail:g}")
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValueError(f"trace {tr!r} deviates from 1 by more than {TRACE_TOL:g}")
     w = eig_spectrum(state)
     if w[-1] < EIGENVALUE_FLOOR:
         raise InvalidSpectrumError(f"eigenvalue {w[-1]:.3e} below {EIGENVALUE_FLOOR:g}")
@@ -206,18 +228,18 @@ def partial_transpose(state: TwoModeState, mode: str = "A") -> TwoModeState:
     return TwoModeState(n, out.reshape(n * n, n * n))
 
 
-def is_more_mixed(a, b, tol=1e-12) -> bool:
+def is_more_mixed(a, b) -> bool:
     """True iff spectrum ``a`` is majorized by ``b`` (a is more mixed).
 
     Both spectra are sorted descending and zero-padded to a common length;
-    the test is ``cumsum(a)_k <= cumsum(b)_k`` for every k.
+    the test is ``cumsum(a)_k <= cumsum(b)_k + MAJORIZATION_TOL`` for every k.
     """
     a = np.sort(np.asarray(a, dtype=float).ravel())[::-1]
     b = np.sort(np.asarray(b, dtype=float).ravel())[::-1]
     k = max(a.size, b.size)
     a = np.pad(a, (0, k - a.size))
     b = np.pad(b, (0, k - b.size))
-    return bool(np.all(np.cumsum(a) <= np.cumsum(b) + tol))
+    return bool(np.all(np.cumsum(a) <= np.cumsum(b) + MAJORIZATION_TOL))
 
 
 def _blocks_by_size(m) -> list[np.ndarray]:

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import exact
 from .fock import xlogx
-from .states import check_tolerance
+from .states import WernerParams, check_tolerance
 
 HOMODYNE_T = 12.0
 _T_CAP = 300.0  # exp(2t) must stay finite
@@ -236,18 +236,15 @@ def _integrate(p, lam, povm, grid):
     return float((weights * q * entropy).sum()), float((weights * q).sum())
 
 
-def outcome_norm(p: float, lam: float, povm: GaussianPovm, grid: QuadratureGrid | None = None) -> float:
-    """Integral of the outcome density over the grid (should be 1)."""
-    if grid is None:
-        grid = quadrature_grid(lam, povm)
-    return _integrate(p, lam, povm, grid)[1]
+def outcome_norm(p: float, lam: float, povm: GaussianPovm) -> float:
+    """Integral of the outcome density over the default grid (should be 1)."""
+    return _integrate(p, lam, povm, quadrature_grid(lam, povm))[1]
 
 
 def conditional_entropy(
     p: float,
     lam: float,
     povm: GaussianPovm,
-    grid: QuadratureGrid | None = None,
     n_radial: int = 80,
     n_angular: int = 64,
     eps_int: float = 1e-7,
@@ -257,12 +254,11 @@ def conditional_entropy(
     Refuses with diagnostics when the grid fails to reproduce the outcome
     normalization within ``eps_int``.
     """
-    exact._check_domain(p, lam)
+    WernerParams(p, lam)
     check_tolerance("eps_int", eps_int)
     if p == 0.0 or p == 1.0:
         return 0.0
-    if grid is None:
-        grid = quadrature_grid(lam, povm, n_radial, n_angular)
+    grid = quadrature_grid(lam, povm, n_radial, n_angular)
     value, norm = _integrate(p, lam, povm, grid)
     if abs(norm - 1.0) > eps_int:
         raise QuadratureError(

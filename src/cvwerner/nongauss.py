@@ -22,12 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exact, gaussian
+from .states import WernerParams, check_unit
 
 EULER_GAMMA = 0.57721566490153286061
 
 
 def covariance_cs(p: float, lam: float):
     """Diagonal C and correlation S entries of the covariance matrix."""
+    WernerParams(p, lam)
     c2r = (1.0 + lam**2) / (1.0 - lam**2)
     s2r = 2.0 * lam / (1.0 - lam**2)
     return p * c2r + (1.0 - p), p * s2r
@@ -49,7 +51,7 @@ def covariance_matrix(p: float, lam: float) -> np.ndarray:
 def symplectic_eigenvalue(p: float, lam: float) -> float:
     """Doubly degenerate symplectic eigenvalue of the covariance matrix,
     sqrt((1 - (1-2p)^2 lam^2) / (1 - lam^2)); equals 1 only at p in {0, 1}."""
-    exact._check_domain(p, lam)
+    WernerParams(p, lam)
     return math.sqrt((1.0 - (1.0 - 2.0 * p) ** 2 * lam**2) / (1.0 - lam**2))
 
 
@@ -71,6 +73,7 @@ def nongaussianity(p: float, lam: float) -> float:
 
 def nongaussianity_approx(p: float, lam: float) -> float:
     """Quadratic-order approximation of the non-Gaussianity for lam << 1."""
+    WernerParams(p, lam)
     if p == 0.0 or p == 1.0 or lam == 0.0:
         return 0.0
     return (p - 1.0) * p * lam**2 * (-1.0 + math.log(p * (1.0 - p)) + 2.0 * math.log(lam))
@@ -82,6 +85,7 @@ def gap_approx(p: float, lam: float) -> float:
     Derived by expanding the conditional-entropy integrand at the homodyne
     end: gap ~ p(1-p) lam^2 [gamma - 1 + ln 2 - ln(p(1-p)) - 2 ln lam].
     """
+    WernerParams(p, lam)
     if p == 0.0 or p == 1.0 or lam == 0.0:
         return 0.0
     return (
@@ -94,7 +98,11 @@ def gap_approx(p: float, lam: float) -> float:
 
 def low_squeezing_ratio(lam: float) -> float:
     """Quadratic-order ratio of non-Gaussianity to gap at p = 1/2,
-    [ln(4/lam^2) + 1] / [ln(8/lam^2) + gamma - 1]; tends to 1 as lam -> 0."""
+    [ln(4/lam^2) + 1] / [ln(8/lam^2) + gamma - 1]; tends to 1 as lam -> 0,
+    which is its value at lam = 0."""
+    check_unit("lam", lam, upper_open=True)
+    if lam == 0.0:
+        return 1.0
     return (math.log(4.0 / lam**2) + 1.0) / (
         math.log(8.0 / lam**2) + EULER_GAMMA - 1.0
     )
@@ -126,13 +134,13 @@ def discord_gap(p: float, lam: float, eps_int: float = 1e-7) -> GapReport:
         gap = 0.0
     else:
         gap = gaussian.gaussian_discord(p, lam, eps_int=eps_int).conditional_entropy
-    ratio = low_squeezing_ratio(lam) if lam > 0.0 else float("nan")
+    ratio = low_squeezing_ratio(lam)
     return GapReport(
         p=p,
         lam=lam,
         delta0=nongaussianity(p, lam),
         gap=gap,
-        gap_normalized=ratio * gap if lam > 0.0 else 0.0,
+        gap_normalized=ratio * gap,
         ratio_low_squeezing=ratio,
         delta0_approx=nongaussianity_approx(p, lam),
         gap_approx=gap_approx(p, lam),

@@ -37,6 +37,7 @@ class SeriesCrossCheckError(ValueError):
 
 def norm_const(lam: float) -> float:
     """Normalization N = (1 - lam^2)(1 - lam)/2."""
+    check_unit("lam", lam, upper_open=True)
     return (1.0 - lam**2) * (1.0 - lam) / 2.0
 
 
@@ -76,8 +77,9 @@ def _series_length(lam: float, tol: float, scale: float) -> int:
 
 def reduced_probabilities(lam: float, n_max: int) -> np.ndarray:
     """Photon-count weights p_B(m) = N lam^m (lam^m + 1/(1-lam))."""
+    norm = norm_const(lam)
     powers = lam ** np.arange(n_max, dtype=float)
-    return norm_const(lam) * powers * (powers + 1.0 / (1.0 - lam))
+    return norm * powers * (powers + 1.0 / (1.0 - lam))
 
 
 def reduced_entropy(lam: float, tol: float = 1e-10) -> float:

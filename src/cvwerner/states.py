@@ -115,26 +115,25 @@ def thermal_entropy(mu: float) -> float:
     return float(-np.log(1.0 - mu**2) - 2.0 * mu**2 * np.log(mu) / (1.0 - mu**2))
 
 
-def werner(
-    params: WernerParams, n_max: int | None = None, eps_tail: float = DEFAULT_EPS_TAIL
-) -> TwoModeState:
+def werner(params: WernerParams, n_max: int | None = None) -> TwoModeState:
     """Two-mode Werner state at the given cutoff (auto-chosen when omitted).
 
     The truncation is not renormalized, so the trace deficit stays a
     measure of the tail mass cut off.
     """
     if n_max is None:
-        n_max = choose_cutoff(params, eps_tail)
+        n_max = choose_cutoff(params)
     vec = _tmsv_ket(params.lam, n_max)
-    proj = np.outer(vec, vec)
-    th = thermal(params.mu, n_max).matrix
-    rho = params.p * proj + (1.0 - params.p) * np.kron(th, th)
+    # One full-size array: the scaled projector, with the thermal product,
+    # which is diagonal, added on its diagonal.
+    rho = np.outer(vec, vec)
+    rho *= params.p
+    th = np.diag(thermal(params.mu, n_max).matrix)
+    rho[np.diag_indices(n_max * n_max)] += (1.0 - params.p) * np.kron(th, th)
     return TwoModeState(n_max, rho)
 
 
-def ppt_werner(
-    lam: float, n_max: int | None = None, eps_tail: float = DEFAULT_EPS_TAIL
-) -> TwoModeState:
+def ppt_werner(lam: float, n_max: int | None = None) -> TwoModeState:
     """Partially transposed Werner state that is itself a valid state.
 
     For squeezing factor ``mu^2 = lam`` and mixing probability
@@ -144,7 +143,7 @@ def ppt_werner(
     """
     check_unit("lam", lam, upper_open=True)
     if n_max is None:
-        n_max = choose_cutoff(WernerParams((1.0 - lam) / 2.0, lam, math.sqrt(lam)), eps_tail)
+        n_max = choose_cutoff(WernerParams((1.0 - lam) / 2.0, lam, math.sqrt(lam)))
     norm = (1.0 - lam**2) * (1.0 - lam) / 2.0
     powers = lam ** np.arange(n_max, dtype=float)
     weights = norm * np.outer(powers, powers)  # N lam^(m+n)

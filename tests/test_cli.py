@@ -1,12 +1,13 @@
 import json
 import math
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cvwerner import acceptance, cli
+from cvwerner import acceptance, bounds, cli
 
 
 def run_cli(capsys, *argv):
@@ -93,8 +94,18 @@ def test_unread_setting_exits_3(capsys, tmp_path):
         ("sweep", "discord0", "--p", "0:1:0.5", "--lambda", "0.5", "--seed", "1"),
         ("figure", "fig-ppt", "--p", "0.3"),
         ("verify", "--lambda", "0.5"),
+        ("verify", "--cutoff", "4"),
+        ("verify", "--eps-int", "1e-6"),
     ],
-    ids=["compute-format", "compute-seed", "sweep-seed", "figure-p", "verify-lambda"],
+    ids=[
+        "compute-format",
+        "compute-seed",
+        "sweep-seed",
+        "figure-p",
+        "verify-lambda",
+        "verify-cutoff",
+        "verify-eps-int",
+    ],
 )
 def test_flag_of_another_subcommand_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as err:
@@ -352,8 +363,8 @@ def test_verify_wiring(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify")
     assert code == 0
     assert "1/1 checks passed" in out
-    run_cli(capsys, "verify", "--eps-int", "1e-6", "--seed", "5")
-    assert calls == [{}, {"eps_int": 1e-6, "seed": 5}]
+    run_cli(capsys, "verify", "--seed", "5")
+    assert calls == [{}, {"seed": 5}]
 
 
 def _readme_cli_examples():
@@ -371,7 +382,69 @@ def test_readme_cli_example_runs(capsys, tmp_path, monkeypatch, line):
     assert code == 0, err
 
 
-def test_verify_forced_small_cutoff_fails_truncation_checks():
-    result = acceptance.check_mid_identity(cutoff=4)
+def test_failed_identity_is_a_failed_check(monkeypatch):
+    def truncated(params, n_max=None, eps_tail=1e-12):
+        raise bounds.TruncationError("eigenvalue branches sum to 0.9")
+
+    monkeypatch.setattr(bounds, "bounds_report", truncated)
+    result = acceptance.check_mid_identity()
     assert not result.passed
-    assert "TruncationError" in result.detail or "1e-8" in result.detail
+    assert result.detail == "TruncationError: eigenvalue branches sum to 0.9"
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_gap_at_zero_squeezing_is_strict_json(capsys):
+    code, out, _ = run_cli(capsys, "compute", "gap", "--p", "0.5", "--lambda", "0")
+    assert code == 0
+    results = _strict_json(out)["results"]
+    assert results["ratio_low_squeezing"] == 1.0
+    assert results["gap_normalized"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compute", "bounds", "--p", "0.5", "--lambda", "0.5", "--mu", "0.5", "--cutoff", "30",
+         "--eps-tail", "nan"),
+        ("compute", "ppt-bounds", "--lambda", "0", "--eps-tail", "nan"),
+        ("compute", "gap", "--p", "0", "--lambda", "0.5", "--eps-int", "nan"),
+        ("sweep", "ppt-bounds", "--lambda", "0", "--eps-tail", "nan", "--format", "json"),
+        ("sweep", "discord0", "--p", "nan", "--lambda", "0.5", "--format", "json"),
+    ],
+    ids=["bounds-cutoff", "ppt-bounds-lam0", "gap-p0", "sweep-ppt-bounds-lam0", "sweep-p"],
+)
+def test_nan_the_library_would_not_read_exits_3(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error:") and "nan" in err
+
+
+@pytest.mark.parametrize(
+    "axes, message",
+    [
+        (("--p", "0:1:1e-300", "--lambda", "0.5"),
+         "range '0:1:1e-300' asks for 1e+300 values, above the limit 100000"),
+        (("--p", "0:1e308:1e-10", "--lambda", "0.5"),
+         "range '0:1e308:1e-10' asks for inf values, above the limit 100000"),
+        (("--p", "0:1:1e-3", "--lambda", "0:0.999:1e-3", "--mu", "0:0.999:1e-3"),
+         "sweep asks for 1001000000 rows, above the limit 100000"),
+    ],
+    ids=["one-range", "overflowing-range", "product"],
+)
+def test_sweep_row_limit_exits_3_before_allocating(capsys, axes, message):
+    measure = "bounds" if "--mu" in axes else "discord0"
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "sweep", measure, *axes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (3, "")
+    assert err == f"error: {message}\n"
+    assert peak < 20e6

@@ -172,7 +172,7 @@ def test_two_mode_state_validation():
     with pytest.raises(NonHermitianError):
         TwoModeState(2, np.arange(16.0).reshape(4, 4))
     rho = states.werner(states.WernerParams(0.5, 0.5, 0.0))
-    rho.validate(eps_tail=1e-10)
+    rho.validate()
     with pytest.raises(ValueError):
         rho.matrix[0, 0] = 2.0  # frozen storage
 
@@ -267,3 +267,24 @@ def test_states_reject_non_finite_entries(bad):
         TwoModeState(2, two)
     with pytest.raises(ValueError, match="16 non-finite entries"):
         TwoModeState(2, np.full((4, 4), bad))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_hermiticity_scan_reaches_every_tile(dtype):
+    # Dimension 300 spans three scan tiles per side; each defect sits in a
+    # different tile, below and above the diagonal and on it.
+    dim = 300
+    for (i, j), dev in (((299, 0), 3e-3), ((10, 290), 2e-4), ((150, 149), 5e-5)):
+        m = np.eye(dim, dtype=dtype) / dim
+        m[i, j] += dev
+        with pytest.raises(NonHermitianError, match=f"deviates from Hermiticity by {dev:.3e}"):
+            OneModeState(dim, m)
+    imag = np.eye(dim, dtype=complex) / dim
+    imag[200, 200] = 1j  # not Hermitian although it equals its transpose
+    with pytest.raises(NonHermitianError, match="by 2.000e\\+00"):
+        OneModeState(dim, imag)
+    for i, j in ((299, 1), (250, 250)):
+        m = np.eye(dim, dtype=dtype) / dim
+        m[i, j] = np.nan
+        with pytest.raises(ValueError, match=rf"1 non-finite entries, the first \S+ at \({i}, {j}\)"):
+            OneModeState(dim, m)

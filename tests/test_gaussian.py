@@ -14,7 +14,6 @@ from cvwerner.gaussian import (
     conditional_params,
     gaussian_discord,
     outcome_norm,
-    quadrature_grid,
     weight_densities,
 )
 
@@ -195,9 +194,8 @@ def test_conditional_entropy_monotone_ladder():
 
 def test_quadrature_norm_check_refuses_bad_grid():
     povm = GaussianPovm(0.0, 0.0)
-    bad = quadrature_grid(0.5, povm, n_radial=3, n_angular=2)
     with pytest.raises(QuadratureError):
-        conditional_entropy(0.5, 0.5, povm, grid=bad)
+        conditional_entropy(0.5, 0.5, povm, n_radial=3, n_angular=2)
 
 
 def test_gaussian_discord_trivial_points():

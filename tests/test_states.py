@@ -54,6 +54,12 @@ _ENTRY_POINTS = {
     "ppt.conditional_entropy": (ppt.conditional_entropy, _BAD_FACTOR),
     "ppt.lower_bound": (ppt.lower_bound, _BAD_FACTOR),
     "ppt.bounds": (ppt.bounds, _BAD_FACTOR),
+    "ppt.norm_const": (ppt.norm_const, _BAD_FACTOR),
+    "ppt.closed_form_spectrum": (lambda v: ppt.closed_form_spectrum(v, 3), _BAD_FACTOR),
+    "ppt.reduced_probabilities": (lambda v: ppt.reduced_probabilities(v, 3), _BAD_FACTOR),
+    "bounds.p_separable": (bounds.p_separable, _BAD_FACTOR),
+    "bounds.p_ppt": (bounds.p_ppt, _BAD_FACTOR),
+    "nongauss.low_squeezing_ratio": (nongauss.low_squeezing_ratio, _BAD_FACTOR),
 }
 
 
@@ -77,6 +83,24 @@ _ENTRY_POINTS.update(
             bounds.joint_photon_distribution,
         )
         for i, (arg, bad) in enumerate((("p", _BAD_P), ("lam", _BAD_FACTOR), ("mu", _BAD_FACTOR)))
+    }
+)
+
+
+_ENTRY_POINTS.update(
+    {
+        f"{fn.__module__.split('.')[-1]}.{fn.__name__}-{arg}": (
+            lambda v, fn=fn, i=i, rest=rest: fn(*(v if j == i else 0.5 for j in range(2)), *rest),
+            bad,
+        )
+        for fn, rest in (
+            (exact.reduced_spectrum, (4,)),
+            (bounds.discord_is_positive, ()),
+            (nongauss.covariance_cs, ()),
+            (nongauss.nongaussianity_approx, ()),
+            (nongauss.gap_approx, ()),
+        )
+        for i, (arg, bad) in enumerate((("p", _BAD_P), ("lam", _BAD_FACTOR)))
     }
 )
 

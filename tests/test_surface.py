@@ -1,0 +1,86 @@
+"""The settable values of the public API and of the CLI, listed in full, so
+that adding or removing one is a visible change to this file."""
+
+import importlib
+import inspect
+
+from cvwerner import cli
+
+MODULES = ("fock", "states", "exact", "gaussian", "nongauss", "bounds", "ppt", "acceptance")
+
+# Defaulted parameters of the public functions and methods, 32 in all.
+SETTABLE = {
+    "fock.partial_trace": ("mode",),
+    "fock.partial_transpose": ("mode",),
+    "states.check_unit": ("upper_open",),
+    "states.choose_cutoff": ("eps_tail",),
+    "states.werner": ("n_max",),
+    "states.ppt_werner": ("n_max",),
+    "exact.vacuum_werner": ("n_max",),
+    "exact.global_entropy_numeric": ("n_max",),
+    "exact.reduced_entropy_numeric": ("n_max",),
+    "exact.discord_numeric": ("n_max",),
+    "exact.quantumness_indicators": ("n_max",),
+    "gaussian.quadrature_grid": ("n_radial", "n_angular"),
+    "gaussian.conditional_entropy": ("n_radial", "n_angular", "eps_int"),
+    "gaussian.conditional_entropy_mc": ("n_samples", "seed"),
+    "gaussian.gaussian_discord": ("coarse_step", "eps_int"),
+    "nongauss.discord_gap": ("eps_int",),
+    "bounds.bounds_report": ("n_max", "eps_tail"),
+    "ppt.reduced_entropy": ("tol",),
+    "ppt.conditional_entropy": ("tol",),
+    "ppt.joint_distribution_entropy": ("tol",),
+    "ppt.lower_bound": ("tol",),
+    "ppt.mid": ("tol",),
+    "ppt.bounds": ("tol",),
+    "acceptance.check_exact_discord_oracle": ("seed",),
+    "acceptance.check_majorization_amid": ("seed",),
+    "acceptance.run_all": ("seed",),
+}
+
+# Flags of each CLI subcommand, 24 in all.
+FLAGS = {
+    "compute": ("--p", "--lambda", "--mu", "--cutoff", "--eps-tail", "--eps-int", "--out", "--config"),
+    "sweep": (
+        "--p", "--lambda", "--mu", "--cutoff", "--eps-tail", "--eps-int", "--format", "--out",
+        "--config",
+    ),
+    "figure": ("--cutoff", "--eps-tail", "--eps-int", "--outdir", "--config"),
+    "verify": ("--seed", "--config"),
+}
+
+
+def _public_functions(module):
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj):
+            for attr, fn in vars(obj).items():
+                if not attr.startswith("_") and inspect.isfunction(fn):
+                    yield f"{name}.{attr}", fn
+
+
+def test_settable_values_of_the_package():
+    found = {}
+    for mod_name in MODULES:
+        module = importlib.import_module(f"cvwerner.{mod_name}")
+        for name, fn in _public_functions(module):
+            params = inspect.signature(fn).parameters.values()
+            defaulted = tuple(p.name for p in params if p.default is not p.empty)
+            if defaulted:
+                found[f"{mod_name}.{name}"] = defaulted
+    assert found == SETTABLE
+    assert sum(map(len, found.values())) == 32
+
+
+def test_settable_values_of_the_cli():
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if a.choices and a.dest == "command")
+    found = {
+        name: tuple(a.option_strings[0] for a in sub._actions if a.option_strings and a.dest != "help")
+        for name, sub in subparsers.choices.items()
+    }
+    assert found == FLAGS
+    assert sum(map(len, found.values())) == 24
