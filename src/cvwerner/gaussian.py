@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -194,7 +194,7 @@ def _conditional_entropy_terms(p, lam, t, phi, x, y):
     return entropy, q
 
 
-@lru_cache(maxsize=32)
+@cache
 def _leggauss(n):
     return np.polynomial.legendre.leggauss(n)
 

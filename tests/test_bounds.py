@@ -6,7 +6,14 @@ import pytest
 
 from cvwerner import bounds, exact
 from cvwerner.bounds import TruncationError
-from cvwerner.fock import MAX_TWO_MODE_DIM, partial_transpose, shannon_entropy, eig_spectrum
+from cvwerner.fock import (
+    MAX_TWO_MODE_DIM,
+    eig_spectrum,
+    partial_transpose,
+    shannon_entropy,
+    von_neumann_entropy,
+    xlogx,
+)
 from cvwerner.states import WernerParams, choose_cutoff, thermal_entropy, werner
 
 
@@ -77,8 +84,6 @@ def test_global_entropy_matches_dense_oracle():
     p, lam, mu = 0.4, 0.5, 0.6
     n = _cutoff(p, lam, mu)
     dense = eig_spectrum(werner(WernerParams(p, lam, mu), n))
-    from cvwerner.fock import von_neumann_entropy
-
     assert bounds.global_entropy(p, lam, mu, n) == pytest.approx(
         von_neumann_entropy(dense), abs=1e-9
     )
@@ -197,12 +202,13 @@ def test_bounds_report_evaluates_each_entropy_once(monkeypatch):
 
         monkeypatch.setattr(bounds, name, counted)
     rep = bounds.bounds_report(WernerParams(0.5, 0.8, 0.8))
-    # The one photon-count table is the direct conditional-entropy oracle's;
-    # H(p_AB) is summed by anti-diagonals without a table.
+    # A report builds no photon-count table: H(p_AB) is summed by
+    # anti-diagonals, and the direct conditional-entropy oracle builds the
+    # table's rows a block at a time.
     assert calls == {
         "global_entropy": 1,
         "conditional_entropy_photon_counting": 1,
-        "joint_photon_distribution": 1,
+        "joint_photon_distribution": 0,
     }
     assert rep.mid == pytest.approx(rep.upper, abs=1e-8)
 
@@ -251,3 +257,61 @@ def test_cutoff_above_dense_limit_raises_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 20 * 2**20
+
+
+@pytest.mark.parametrize(
+    "p, lam, mu, n",
+    [(0.0, 0.5, 0.6, None), (1.0, 0.7, 0.4, None), (0.5, 0.0, 0.3, None),
+     (0.5, 0.5, 0.0, None), (0.0, 0.0, 0.0, None), (0.8, 0.9, 0.5, 6), (1.0, 0.98, 0.98, 6),
+     (0.2, 0.3, 0.9, None), (0.1, 0.95, 0.8, None), (0.9, 0.8, 0.95, None),
+     (0.34, 0.58, 0.99, None), (0.5, 0.98, 0.98, None), (0.5, 0.99, 0.3, None)],
+)
+def test_deflated_block_spectrum_matches_dense_eigvalsh(p, lam, mu, n):
+    n = n or _cutoff(p, lam, mu)
+    assert n <= 1500
+    block = bounds.correlated_block(p, lam, mu, n)
+    dense = np.linalg.eigvalsh(block)
+    spectrum, k = bounds._block_spectrum(p, lam, mu, n)
+    assert spectrum.shape == (n,)
+    assert k <= n
+    assert np.max(np.abs(np.sort(spectrum) - dense)) < 1e-14
+    assert abs(spectrum.sum() - np.trace(block)) < 1e-14
+    assert abs(von_neumann_entropy(spectrum) - von_neumann_entropy(dense)) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "p, lam, mu, k",
+    [(0.34, 0.58, 0.99, 37), (0.2, 0.995, 0.9, 91), (0.5, 0.99, 0.3, 10), (0.5, 0.98, 0.98, 426)],
+)
+def test_deflation_keeps_few_survivors(p, lam, mu, k):
+    _, survivors = bounds._block_spectrum(p, lam, mu, _cutoff(p, lam, mu))
+    assert abs(survivors - k) <= 2
+
+
+def test_bounds_report_runs_in_bounded_memory(monkeypatch):
+    # Cutoff 2757: one n_max x n_max array would take 61 MB.
+    def no_block(*args):
+        raise AssertionError("correlated_block called")
+
+    monkeypatch.setattr(bounds, "correlated_block", no_block)
+    params = WernerParams(0.5, 0.995, 0.5)
+    assert choose_cutoff(params, 1e-12) == 2757
+    tracemalloc.start()
+    try:
+        rep = bounds.bounds_report(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+    assert rep.mid == pytest.approx(rep.upper, abs=1e-8)
+
+
+def test_row_blocked_direct_matches_full_table():
+    p, lam, mu = 0.2, 0.3, 0.9
+    n = _cutoff(p, lam, mu)
+    assert n > 2 * bounds.ROW_BLOCK
+    g = bounds.reduced_spectrum(p, lam, mu, n)
+    keep = g > bounds.WEIGHT_FLOOR
+    eta = bounds.joint_photon_distribution(p, lam, mu, n)[keep] / g[keep, None]
+    full = float((g[keep] * -(xlogx(eta).sum(axis=1))).sum())
+    assert abs(bounds._conditional_entropy_direct(p, lam, mu, n) - full) < 1e-14
