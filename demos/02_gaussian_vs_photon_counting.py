@@ -29,5 +29,5 @@ print("monotone decreasing: homodyne is the Gaussian optimum here")
 
 print("\nat strong squeezing the preference flips to heterodyne:")
 for lam_strong in (0.8, 0.9, 0.95):
-    res = gaussian_discord(0.5, lam_strong, coarse_step=1.0)
+    res = gaussian_discord(0.5, lam_strong)
     print(f"  lam = {lam_strong}:  argmin t = {res.povm.t:.2f},  gap = {res.conditional_entropy:.5f}")

@@ -15,8 +15,8 @@ from cvwerner.states import ppt_werner
 
 print("   lam     U = lam ln2      L        L/U")
 for lam in np.linspace(0.1, 0.99, 8):
-    u = ppt.upper_bound(lam)
-    low = ppt.lower_bound(lam)
+    rep = ppt.bounds(lam)
+    u, low = rep.upper, rep.lower
     print(f"  {lam:5.2f}   {u:10.6f}  {low:9.6f}  {low / u:7.3f}")
 print("both bounds stay finite; U tends to ln 2 = 0.693147 as lam -> 1")
 

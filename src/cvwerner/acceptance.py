@@ -88,10 +88,12 @@ def check_photon_counting_optimality():
         worst_u = 0.0
         for p in (0.1, 0.3, 0.5, 0.7, 0.9):
             for lam in (0.1, 0.3, 0.5, 0.65, 0.8):
-                n = choose_cutoff(WernerParams(p, lam, 0.0), 1e-12)
+                params = WernerParams(p, lam, 0.0)
+                n = choose_cutoff(params, 1e-12)
                 h = bounds._conditional_entropy_direct(p, lam, 0.0, n)
                 worst_h = max(worst_h, abs(h))
-                worst_u = max(worst_u, abs(bounds.upper_bound(p, lam, 0.0, n) - exact.discord(p, lam)))
+                upper = bounds.bounds_report(params, n).upper
+                worst_u = max(worst_u, abs(upper - exact.discord(p, lam)))
         margin = gaussian.gaussian_discord(0.5, 0.5).value - exact.discord(0.5, 0.5)
         elapsed = time.perf_counter() - t0
         ok = worst_h <= 1e-12 and worst_u <= 1e-8 and margin > 1e-3 and elapsed < 300.0
@@ -245,7 +247,7 @@ def check_ppt_analytics():
         spec_dev = float(
             max(np.max(np.abs(spec[:k] - closed)), np.max(np.abs(spec[k:])))
         )
-        low_dev = abs(ppt.lower_bound(0.5) - 0.165)
+        low_dev = abs(ppt.bounds(0.5).lower - 0.165)
         u_end = ppt.upper_bound(0.999)
         ok = worst_u <= 1e-6 and spec_dev <= 1e-10 and low_dev <= 2e-3 and u_end > 0.692
         return ok, (

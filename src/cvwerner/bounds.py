@@ -18,9 +18,9 @@ evaluates each of S(rho_B), S(rho), H_eig(A|B) and H(p_AB) once per point,
 the last summed by anti-diagonals of the photon-count table, and checks
 MID = U on those values; the direct twin of H_eig(A|B) builds the table
 a fixed number of rows at a time, so a report holds no n_max x n_max
-array.  ``upper_bound``, ``lower_bound`` and ``mid`` each read one field
-of that report.  Dense matrix-based twins of U and MID (``*_dense``) serve
-as oracles for arbitrary states with diagonal marginals.
+array.  ``bounds_report`` is the only evaluator of U, L and MID.  Dense
+matrix-based twins of U and MID (``*_dense``) serve as oracles for
+arbitrary states with diagonal marginals.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .fock import (
     von_neumann_entropy,
     xlogx,
 )
-from .states import WernerParams, check_unit, choose_cutoff, thermal_entropy
+from .states import DEFAULT_EPS_TAIL, WernerParams, check_unit, choose_cutoff, thermal_entropy
 
 # Tolerance of the internal identities: eigenvalue branches sum to 1,
 # closed-form = direct conditional entropy, and MID = U.
@@ -256,27 +256,6 @@ def _joint_photon_entropy(p, lam, mu, n_max):
     return antidiagonal_entropy(entry, entry[::2] + p * (1.0 - lam**2) * lam ** (2 * m))
 
 
-def upper_bound(p: float, lam: float, mu: float, n_max: int) -> float:
-    """Photon-counting upper bound U = S(rho_B) - S(rho) + H_eig(A|B)."""
-    return bounds_report(WernerParams(p, lam, mu), n_max).upper
-
-
-def lower_bound(p: float, lam: float, mu: float, n_max: int) -> float:
-    """Concavity lower bound L = S(rho_B) - S(rho) + (1-p) S_th(mu).
-
-    Reported signed; it may be negative (clip for plotting)."""
-    return bounds_report(WernerParams(p, lam, mu), n_max).lower
-
-
-def mid(p: float, lam: float, mu: float, n_max: int) -> float:
-    """Measurement-induced disturbance M = H(p_AB) - S(rho).
-
-    The identity M = U holds exactly for this family; a violation beyond
-    ``IDENTITY_TOL`` raises ``TruncationError``.
-    """
-    return bounds_report(WernerParams(p, lam, mu), n_max).mid
-
-
 def discord_is_positive(p: float, lam: float) -> bool:
     """Commutator witness: the off-diagonal blocks <i|rho|j> are non-normal
     exactly when p > 0 and 0 < lam < 1, certifying positive discord."""
@@ -327,10 +306,11 @@ class BoundsReport:
 
 
 def bounds_report(
-    params: WernerParams, n_max: int | None = None, eps_tail: float = 1e-12
+    params: WernerParams, n_max: int | None = None, eps_tail: float = DEFAULT_EPS_TAIL
 ) -> BoundsReport:
-    """U, L and MID at one point, from S(rho_B), S(rho), H_eig(A|B) and
-    H(p_AB), each evaluated once; MID = U is checked on these values."""
+    """U = S(rho_B) - S(rho) + H_eig(A|B), L = S(rho_B) - S(rho) + (1-p) S_th(mu)
+    (signed) and MID = H(p_AB) - S(rho) at one point, each entropy evaluated
+    once; MID = U beyond ``IDENTITY_TOL`` raises ``TruncationError``."""
     p, lam, mu = params.p, params.lam, params.mu
     if n_max is None:
         n_max = choose_cutoff(params, eps_tail)

@@ -30,7 +30,7 @@ import sys
 import time
 
 from . import acceptance, bounds, exact, gaussian, nongauss, ppt
-from .states import WernerParams, check_tolerance
+from .states import DEFAULT_EPS_TAIL, WernerParams, check_tolerance
 
 NUM_FMT = "%.12g"
 # A sweep asking for more rows than this is rejected before any row is made.
@@ -84,7 +84,7 @@ def _m_discord0(p, lam):
     return results, None, {"closed_form": 0.0}
 
 
-def _m_gaussian_discord(p, lam, eps_int=1e-7):
+def _m_gaussian_discord(p, lam, eps_int=gaussian.EPS_INT):
     res = gaussian.gaussian_discord(p, lam, eps_int=eps_int)
     d = exact.discord(p, lam)
     results = {
@@ -108,7 +108,7 @@ def _m_delta0(p, lam):
     return results, None, {"closed_form": 0.0}
 
 
-def _m_gap(p, lam, eps_int=1e-7):
+def _m_gap(p, lam, eps_int=gaussian.EPS_INT):
     rep = nongauss.discord_gap(p, lam, eps_int=eps_int)
     results = {
         "delta0": rep.delta0,
@@ -121,7 +121,7 @@ def _m_gap(p, lam, eps_int=1e-7):
     return results, None, {"eps_int": eps_int}
 
 
-def _m_bounds(p, lam, mu, cutoff=None, eps_tail=1e-12):
+def _m_bounds(p, lam, mu, cutoff=None, eps_tail=DEFAULT_EPS_TAIL):
     rep = bounds.bounds_report(WernerParams(p, lam, mu), cutoff, eps_tail)
     results = {
         "upper": rep.upper,
@@ -146,7 +146,7 @@ def _m_region(p, mu):
     return results, None, {"closed_form": 0.0}
 
 
-def _m_ppt_bounds(lam, eps_tail=1e-10):
+def _m_ppt_bounds(lam, eps_tail=ppt.SERIES_TOL):
     rep = ppt.bounds(lam, eps_tail)
     results = {
         "upper": rep.upper,

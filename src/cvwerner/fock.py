@@ -83,6 +83,19 @@ def _as_state_matrix(matrix, dim):
     return m
 
 
+def check_two_mode_cutoff(n_max: int) -> None:
+    """Raise ``ValueError`` unless ``2 <= n_max`` and ``n_max^2 <= MAX_TWO_MODE_DIM``;
+    dense two-mode builders call it before they allocate."""
+    if n_max < 2:
+        raise ValueError("n_max must be at least 2")
+    dim = n_max**2
+    if dim > MAX_TWO_MODE_DIM:
+        raise ValueError(
+            f"two-mode dimension {dim} exceeds the dense-storage limit "
+            f"{MAX_TWO_MODE_DIM}; pass a smaller cutoff"
+        )
+
+
 @dataclass(frozen=True)
 class OneModeState:
     """Single-mode density matrix on the first ``n_max`` Fock states."""
@@ -115,15 +128,8 @@ class TwoModeState:
     matrix: np.ndarray
 
     def __post_init__(self):
-        if self.n_max < 2:
-            raise ValueError("n_max must be at least 2")
-        dim = self.n_max**2
-        if dim > MAX_TWO_MODE_DIM:
-            raise ValueError(
-                f"two-mode dimension {dim} exceeds the dense-storage limit "
-                f"{MAX_TWO_MODE_DIM}; pass a smaller cutoff"
-            )
-        object.__setattr__(self, "matrix", _as_state_matrix(self.matrix, dim))
+        check_two_mode_cutoff(self.n_max)
+        object.__setattr__(self, "matrix", _as_state_matrix(self.matrix, self.dim))
 
     @property
     def dim(self) -> int:

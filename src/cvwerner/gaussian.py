@@ -40,6 +40,16 @@ _T_CAP = 300.0  # exp(2t) must stay finite
 TAIL_EPS = 1e-10
 # Width to which golden section refines the optimal t.
 T_TOL = 1e-4
+# Spacing of the coarse scan in t that golden section then refines.
+COARSE_STEP = 0.5
+# Default tolerance on the outcome normalization of the quadrature.
+EPS_INT = 1e-7
+# Base node counts of the polar grid, before its anisotropy scaling.
+N_RADIAL = 80
+N_ANGULAR = 64
+# Largest quadrature grid, in nodes: the grid at HOMODYNE_T fits up to
+# lam = 0.9993 (983 x 983 nodes, a 134 MB ``conditional_entropy`` peak).
+MAX_GRID_NODES = 2**20
 
 
 class QuadratureError(ValueError):
@@ -199,8 +209,23 @@ def _leggauss(n):
     return np.polynomial.legendre.leggauss(n)
 
 
+def _node_counts(lam, t, n_radial, n_angular):
+    # Radial and angular node counts of the grid at t, held to MAX_GRID_NODES.
+    tau = math.tanh(t)
+    stretch = math.sqrt((1.0 + lam**2 * tau) / (1.0 - lam**2))
+    ecc = math.sqrt((1.0 + lam**2 * tau) / (1.0 - lam**2 * tau))
+    n_rad = math.ceil(max(n_radial, 26.0 * stretch * n_radial / N_RADIAL))
+    n_ang = math.ceil(max(n_angular, 26.0 * ecc * n_angular / N_ANGULAR))
+    if n_rad * n_ang > MAX_GRID_NODES:
+        raise ValueError(
+            f"lam={lam}, t={t} needs a {n_rad}x{n_ang} quadrature grid, "
+            f"above the limit {MAX_GRID_NODES} nodes"
+        )
+    return n_rad, n_ang
+
+
 def quadrature_grid(
-    lam: float, povm: GaussianPovm, n_radial: int = 80, n_angular: int = 64
+    lam: float, povm: GaussianPovm, n_radial: int = N_RADIAL, n_angular: int = N_ANGULAR
 ) -> QuadratureGrid:
     """Polar grid sized so the Gaussian envelope tail mass stays below
     ``TAIL_EPS``.
@@ -208,16 +233,12 @@ def quadrature_grid(
     Node counts grow with the anisotropy of the outcome density (which
     stretches like 1/(1 - lam^2) at strong squeezing) so that the requested
     counts act as a base resolution: doubling them doubles the grid in any
-    regime.
+    regime.  Above ``MAX_GRID_NODES`` nodes it raises ``ValueError``.
     """
+    n_rad, n_ang = _node_counts(lam, povm.t, n_radial, n_angular)
     rates = _frame_rates(lam, povm.t)
     c_min = min(rates)
     r_max = math.sqrt((math.log(1.0 / TAIL_EPS) + 3.0) / c_min)
-    tau = math.tanh(povm.t)
-    stretch = math.sqrt((1.0 + lam**2 * tau) / (1.0 - lam**2))
-    ecc = math.sqrt((1.0 + lam**2 * tau) / (1.0 - lam**2 * tau))
-    n_rad = math.ceil(max(n_radial, 26.0 * stretch * n_radial / 80.0))
-    n_ang = math.ceil(max(n_angular, 26.0 * ecc * n_angular / 64.0))
     xg, wg = _leggauss(n_rad)
     radial = (xg + 1.0) * r_max / 2.0
     radial_w = wg * r_max / 2.0
@@ -245,9 +266,9 @@ def conditional_entropy(
     p: float,
     lam: float,
     povm: GaussianPovm,
-    n_radial: int = 80,
-    n_angular: int = 64,
-    eps_int: float = 1e-7,
+    n_radial: int = N_RADIAL,
+    n_angular: int = N_ANGULAR,
+    eps_int: float = EPS_INT,
 ) -> float:
     """Average post-measurement entropy  integral of q(alpha) S(rho|alpha).
 
@@ -336,15 +357,13 @@ class GaussianDiscordResult:
     evaluations: int
 
 
-def gaussian_discord(
-    p: float, lam: float, coarse_step: float = 0.5, eps_int: float = 1e-7
-) -> GaussianDiscordResult:
+def gaussian_discord(p: float, lam: float, eps_int: float = EPS_INT) -> GaussianDiscordResult:
     """Discord restricted to Gaussian measurements, with its minimizer.
 
-    Minimizes the conditional entropy over a coarse grid in t, then
-    refines t by golden section.  The phase stays at phi = 0: the state is
-    invariant under opposite phase rotations of its two modes, so the
-    conditional entropy does not depend on phi.  The upper end
+    Minimizes the conditional entropy over a grid in t of spacing
+    ``COARSE_STEP``, then refines t by golden section.  The phase stays at
+    phi = 0: the state is invariant under opposite phase rotations of its
+    two modes, so the conditional entropy does not depend on phi.  The upper end
     ``HOMODYNE_T`` stands in for the homodyne limit.  At strong squeezing
     (``lam`` above about 0.7) the scan finds heterodyne ``t = 0`` rather
     than homodyne to be the Gaussian-optimal measurement.
@@ -352,6 +371,7 @@ def gaussian_discord(
     base = exact.reduced_entropy(p, lam) - exact.global_entropy(p, lam)
     if p == 0.0 or p == 1.0:
         return GaussianDiscordResult(base, 0.0, GaussianPovm(0.0, 0.0), 0)
+    _node_counts(lam, HOMODYNE_T, N_RADIAL, N_ANGULAR)  # the grid grows with t
 
     trace = []
 
@@ -360,11 +380,11 @@ def gaussian_discord(
         trace.append((t, val))
         return val
 
-    coarse_t = np.arange(0.0, HOMODYNE_T + coarse_step / 2.0, coarse_step)
+    coarse_t = np.arange(0.0, HOMODYNE_T + COARSE_STEP / 2.0, COARSE_STEP)
     best = min(((float(t), objective(float(t))) for t in coarse_t), key=lambda c: c[1])
 
-    lo = max(0.0, best[0] - coarse_step)
-    hi = min(HOMODYNE_T, best[0] + coarse_step)
+    lo = max(0.0, best[0] - COARSE_STEP)
+    hi = min(HOMODYNE_T, best[0] + COARSE_STEP)
     t_ref = _golden_section(objective, lo, hi, T_TOL)
     t_opt, h_min = min([best, (t_ref, objective(t_ref))], key=lambda c: c[1])
     if not math.isfinite(h_min) or h_min < -1e-12:

@@ -122,7 +122,7 @@ class GapReport:
     gap_approx: float
 
 
-def discord_gap(p: float, lam: float, eps_int: float = 1e-7) -> GapReport:
+def discord_gap(p: float, lam: float, eps_int: float = gaussian.EPS_INT) -> GapReport:
     """Gap between Gaussian and optimal discord with its scaling report.
 
     The gap is the minimized Gaussian conditional entropy itself;

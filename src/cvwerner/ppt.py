@@ -10,7 +10,8 @@ its own right.  Its full spectrum is known in closed form,
 with ``N = (1 - lam^2)(1 - lam)/2``, so every entropy is analytic or a
 rapidly converging series.  The photon-counting upper bound collapses to
 ``lam ln 2``, stays finite as ``lam -> 1``, and coincides with the
-measurement-induced disturbance.
+measurement-induced disturbance.  :func:`bounds` is the one evaluator of
+U, L, MID and H_eig(A|B).
 """
 
 from __future__ import annotations
@@ -29,6 +30,12 @@ from .states import check_tolerance, check_unit, thermal_entropy
 MAX_SERIES_TERMS = 10**7
 # Tolerance of the cross-checks against the direct series.
 CHECK_TOL = 1e-8
+# Default truncation tolerance of the series.
+SERIES_TOL = 1e-10
+# The direct H_eig(A|B) cross-check in ``bounds`` sums at most this many
+# rows.  From lam = 0.997 on that misses mass and ``bounds`` raises
+# ``SeriesCrossCheckError``; see the FOUND line on this cap in CHANGES.md.
+DIRECT_SUM_ROWS = 6000
 
 
 class SeriesCrossCheckError(ValueError):
@@ -82,7 +89,7 @@ def reduced_probabilities(lam: float, n_max: int) -> np.ndarray:
     return norm * powers * (powers + 1.0 / (1.0 - lam))
 
 
-def reduced_entropy(lam: float, tol: float = 1e-10) -> float:
+def reduced_entropy(lam: float, tol: float = SERIES_TOL) -> float:
     """Entropy of either reduced state, summed until the geometric tail
     bound drops below ``tol``."""
     check_unit("lam", lam, upper_open=True)
@@ -103,16 +110,11 @@ def reduced_entropy(lam: float, tol: float = 1e-10) -> float:
     )
 
 
-def conditional_entropy(lam: float, tol: float = 1e-10) -> float:
-    """Photon-counting conditional entropy, analytically
-    S(rho) - S(rho_B) + lam ln 2, cross-checked against the direct sum
-    over post-measurement spectra."""
-    if lam == 0.0:
-        return 0.0
-    analytic = global_entropy(lam) - reduced_entropy(lam, tol) + lam * math.log(2.0)
-    norm = norm_const(lam)
+def _conditional_entropy_direct(lam, norm, tol):
+    # Photon-counting conditional entropy sum_m p_B(m) S(rho_A|m), summed
+    # over the post-measurement spectra row by row.
     n_terms = _series_length(lam, tol, 8.0 * norm * (1.0 + abs(math.log(norm))) / (1.0 - lam) ** 2)
-    n_terms = min(n_terms, 6000)
+    n_terms = min(n_terms, DIRECT_SUM_ROWS)
     powers = lam ** np.arange(n_terms, dtype=float)
     p_b = reduced_probabilities(lam, n_terms)
     direct = 0.0
@@ -124,24 +126,14 @@ def conditional_entropy(lam: float, tol: float = 1e-10) -> float:
         direct += p_b[m] * float(-(spec * np.log(spec)).sum())
         if p_b[m] < tol * 1e-3:
             break
-    if abs(analytic - direct) > CHECK_TOL:
-        raise SeriesCrossCheckError(
-            f"analytic conditional entropy {analytic!r} vs direct sum {direct!r} "
-            f"differ by {abs(analytic - direct):.3e}"
-        )
-    return analytic
+    return direct
 
 
-def joint_distribution_entropy(lam: float, tol: float = 1e-10) -> float:
-    """Shannon entropy of the photon-count statistics
-    p(m, n) = N lam^(m+n) (1 + delta_mn); equals S(rho) + lam ln 2.
-
-    The square table m, n < n_terms is summed by anti-diagonals s = m + n,
-    whose off-diagonal entries are all N lam^s."""
-    check_unit("lam", lam, upper_open=True)
-    if lam == 0.0:
-        return 0.0
-    norm = norm_const(lam)
+def _joint_distribution_entropy(lam, norm, tol):
+    # Shannon entropy H(p_AB) of the photon-count statistics
+    # p(m, n) = N lam^(m+n) (1 + delta_mn).  The square table
+    # m, n < n_terms is summed by anti-diagonals s = m + n, whose
+    # off-diagonal entries are all N lam^s.
     n_terms = _series_length(lam, tol, 8.0 * norm * (1.0 + abs(math.log(norm))) / (1.0 - lam))
     s = np.arange(2 * n_terms - 1, dtype=float)
     entry = norm * np.exp(math.log(lam) * s)
@@ -168,39 +160,34 @@ def upper_bound(lam: float) -> float:
     return lam * math.log(2.0)
 
 
-def lower_bound(lam: float, tol: float = 1e-10) -> float:
-    """L = S(rho_B) - S(rho) + ((1+lam)/2) S_th(sqrt(lam))."""
+def bounds(lam: float, tol: float = SERIES_TOL) -> PptReport:
+    """U = lam ln 2, L = S(rho_B) - S(rho) + ((1+lam)/2) S_th(sqrt(lam)),
+    MID = H(p_AB) - S(rho) and H_eig = S(rho) - S(rho_B) + U, each entropy
+    evaluated once.  H_eig is checked against its direct sum and MID against
+    U; a mismatch beyond ``CHECK_TOL`` raises ``SeriesCrossCheckError``."""
+    norm = norm_const(lam)
     if lam == 0.0:
-        return 0.0
-    return (
-        reduced_entropy(lam, tol)
-        - global_entropy(lam)
-        + (1.0 + lam) / 2.0 * thermal_entropy(math.sqrt(lam))
-    )
-
-
-def mid(lam: float, tol: float = 1e-10) -> float:
-    """Measurement-induced disturbance H(p_AB) - S(rho) = lam ln 2,
-    verified against the direct series for H(p_AB)."""
-    if lam == 0.0:
-        return 0.0
-    value = joint_distribution_entropy(lam, tol) - global_entropy(lam)
-    if abs(value - lam * math.log(2.0)) > CHECK_TOL:
+        return PptReport(lam, norm, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    s_g = global_entropy(lam)
+    s_b = reduced_entropy(lam, tol)
+    upper = lam * math.log(2.0)
+    h_eig = s_g - s_b + upper
+    direct = _conditional_entropy_direct(lam, norm, tol)
+    if abs(h_eig - direct) > CHECK_TOL:
         raise SeriesCrossCheckError(
-            f"MID series gives {value!r}, expected {lam * math.log(2.0)!r}"
+            f"analytic conditional entropy {h_eig!r} vs direct sum {direct!r} "
+            f"differ by {abs(h_eig - direct):.3e}"
         )
-    return value
-
-
-def bounds(lam: float, tol: float = 1e-10) -> PptReport:
-    """All analytic bound quantities at one squeezing value."""
+    m = _joint_distribution_entropy(lam, norm, tol) - s_g
+    if abs(m - upper) > CHECK_TOL:
+        raise SeriesCrossCheckError(f"MID series gives {m!r}, expected {upper!r}")
     return PptReport(
         lam=lam,
-        norm_const=norm_const(lam),
-        entropy_global=global_entropy(lam),
-        entropy_reduced=reduced_entropy(lam, tol),
-        conditional_entropy=conditional_entropy(lam, tol=tol),
-        upper=upper_bound(lam),
-        lower=lower_bound(lam, tol),
-        mid=mid(lam, tol=tol),
+        norm_const=norm,
+        entropy_global=s_g,
+        entropy_reduced=s_b,
+        conditional_entropy=h_eig,
+        upper=upper,
+        lower=s_b - s_g + (1.0 + lam) / 2.0 * thermal_entropy(math.sqrt(lam)),
+        mid=m,
     )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import OneModeState, TwoModeState
+from .fock import OneModeState, TwoModeState, check_two_mode_cutoff
 
 DEFAULT_EPS_TAIL = 1e-12
 
@@ -89,6 +89,7 @@ def tmsv_vector(lam: float, n_max: int) -> np.ndarray:
 
 def _tmsv_ket(lam: float, n_max: int) -> np.ndarray:
     """The truncated two-mode squeezed vacuum as a flat two-mode vector."""
+    check_two_mode_cutoff(n_max)
     vec = np.zeros(n_max * n_max)
     vec[np.arange(n_max) * (n_max + 1)] = tmsv_vector(lam, n_max)
     return vec
@@ -144,6 +145,7 @@ def ppt_werner(lam: float, n_max: int | None = None) -> TwoModeState:
     check_unit("lam", lam, upper_open=True)
     if n_max is None:
         n_max = choose_cutoff(WernerParams((1.0 - lam) / 2.0, lam, math.sqrt(lam)))
+    check_two_mode_cutoff(n_max)
     norm = (1.0 - lam**2) * (1.0 - lam) / 2.0
     powers = lam ** np.arange(n_max, dtype=float)
     weights = norm * np.outer(powers, powers)  # N lam^(m+n)

@@ -21,6 +21,10 @@ def _cutoff(p, lam, mu, eps=1e-12):
     return choose_cutoff(WernerParams(p, lam, mu), eps)
 
 
+def _report(p, lam, mu, n):
+    return bounds.bounds_report(WernerParams(p, lam, mu), n)
+
+
 def test_reduced_spectrum_examples():
     # consistency with the vacuum family at mu = 0
     g = bounds.reduced_spectrum(0.5, 0.5, 0.0, 50)
@@ -92,61 +96,71 @@ def test_global_entropy_matches_dense_oracle():
 def test_upper_bound_tight_at_mu_zero():
     for p, lam in ((0.3, 0.4), (0.7, 0.6)):
         n = _cutoff(p, lam, 0.0)
-        assert bounds.upper_bound(p, lam, 0.0, n) == pytest.approx(
-            exact.discord(p, lam), abs=1e-8
-        )
+        assert _report(p, lam, 0.0, n).upper == pytest.approx(exact.discord(p, lam), abs=1e-8)
 
 
 def test_upper_bound_trivial_point():
     n = _cutoff(0.0, 0.5, 0.5, 1e-13)
-    assert bounds.upper_bound(0.0, 0.5, 0.5, n) == pytest.approx(0.0, abs=1e-10)
+    assert _report(0.0, 0.5, 0.5, n).upper == pytest.approx(0.0, abs=1e-10)
 
 
 def test_lower_bound_limits():
     # p = 1: both bounds collapse onto the discord of the pure state
-    n = _cutoff(1.0, 0.6, 0.4)
-    u = bounds.upper_bound(1.0, 0.6, 0.4, n)
-    low = bounds.lower_bound(1.0, 0.6, 0.4, n)
-    assert low == pytest.approx(u, abs=1e-8)
+    rep = _report(1.0, 0.6, 0.4, _cutoff(1.0, 0.6, 0.4))
+    assert rep.lower == pytest.approx(rep.upper, abs=1e-8)
     # mu = 0: the thermal term vanishes
-    n = _cutoff(0.5, 0.5, 0.0)
-    assert bounds.lower_bound(0.5, 0.5, 0.0, n) == pytest.approx(
-        exact.discord(0.5, 0.5), abs=1e-8
-    )
+    rep = _report(0.5, 0.5, 0.0, _cutoff(0.5, 0.5, 0.0))
+    assert rep.lower == pytest.approx(exact.discord(0.5, 0.5), abs=1e-8)
 
 
 def test_bound_ordering_sample():
     p, lam, mu = 0.5, 0.8, 0.8
-    n = _cutoff(p, lam, mu)
-    u = bounds.upper_bound(p, lam, mu, n)
-    low = bounds.lower_bound(p, lam, mu, n)
-    assert max(low, 0.0) <= u + 1e-12
+    rep = _report(p, lam, mu, _cutoff(p, lam, mu))
+    assert max(rep.lower, 0.0) <= rep.upper + 1e-12
 
 
 def test_mid_identity_and_values():
-    n = _cutoff(0.5, 0.5, 0.0)
-    assert bounds.mid(0.5, 0.5, 0.0, n) == pytest.approx(exact.discord(0.5, 0.5), abs=1e-8)
+    rep = _report(0.5, 0.5, 0.0, _cutoff(0.5, 0.5, 0.0))
+    assert rep.mid == pytest.approx(exact.discord(0.5, 0.5), abs=1e-8)
     p, lam, mu = 0.5, 0.8, 0.8
-    n = _cutoff(p, lam, mu)
-    assert bounds.mid(p, lam, mu, n) == pytest.approx(
-        bounds.upper_bound(p, lam, mu, n), abs=1e-8
+    rep = _report(p, lam, mu, _cutoff(p, lam, mu))
+    assert rep.mid == pytest.approx(rep.upper, abs=1e-8)
+
+
+@pytest.mark.parametrize(
+    "p, lam, mu, n",
+    [(0.0, 0.5, 0.6, None), (1.0, 0.7, 0.4, None), (0.5, 0.5, 0.0, None), (0.0, 0.0, 0.0, None),
+     (0.5, 0.8, 0.8, None), (0.2, 0.3, 0.9, None), (0.05, 0.8**4, 0.8, None),
+     (0.5, 0.05, 0.1, 6), (0.3, 0.1, 0.05, 6), (1.0, 0.0, 0.0, 6)],
+)
+def test_bounds_report_fields_follow_from_the_entropies(p, lam, mu, n):
+    n = n or _cutoff(p, lam, mu)
+    rep = _report(p, lam, mu, n)
+    s_b = bounds.marginal_entropy(p, lam, mu, n)
+    s_g = bounds.global_entropy(p, lam, mu, n)
+    h_eig = bounds.conditional_entropy_photon_counting(p, lam, mu, n)
+    assert (rep.n_max, rep.marginal_entropy, rep.global_entropy, rep.conditional_entropy) == (
+        n, s_b, s_g, h_eig
     )
+    assert rep.upper == s_b - s_g + h_eig
+    assert rep.lower == s_b - s_g + (1.0 - p) * thermal_entropy(mu)
+    assert rep.mid == pytest.approx(rep.upper, abs=bounds.IDENTITY_TOL)
 
 
 def test_mid_flags_bad_truncation():
-    # Every bound reads one report and so runs all its identity checks; at
-    # (0.5, 0.0, 0.3) only closed-form vs direct conditional entropy fails.
+    # A report runs all its identity checks; at (0.5, 0.0, 0.3) only
+    # closed-form vs direct conditional entropy fails.
     for point in ((0.5, 0.8, 0.8), (0.5, 0.0, 0.3)):
-        for fn in (bounds.mid, bounds.upper_bound, bounds.lower_bound):
-            with pytest.raises(TruncationError):
-                fn(*point, 6)
+        with pytest.raises(TruncationError):
+            _report(*point, 6)
 
 
 def test_cutoff_doubling_stability():
     p, lam, mu = 0.5, 0.8, 0.8
     n = _cutoff(p, lam, mu)
-    for fn in (bounds.upper_bound, bounds.lower_bound):
-        assert abs(fn(p, lam, mu, n) - fn(p, lam, mu, 2 * n)) < 1e-7
+    rep, doubled = _report(p, lam, mu, n), _report(p, lam, mu, 2 * n)
+    assert abs(rep.upper - doubled.upper) < 1e-7
+    assert abs(rep.lower - doubled.lower) < 1e-7
 
 
 def test_discord_witness():
@@ -181,10 +195,9 @@ def test_dense_routes_agree_with_series():
     params = WernerParams(p, lam, mu)
     n = choose_cutoff(params)
     rho = werner(params, n)
-    assert bounds.upper_bound_dense(rho) == pytest.approx(
-        bounds.upper_bound(p, lam, mu, n), abs=1e-8
-    )
-    assert bounds.mid_dense(rho) == pytest.approx(bounds.mid(p, lam, mu, n), abs=1e-8)
+    rep = bounds.bounds_report(params, n)
+    assert bounds.upper_bound_dense(rho) == pytest.approx(rep.upper, abs=1e-8)
+    assert bounds.mid_dense(rho) == pytest.approx(rep.mid, abs=1e-8)
 
 
 def test_bounds_report_evaluates_each_entropy_once(monkeypatch):

@@ -347,6 +347,12 @@ def test_cutoff_above_dense_limit_exits_3(capsys):
     assert err.startswith("error:") and "17000" in err
 
 
+def test_grid_above_node_limit_exits_3(capsys):
+    code, _, err = run_cli(capsys, "compute", "gaussian-discord", "--p", "0.5", "--lambda", "0.99999")
+    assert code == 3
+    assert err.startswith("error:") and f"limit {2**20} nodes" in err
+
+
 def test_verify_wiring(capsys, monkeypatch):
     stub_results = [
         acceptance.CheckResult("alpha", True, "fine", 0.1),

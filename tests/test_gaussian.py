@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 import helpers_fock as oracle
 from cvwerner import exact, gaussian
 from cvwerner.gaussian import (
+    HOMODYNE_T,
+    MAX_GRID_NODES,
     GaussianPovm,
     QuadratureError,
     _mixture_spectrum,
@@ -14,6 +17,7 @@ from cvwerner.gaussian import (
     conditional_params,
     gaussian_discord,
     outcome_norm,
+    quadrature_grid,
     weight_densities,
 )
 
@@ -215,12 +219,32 @@ def test_gaussian_discord_strictly_above_discord():
 def test_gaussian_discord_dominates_exact_discord_on_grid():
     for p in (0.25, 0.5, 0.75):
         for lam in (0.1, 0.5, 0.9):
-            res = gaussian_discord(p, lam, coarse_step=1.0)
+            res = gaussian_discord(p, lam)
             assert res.value >= exact.discord(p, lam) - 1e-10
 
 
 def test_gaussian_discord_heterodyne_optimal_at_strong_squeezing():
     # above lam ~ 0.7 the scan favors t = 0 within the Gaussian family
-    res = gaussian_discord(0.5, 0.9, coarse_step=1.0)
+    res = gaussian_discord(0.5, 0.9)
     assert res.povm.t == pytest.approx(0.0, abs=1e-3)
     assert res.value > exact.discord(0.5, 0.9)
+
+
+def test_grid_node_limit():
+    # The grid at HOMODYNE_T grows with lam: 983 x 983 nodes at 0.9993, 1062 x 1062 at 0.9994.
+    grid = quadrature_grid(0.9993, GaussianPovm(HOMODYNE_T))
+    assert grid.radial_nodes.size * grid.angular_nodes.size <= MAX_GRID_NODES
+    with pytest.raises(ValueError, match=f"1062x1062 quadrature grid, above the limit {MAX_GRID_NODES}"):
+        quadrature_grid(0.9994, GaussianPovm(HOMODYNE_T))
+
+
+def test_grid_above_node_limit_raises_before_allocating():
+    # At lam = 0.99999 the grid at HOMODYNE_T would hold 8222 x 8222 nodes.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"above the limit {MAX_GRID_NODES}"):
+            gaussian_discord(0.5, 0.99999)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20

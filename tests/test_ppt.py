@@ -6,7 +6,7 @@ import pytest
 
 from cvwerner import bounds, ppt
 from cvwerner.fock import eig_spectrum, partial_trace, von_neumann_entropy
-from cvwerner.states import ppt_werner
+from cvwerner.states import ppt_werner, thermal_entropy
 
 # frozen oracle values at lam = 0.5 (high-order series evaluation)
 S_GLOBAL_05 = 2.1360745539449684
@@ -51,15 +51,21 @@ def test_reduced_entropy_monotone():
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
+def _joint_distribution_entropy(lam):
+    return ppt._joint_distribution_entropy(lam, ppt.norm_const(lam), ppt.SERIES_TOL)
+
+
 def test_conditional_entropy():
-    assert ppt.conditional_entropy(0.0) == 0.0
-    assert ppt.conditional_entropy(0.5) == pytest.approx(H_COND_05, abs=1e-8)
+    assert ppt.bounds(0.0).conditional_entropy == 0.0
+    assert ppt.bounds(0.5).conditional_entropy == pytest.approx(H_COND_05, abs=1e-8)
+    direct = ppt._conditional_entropy_direct(0.5, ppt.norm_const(0.5), ppt.SERIES_TOL)
+    assert direct == pytest.approx(H_COND_05, abs=1e-8)
     for lam in (0.1, 0.4, 0.7, 0.9):
-        assert ppt.conditional_entropy(lam) >= 0.0
+        assert ppt.bounds(lam).conditional_entropy >= 0.0
 
 
 def test_joint_distribution_entropy_identity():
-    value = ppt.joint_distribution_entropy(0.5)
+    value = _joint_distribution_entropy(0.5)
     assert value == pytest.approx(H_JOINT_05, abs=1e-9)
     assert value == pytest.approx(ppt.global_entropy(0.5) + 0.5 * math.log(2), abs=1e-8)
 
@@ -71,22 +77,34 @@ def test_upper_bound():
 
 
 def test_lower_bound():
-    assert ppt.lower_bound(0.0) == 0.0
-    assert ppt.lower_bound(0.5) == pytest.approx(L_05, abs=1e-9)
-    assert ppt.lower_bound(0.5) == pytest.approx(0.165, abs=2e-3)
+    assert ppt.bounds(0.0).lower == 0.0
+    assert ppt.bounds(0.5).lower == pytest.approx(L_05, abs=1e-9)
+    assert ppt.bounds(0.5).lower == pytest.approx(0.165, abs=2e-3)
 
 
-def test_bound_ordering_and_positivity():
-    for lam in np.linspace(0.05, 0.99, 15):
-        u = ppt.upper_bound(lam)
-        low = ppt.lower_bound(lam)
-        assert low <= u + 1e-12
-        assert low > 0.0
+@pytest.mark.parametrize("lam", np.linspace(0.05, 0.99, 15))
+def test_bound_ordering_and_positivity(lam):
+    rep = ppt.bounds(lam)
+    assert rep.lower <= rep.upper + 1e-12
+    assert rep.lower > 0.0
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 0.996])
+def test_report_fields_follow_from_the_entropies(lam):
+    rep = ppt.bounds(lam)
+    s_g, s_b = ppt.global_entropy(lam), ppt.reduced_entropy(lam)
+    assert (rep.lam, rep.norm_const, rep.entropy_global, rep.entropy_reduced) == (
+        lam, ppt.norm_const(lam), s_g, s_b
+    )
+    assert rep.upper == ppt.upper_bound(lam)
+    assert rep.conditional_entropy == s_g - s_b + rep.upper
+    assert rep.lower == s_b - s_g + (1.0 + lam) / 2.0 * thermal_entropy(math.sqrt(lam))
+    assert rep.mid == pytest.approx(rep.upper, abs=ppt.CHECK_TOL)
 
 
 def test_mid_equals_upper_bound():
     for lam in (0.2, 0.5, 0.8):
-        assert ppt.mid(lam) == pytest.approx(lam * math.log(2), abs=1e-8)
+        assert ppt.bounds(lam).mid == pytest.approx(lam * math.log(2), abs=1e-8)
 
 
 def test_report_fields():
@@ -99,6 +117,29 @@ def test_report_fields():
     )
     zero = ppt.bounds(0.0)
     assert zero.upper == zero.lower == zero.mid == 0.0
+
+
+def test_bounds_evaluates_each_entropy_once(monkeypatch):
+    calls = {"global_entropy": 0, "reduced_entropy": 0, "_series_length": 0}
+    for name in calls:
+        original = getattr(ppt, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(ppt, name, counted)
+    rep = ppt.bounds(0.8)
+    # One series length each for S(rho_B), the direct H_eig sum and H(p_AB).
+    assert calls == {"global_entropy": 1, "reduced_entropy": 1, "_series_length": 3}
+    assert rep.mid == pytest.approx(rep.upper, abs=1e-8)
+
+
+@pytest.mark.parametrize("lam", [0.997, 0.998, 0.999])
+def test_capped_direct_sum_fails_its_cross_check(lam):
+    # The direct H_eig sum stops at DIRECT_SUM_ROWS rows, which misses mass here.
+    with pytest.raises(ppt.SeriesCrossCheckError, match="analytic conditional entropy"):
+        ppt.bounds(lam)
 
 
 def test_dense_route_agreement():
@@ -114,7 +155,7 @@ def test_series_length_limit_raises_before_allocating():
     lam = 1.0 - 1e-7
     tracemalloc.start()
     try:
-        for fn in (ppt.reduced_entropy, ppt.joint_distribution_entropy, ppt.bounds):
+        for fn in (ppt.reduced_entropy, _joint_distribution_entropy, ppt.bounds):
             with pytest.raises(ValueError, match=f"limit {ppt.MAX_SERIES_TERMS}"):
                 fn(lam)
         peak = tracemalloc.get_traced_memory()[1]

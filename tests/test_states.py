@@ -1,8 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cvwerner import bounds, exact, gaussian, nongauss, ppt
-from cvwerner.fock import eig_spectrum, partial_trace, partial_transpose, von_neumann_entropy
+from cvwerner.fock import (
+    MAX_TWO_MODE_DIM,
+    eig_spectrum,
+    partial_trace,
+    partial_transpose,
+    von_neumann_entropy,
+)
 from cvwerner.states import (
     WernerParams,
     choose_cutoff,
@@ -49,10 +57,6 @@ _ENTRY_POINTS = {
     "ppt.global_entropy": (ppt.global_entropy, _BAD_FACTOR),
     "ppt.reduced_entropy": (ppt.reduced_entropy, _BAD_FACTOR),
     "ppt.upper_bound": (ppt.upper_bound, _BAD_FACTOR),
-    "ppt.joint_distribution_entropy": (ppt.joint_distribution_entropy, _BAD_FACTOR),
-    "ppt.mid": (ppt.mid, _BAD_FACTOR),
-    "ppt.conditional_entropy": (ppt.conditional_entropy, _BAD_FACTOR),
-    "ppt.lower_bound": (ppt.lower_bound, _BAD_FACTOR),
     "ppt.bounds": (ppt.bounds, _BAD_FACTOR),
     "ppt.norm_const": (ppt.norm_const, _BAD_FACTOR),
     "ppt.closed_form_spectrum": (lambda v: ppt.closed_form_spectrum(v, 3), _BAD_FACTOR),
@@ -75,9 +79,6 @@ _ENTRY_POINTS.update(
             bounds.global_entropy,
             bounds.marginal_entropy,
             bounds.conditional_entropy_photon_counting,
-            bounds.upper_bound,
-            bounds.lower_bound,
-            bounds.mid,
             bounds.reduced_spectrum,
             bounds.correlated_block,
             bounds.joint_photon_distribution,
@@ -122,7 +123,6 @@ _TOLERANCE_ENTRY_POINTS = {
         0.5, 0.5, gaussian.GaussianPovm(2.0), n_radial=4, n_angular=4, eps_int=v
     ),
     "ppt.reduced_entropy-tol": lambda v: ppt.reduced_entropy(0.5, v),
-    "ppt.joint_distribution_entropy-tol": lambda v: ppt.joint_distribution_entropy(0.5, v),
     "ppt.bounds-tol": lambda v: ppt.bounds(0.5, v),
 }
 
@@ -134,6 +134,31 @@ _TOLERANCE_ENTRY_POINTS = {
 def test_tolerance_check_rejects_non_positive_and_non_finite(entry, value):
     with pytest.raises(ValueError, match="must be finite and positive"):
         _TOLERANCE_ENTRY_POINTS[entry](value)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ppt_werner(0.5, 131),
+        lambda: werner(WernerParams(0.5, 0.5, 0.5), 131),
+        lambda: tmsv(0.5, 131),
+        lambda: exact.vacuum_werner(0.5, 0.5, 131),
+        # lam = 0.9 picks cutoff 132, dimension 17424.
+        lambda: exact.discord_numeric(0.5, 0.9),
+        lambda: exact.quantumness_indicators(0.5, 0.9),
+    ],
+    ids=["ppt_werner", "werner", "tmsv", "vacuum_werner", "discord_numeric", "quantumness_indicators"],
+)
+def test_dense_builders_raise_before_allocating(build):
+    # One dense matrix of dimension 17161 would take 2.4 GB.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"dense-storage limit {MAX_TWO_MODE_DIM}"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 def test_choose_cutoff_vacuum_only():

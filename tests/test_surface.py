@@ -1,5 +1,6 @@
-"""The settable values of the public API and of the CLI, listed in full, so
-that adding or removing one is a visible change to this file."""
+"""The public functions, the settable values of the public API and of the
+CLI, listed in full, so that adding or removing one is a visible change to
+this file."""
 
 import importlib
 import inspect
@@ -8,7 +9,51 @@ from cvwerner import cli
 
 MODULES = ("fock", "states", "exact", "gaussian", "nongauss", "bounds", "ppt", "acceptance")
 
-# Defaulted parameters of the public functions and methods, 32 in all.
+# Public functions and methods of each module, 84 in all.
+PUBLIC = {
+    "fock": (
+        "OneModeState.trace", "OneModeState.validate", "TwoModeState.index", "TwoModeState.trace",
+        "TwoModeState.validate", "antidiagonal_entropy", "check_two_mode_cutoff", "eig_spectrum",
+        "is_more_mixed", "partial_trace", "partial_transpose", "shannon_entropy",
+        "von_neumann_entropy", "xlogx",
+    ),
+    "states": (
+        "check_tolerance", "check_unit", "choose_cutoff", "ppt_werner", "thermal",
+        "thermal_entropy", "tmsv", "tmsv_vector", "werner",
+    ),
+    "exact": (
+        "classical_mutual_information", "discord", "discord_numeric", "discord_report",
+        "eigenvalue_pair", "global_entropy", "global_entropy_numeric", "joint_photon_distribution",
+        "quantumness_indicators", "reduced_entropy", "reduced_entropy_numeric", "reduced_spectrum",
+        "vacuum_werner",
+    ),
+    "gaussian": (
+        "conditional_entropy", "conditional_entropy_mc", "conditional_params", "gaussian_discord",
+        "outcome_norm", "quadrature_grid", "weight_densities",
+    ),
+    "nongauss": (
+        "covariance_cs", "covariance_matrix", "discord_gap", "gap_approx", "gaussian_state_entropy",
+        "low_squeezing_ratio", "nongaussianity", "nongaussianity_approx", "symplectic_eigenvalue",
+    ),
+    "bounds": (
+        "bounds_report", "conditional_entropy_dense", "conditional_entropy_photon_counting",
+        "correlated_block", "discord_is_positive", "global_entropy", "joint_photon_distribution",
+        "marginal_entropy", "mid_dense", "p_ppt", "p_separable", "reduced_spectrum",
+        "separability_region", "upper_bound_dense",
+    ),
+    "ppt": (
+        "bounds", "closed_form_spectrum", "global_entropy", "norm_const", "reduced_entropy",
+        "reduced_probabilities", "upper_bound",
+    ),
+    "acceptance": (
+        "check_bound_ordering", "check_exact_discord_oracle", "check_low_squeezing_ratio_pi",
+        "check_majorization_amid", "check_mid_identity", "check_photon_counting_optimality",
+        "check_ppt_analytics", "check_quadrature_robustness", "check_separability_thresholds",
+        "check_trivial_points", "run_all",
+    ),
+}
+
+# Defaulted parameters of the public functions and methods, 27 in all.
 SETTABLE = {
     "fock.partial_trace": ("mode",),
     "fock.partial_transpose": ("mode",),
@@ -24,14 +69,10 @@ SETTABLE = {
     "gaussian.quadrature_grid": ("n_radial", "n_angular"),
     "gaussian.conditional_entropy": ("n_radial", "n_angular", "eps_int"),
     "gaussian.conditional_entropy_mc": ("n_samples", "seed"),
-    "gaussian.gaussian_discord": ("coarse_step", "eps_int"),
+    "gaussian.gaussian_discord": ("eps_int",),
     "nongauss.discord_gap": ("eps_int",),
     "bounds.bounds_report": ("n_max", "eps_tail"),
     "ppt.reduced_entropy": ("tol",),
-    "ppt.conditional_entropy": ("tol",),
-    "ppt.joint_distribution_entropy": ("tol",),
-    "ppt.lower_bound": ("tol",),
-    "ppt.mid": ("tol",),
     "ppt.bounds": ("tol",),
     "acceptance.check_exact_discord_oracle": ("seed",),
     "acceptance.check_majorization_amid": ("seed",),
@@ -62,6 +103,15 @@ def _public_functions(module):
                     yield f"{name}.{attr}", fn
 
 
+def test_public_functions_of_the_package():
+    found = {}
+    for mod_name in MODULES:
+        module = importlib.import_module(f"cvwerner.{mod_name}")
+        found[mod_name] = tuple(sorted(name for name, _ in _public_functions(module)))
+    assert found == PUBLIC
+    assert sum(map(len, found.values())) == 84
+
+
 def test_settable_values_of_the_package():
     found = {}
     for mod_name in MODULES:
@@ -72,7 +122,7 @@ def test_settable_values_of_the_package():
             if defaulted:
                 found[f"{mod_name}.{name}"] = defaulted
     assert found == SETTABLE
-    assert sum(map(len, found.values())) == 32
+    assert sum(map(len, found.values())) == 27
 
 
 def test_settable_values_of_the_cli():
