@@ -293,7 +293,8 @@ def check_majorization_amid(seed=DEFAULT_SEED):
         for p in np.linspace(0.05, 0.95, 10):
             for lam in np.linspace(0.05, 0.85, 10):
                 n = choose_cutoff(WernerParams(p, lam, 0.0), 1e-12)
-                if not is_more_mixed(exact.reduced_spectrum(p, lam, n), exact.eigenvalue_pair(p, lam)):
+                reduced = bounds.reduced_spectrum(p, lam, 0.0, n)
+                if not is_more_mixed(reduced, exact.eigenvalue_pair(p, lam)):
                     return False, f"majorization fails at p={p:.3f}, lam={lam:.3f}"
         rng = np.random.default_rng(seed)
         worst = 0.0

@@ -16,11 +16,12 @@ deflation that works from ``d`` and ``z`` directly and diagonalizes only
 the k survivors, so the n_max x n_max block is never formed.  A report
 evaluates each of S(rho_B), S(rho), H_eig(A|B) and H(p_AB) once per point,
 the last summed by anti-diagonals of the photon-count table, and checks
-MID = U on those values; the direct twin of H_eig(A|B) builds the table
-a fixed number of rows at a time, so a report holds no n_max x n_max
-array.  ``bounds_report`` is the only evaluator of U, L and MID.  Dense
-matrix-based twins of U and MID (``*_dense``) serve as oracles for
-arbitrary states with diagonal marginals.
+MID = U on those values.  One private helper writes that table, as its
+anti-diagonal entries and diagonal excess; the direct twin of H_eig(A|B)
+takes its rows as slices of those entries, a fixed number at a time, so a
+report holds no n_max x n_max array.  ``bounds_report`` is the only
+evaluator of U, L and MID.  Dense matrix-based twins of U and MID
+(``*_dense``) serve as oracles for arbitrary states with diagonal marginals.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .fock import (
     MAX_TWO_MODE_DIM,
@@ -77,12 +79,14 @@ def _conditional_entropy_direct(p, lam, mu, n_max):
     # photon-count table, ROW_BLOCK rows at a time.
     g = reduced_spectrum(p, lam, mu, n_max)
     _check_square_size(n_max)
+    entry, diag = _count_table(p, lam, mu, n_max)
     rows = np.flatnonzero(g > WEIGHT_FLOOR)
     per_row = np.empty(rows.size)
     for start in range(0, rows.size, ROW_BLOCK):
         r = rows[start : start + ROW_BLOCK]
-        eta = _photon_count_rows(p, lam, mu, r, n_max) / g[r, None]
-        per_row[start : start + ROW_BLOCK] = -(xlogx(eta).sum(axis=1))
+        block = sliding_window_view(entry, n_max)[r]
+        block[np.arange(r.size), r] += diag[r]
+        per_row[start : start + ROW_BLOCK] = -(xlogx(block / g[r, None]).sum(axis=1))
     return float((g[rows] * per_row).sum())
 
 
@@ -148,11 +152,16 @@ def correlated_block(p: float, lam: float, mu: float, n_max: int) -> np.ndarray:
     of the global spectrum."""
     WernerParams(p, lam, mu)
     _check_square_size(n_max)
-    powers = lam ** np.arange(n_max, dtype=float)
-    block = p * (1.0 - lam**2) * np.outer(powers, powers)
-    idx = np.diag_indices(n_max)
-    block[idx] += (1.0 - p) * (1.0 - mu**2) ** 2 * mu ** (4 * np.arange(n_max, dtype=float))
+    c, v, d = _block_terms(p, lam, mu, n_max)
+    block = c * np.outer(v, v)
+    block[np.diag_indices(n_max)] += d
     return block
+
+
+def _block_terms(p, lam, mu, n_max):
+    # The correlated block is diag(d) + c v v^T.
+    m = np.arange(n_max, dtype=float)
+    return p * (1.0 - lam**2), lam**m, (1.0 - p) * (1.0 - mu**2) ** 2 * mu ** (4 * m)
 
 
 def _block_spectrum(p, lam, mu, n_max):
@@ -183,10 +192,7 @@ def _block_spectrum(p, lam, mu, n_max):
     change is far smaller: at most 1.3e-13 against the dense ``eigvalsh``
     of the block, over 504 points with n_max <= 1500.
     """
-    m = np.arange(n_max, dtype=float)
-    v = lam**m
-    c = p * (1.0 - lam**2)
-    d = (1.0 - p) * (1.0 - mu**2) ** 2 * mu ** (4 * m)
+    c, v, d = _block_terms(p, lam, mu, n_max)
     coupled = c * v * v >= COUPLING_TOL
     merged = coupled & (d < DIAGONAL_FLOOR)
     kept = coupled & ~merged
@@ -235,25 +241,26 @@ def joint_photon_distribution(p: float, lam: float, mu: float, n_max: int) -> np
     """Photon-count statistics p(m, n) of the Werner state, in closed form."""
     WernerParams(p, lam, mu)
     _check_square_size(n_max)
-    return _photon_count_rows(p, lam, mu, np.arange(n_max), n_max)
-
-
-def _photon_count_rows(p, lam, mu, rows, n_max):
-    # Rows ``rows`` (integer counts) of the photon-count table.
-    m = np.arange(n_max, dtype=float)
-    table = (1.0 - p) * (1.0 - mu**2) ** 2 * mu ** (2.0 * np.add.outer(rows, m))
-    table[np.arange(rows.size), rows] += p * (1.0 - lam**2) * lam ** (2.0 * rows)
+    entry, diag = _count_table(p, lam, mu, n_max)
+    table = sliding_window_view(entry, n_max).copy()
+    table[np.diag_indices(n_max)] += diag
     return table
 
 
-def _joint_photon_entropy(p, lam, mu, n_max):
-    # H(p_AB) of joint_photon_distribution without building it: off the
-    # diagonal the table depends on m + n only.  The entries are formed
-    # with the table's own arithmetic.
+def _count_table(p, lam, mu, n_max):
+    # The one formula of the Werner photon-count table: off the diagonal
+    # p(m, n) = entry[m + n] = (1-p)(1-mu^2)^2 mu^(2(m+n)), so row m is
+    # entry[m : m + n_max]; the diagonal adds diag[m] = p(1-lam^2) lam^(2m).
     s = np.arange(2 * n_max - 1, dtype=float)
     entry = (1.0 - p) * (1.0 - mu**2) ** 2 * mu ** (2.0 * s)
-    m = np.arange(n_max, dtype=float)
-    return antidiagonal_entropy(entry, entry[::2] + p * (1.0 - lam**2) * lam ** (2 * m))
+    diag = p * (1.0 - lam**2) * lam ** (2.0 * s[:n_max])
+    return entry, diag
+
+
+def _joint_photon_entropy(p, lam, mu, n_max):
+    # H(p_AB) of joint_photon_distribution without building it.
+    entry, diag = _count_table(p, lam, mu, n_max)
+    return antidiagonal_entropy(entry, entry[::2] + diag)
 
 
 def discord_is_positive(p: float, lam: float) -> bool:

@@ -12,7 +12,8 @@ difference S(rho_B) - S(rho).  The ameliorated measurement-induced
 disturbance and the relative entropy of quantumness coincide with it.
 
 Every closed form here has a truncated-matrix twin (``*_numeric``) used as
-an independent oracle.
+an independent oracle.  The reduced spectrum is the ``mu = 0`` case of
+:func:`cvwerner.bounds.reduced_spectrum`.
 """
 
 from __future__ import annotations
@@ -54,13 +55,6 @@ def eigenvalue_pair(p: float, lam: float):
 def global_entropy(p: float, lam: float) -> float:
     """Entropy of the full state: binary entropy of the eigenvalue pair."""
     return von_neumann_entropy(eigenvalue_pair(p, lam))
-
-
-def reduced_spectrum(p: float, lam: float, n_max: int) -> np.ndarray:
-    """Eigenvalues of the reduced state: 1 - p lam^2, then p(1-lam^2)lam^(2n)."""
-    states.WernerParams(p, lam)
-    n = np.arange(1, n_max, dtype=float)
-    return np.concatenate([[1.0 - p * lam**2], p * (1.0 - lam**2) * lam ** (2 * n)])
 
 
 def reduced_entropy(p: float, lam: float) -> float:

@@ -33,7 +33,8 @@ PROBABILITY_FLOOR = -1e-12
 # eig_spectrum checks its decomposition on this many seeded random vectors.
 RESIDUAL_PROBES = 4
 RESIDUAL_SEED = 0
-# Dense two-mode matrices above this dimension would not fit desk-scale RAM.
+# The side of every dense square array the package builds: a two-mode matrix
+# of this dimension, or an n_max x n_max table at this cutoff, takes 2.3 GB.
 MAX_TWO_MODE_DIM = 17_000
 
 class InvalidSpectrumError(ValueError):

@@ -12,6 +12,10 @@ rapidly converging series.  The photon-counting upper bound collapses to
 ``lam ln 2``, stays finite as ``lam -> 1``, and coincides with the
 measurement-induced disturbance.  :func:`bounds` is the one evaluator of
 U, L, MID and H_eig(A|B).
+
+A partial transpose keeps every ``<mn|rho|mn>``, so the direct H_eig(A|B)
+cross-check and H(p_AB) read the Werner state's photon-count table and
+marginal from :mod:`cvwerner.bounds` at ``p = (1 - lam)/2``, ``mu = sqrt(lam)``.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import antidiagonal_entropy
-from .states import check_tolerance, check_unit, thermal_entropy
+from .bounds import _count_table, _joint_photon_entropy, reduced_spectrum
+from .states import _ppt_point, check_tolerance, check_unit, thermal_entropy
 
 
 # The series need ever more terms as lam -> 1; beyond this many they
@@ -82,13 +86,6 @@ def _series_length(lam: float, tol: float, scale: float) -> int:
     return n_terms
 
 
-def reduced_probabilities(lam: float, n_max: int) -> np.ndarray:
-    """Photon-count weights p_B(m) = N lam^m (lam^m + 1/(1-lam))."""
-    norm = norm_const(lam)
-    powers = lam ** np.arange(n_max, dtype=float)
-    return norm * powers * (powers + 1.0 / (1.0 - lam))
-
-
 def reduced_entropy(lam: float, tol: float = SERIES_TOL) -> float:
     """Entropy of either reduced state, summed until the geometric tail
     bound drops below ``tol``."""
@@ -112,32 +109,23 @@ def reduced_entropy(lam: float, tol: float = SERIES_TOL) -> float:
 
 def _conditional_entropy_direct(lam, norm, tol):
     # Photon-counting conditional entropy sum_m p_B(m) S(rho_A|m), summed
-    # over the post-measurement spectra row by row.
+    # over the post-measurement spectra row by row.  They are the rows of
+    # the Werner state's photon-count table at the mapped point.
     n_terms = _series_length(lam, tol, 8.0 * norm * (1.0 + abs(math.log(norm))) / (1.0 - lam) ** 2)
     n_terms = min(n_terms, DIRECT_SUM_ROWS)
-    powers = lam ** np.arange(n_terms, dtype=float)
-    p_b = reduced_probabilities(lam, n_terms)
+    w = _ppt_point(lam)
+    entry, diag = _count_table(w.p, w.lam, w.mu, n_terms)
+    p_b = reduced_spectrum(w.p, w.lam, w.mu, n_terms)
     direct = 0.0
     for m in range(n_terms):
-        spec = norm * powers[m] * powers
-        spec[m] += norm * powers[m] ** 2
-        spec = spec / p_b[m]
+        spec = entry[m : m + n_terms].copy()
+        spec[m] += diag[m]
+        spec /= p_b[m]
         spec = spec[spec > 0.0]
         direct += p_b[m] * float(-(spec * np.log(spec)).sum())
         if p_b[m] < tol * 1e-3:
             break
-    return direct
-
-
-def _joint_distribution_entropy(lam, norm, tol):
-    # Shannon entropy H(p_AB) of the photon-count statistics
-    # p(m, n) = N lam^(m+n) (1 + delta_mn).  The square table
-    # m, n < n_terms is summed by anti-diagonals s = m + n, whose
-    # off-diagonal entries are all N lam^s.
-    n_terms = _series_length(lam, tol, 8.0 * norm * (1.0 + abs(math.log(norm))) / (1.0 - lam))
-    s = np.arange(2 * n_terms - 1, dtype=float)
-    entry = norm * np.exp(math.log(lam) * s)
-    return antidiagonal_entropy(entry, 2.0 * entry[::2])
+    return float(direct)
 
 
 @dataclass(frozen=True)
@@ -178,7 +166,9 @@ def bounds(lam: float, tol: float = SERIES_TOL) -> PptReport:
             f"analytic conditional entropy {h_eig!r} vs direct sum {direct!r} "
             f"differ by {abs(h_eig - direct):.3e}"
         )
-    m = _joint_distribution_entropy(lam, norm, tol) - s_g
+    n_terms = _series_length(lam, tol, 8.0 * norm * (1.0 + abs(math.log(norm))) / (1.0 - lam))
+    w = _ppt_point(lam)
+    m = _joint_photon_entropy(w.p, w.lam, w.mu, n_terms) - s_g
     if abs(m - upper) > CHECK_TOL:
         raise SeriesCrossCheckError(f"MID series gives {m!r}, expected {upper!r}")
     return PptReport(

@@ -134,6 +134,11 @@ def werner(params: WernerParams, n_max: int | None = None) -> TwoModeState:
     return TwoModeState(n_max, rho)
 
 
+def _ppt_point(lam: float) -> WernerParams:
+    # The Werner state whose partial transpose is ppt_werner(lam).
+    return WernerParams((1.0 - lam) / 2.0, lam, math.sqrt(lam))
+
+
 def ppt_werner(lam: float, n_max: int | None = None) -> TwoModeState:
     """Partially transposed Werner state that is itself a valid state.
 
@@ -144,7 +149,7 @@ def ppt_werner(lam: float, n_max: int | None = None) -> TwoModeState:
     """
     check_unit("lam", lam, upper_open=True)
     if n_max is None:
-        n_max = choose_cutoff(WernerParams((1.0 - lam) / 2.0, lam, math.sqrt(lam)))
+        n_max = choose_cutoff(_ppt_point(lam))
     check_two_mode_cutoff(n_max)
     norm = (1.0 - lam**2) * (1.0 - lam) / 2.0
     powers = lam ** np.arange(n_max, dtype=float)

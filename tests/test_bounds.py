@@ -9,6 +9,7 @@ from cvwerner.bounds import TruncationError
 from cvwerner.fock import (
     MAX_TWO_MODE_DIM,
     eig_spectrum,
+    partial_trace,
     partial_transpose,
     shannon_entropy,
     von_neumann_entropy,
@@ -26,9 +27,10 @@ def _report(p, lam, mu, n):
 
 
 def test_reduced_spectrum_examples():
-    # consistency with the vacuum family at mu = 0
-    g = bounds.reduced_spectrum(0.5, 0.5, 0.0, 50)
-    assert np.max(np.abs(np.sort(g)[::-1] - np.sort(exact.reduced_spectrum(0.5, 0.5, 50))[::-1])) < 1e-15
+    # consistency with the built vacuum Werner state at mu = 0
+    g = bounds.reduced_spectrum(0.5, 0.5, 0.0, 30)
+    dense = np.diag(partial_trace(exact.vacuum_werner(0.5, 0.5, 30), "A").matrix)
+    assert np.max(np.abs(g - dense)) < 1e-15
     # lam = mu collapses to a plain thermal spectrum
     g = bounds.reduced_spectrum(0.4, 0.6, 0.6, 30)
     assert np.max(np.abs(g - (1 - 0.36) * 0.36 ** np.arange(30))) < 1e-14

@@ -33,6 +33,15 @@ def test_compute_ppt_bounds(capsys):
     assert doc["results"]["upper"] == pytest.approx(0.5 * math.log(2), abs=1e-10)
 
 
+def test_failed_ppt_cross_check_prints_bare_numbers(capsys):
+    # The capped direct sum misses mass at lam = 0.997 (see ppt.DIRECT_SUM_ROWS).
+    code, out, err = run_cli(capsys, "compute", "ppt-bounds", "--lambda", "0.997")
+    assert code == 3
+    assert out == ""
+    assert "vs direct sum" in err
+    assert "np.float64" not in err
+
+
 def test_compute_region(capsys):
     code, out, _ = run_cli(capsys, "compute", "region", "--mu", "0.8", "--p", "0.05")
     assert code == 0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cvwerner import exact
+from cvwerner import bounds, exact
 from cvwerner.fock import eig_spectrum, partial_trace, von_neumann_entropy
 from cvwerner.states import WernerParams, thermal_entropy, werner
 
@@ -32,7 +32,7 @@ def test_reduced_entropy_closed_form():
     assert exact.reduced_entropy(1.0, 0.5) == pytest.approx(thermal_entropy(0.5), abs=1e-12)
     assert exact.reduced_entropy(0.5, 0.5) == pytest.approx(S_REDUCED_55, abs=1e-12)
     # independent series evaluation of the reduced spectrum
-    series = von_neumann_entropy(exact.reduced_spectrum(0.5, 0.5, 300))
+    series = von_neumann_entropy(bounds.reduced_spectrum(0.5, 0.5, 0.0, 300))
     assert exact.reduced_entropy(0.5, 0.5) == pytest.approx(series, abs=1e-12)
     assert exact.reduced_entropy(0.5, 0.5) == pytest.approx(
         exact.reduced_entropy_numeric(0.5, 0.5), abs=1e-9

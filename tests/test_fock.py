@@ -123,10 +123,10 @@ def test_is_more_mixed_basics():
 
 
 def test_is_more_mixed_reduced_vs_global():
-    from cvwerner import exact
+    from cvwerner import bounds, exact
 
     p, lam = 0.7, 0.6
-    assert is_more_mixed(exact.reduced_spectrum(p, lam, 200), exact.eigenvalue_pair(p, lam))
+    assert is_more_mixed(bounds.reduced_spectrum(p, lam, 0.0, 200), exact.eigenvalue_pair(p, lam))
 
 
 def test_majorization_implies_entropy_ordering():

@@ -51,10 +51,6 @@ def test_reduced_entropy_monotone():
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
-def _joint_distribution_entropy(lam):
-    return ppt._joint_distribution_entropy(lam, ppt.norm_const(lam), ppt.SERIES_TOL)
-
-
 def test_conditional_entropy():
     assert ppt.bounds(0.0).conditional_entropy == 0.0
     assert ppt.bounds(0.5).conditional_entropy == pytest.approx(H_COND_05, abs=1e-8)
@@ -65,7 +61,8 @@ def test_conditional_entropy():
 
 
 def test_joint_distribution_entropy_identity():
-    value = _joint_distribution_entropy(0.5)
+    rep = ppt.bounds(0.5)
+    value = rep.mid + rep.entropy_global
     assert value == pytest.approx(H_JOINT_05, abs=1e-9)
     assert value == pytest.approx(ppt.global_entropy(0.5) + 0.5 * math.log(2), abs=1e-8)
 
@@ -155,7 +152,7 @@ def test_series_length_limit_raises_before_allocating():
     lam = 1.0 - 1e-7
     tracemalloc.start()
     try:
-        for fn in (ppt.reduced_entropy, _joint_distribution_entropy, ppt.bounds):
+        for fn in (ppt.reduced_entropy, ppt.bounds):
             with pytest.raises(ValueError, match=f"limit {ppt.MAX_SERIES_TERMS}"):
                 fn(lam)
         peak = tracemalloc.get_traced_memory()[1]

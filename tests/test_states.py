@@ -60,7 +60,6 @@ _ENTRY_POINTS = {
     "ppt.bounds": (ppt.bounds, _BAD_FACTOR),
     "ppt.norm_const": (ppt.norm_const, _BAD_FACTOR),
     "ppt.closed_form_spectrum": (lambda v: ppt.closed_form_spectrum(v, 3), _BAD_FACTOR),
-    "ppt.reduced_probabilities": (lambda v: ppt.reduced_probabilities(v, 3), _BAD_FACTOR),
     "bounds.p_separable": (bounds.p_separable, _BAD_FACTOR),
     "bounds.p_ppt": (bounds.p_ppt, _BAD_FACTOR),
     "nongauss.low_squeezing_ratio": (nongauss.low_squeezing_ratio, _BAD_FACTOR),
@@ -95,7 +94,6 @@ _ENTRY_POINTS.update(
             bad,
         )
         for fn, rest in (
-            (exact.reduced_spectrum, (4,)),
             (bounds.discord_is_positive, ()),
             (nongauss.covariance_cs, ()),
             (nongauss.nongaussianity_approx, ()),
@@ -251,10 +249,19 @@ def test_ppt_werner_equals_partial_transpose_of_werner():
     assert np.max(np.abs(pt.matrix - state.matrix)) < 1e-12
 
 
+@pytest.mark.parametrize("lam, n", [(0.2, 24), (0.5, 44), (0.8, 76)])
+def test_ppt_werner_counts_are_the_werner_table_at_the_mapped_point(lam, n):
+    # A partial transpose keeps every <mn|rho|mn>; the dense builder writes
+    # its own formula, so this shares no algebra with the table.
+    counts = np.diag(ppt_werner(lam, n).matrix).reshape(n, n)
+    table = bounds.joint_photon_distribution((1 - lam) / 2, lam, np.sqrt(lam), n)
+    np.testing.assert_allclose(counts, table, rtol=1e-13, atol=0)
+
+
 def test_ppt_werner_reduced_weights():
     lam, n = 0.6, 60
     red = np.real(np.diag(partial_trace(ppt_werner(lam, n), "A").matrix))
-    expected = ppt.reduced_probabilities(lam, n)
+    expected = bounds.reduced_spectrum((1 - lam) / 2, lam, np.sqrt(lam), n)
     # the truncated marginal misses one geometric tail per row
     assert np.max(np.abs(red - expected)) < 1e-9
 
