@@ -94,6 +94,8 @@ _ENTRY_POINTS.update(
             bad,
         )
         for fn, rest in (
+            (exact.eigenvalue_pair, ()),
+            (exact.reduced_entropy, ()),
             (bounds.discord_is_positive, ()),
             (nongauss.covariance_cs, ()),
             (nongauss.nongaussianity_approx, ()),
