@@ -48,7 +48,7 @@ class DiscordReport:
 def eigenvalue_pair(p: float, lam: float):
     """The two nonzero global eigenvalues (1 +- sqrt(1 - 4p(1-p)lam^2))/2."""
     states.WernerParams(p, lam)
-    disc = np.sqrt(1.0 - 4.0 * p * (1.0 - p) * lam**2)
+    disc = float(np.sqrt(1.0 - 4.0 * p * (1.0 - p) * lam**2))
     return (1.0 + disc) / 2.0, (1.0 - disc) / 2.0
 
 
@@ -63,7 +63,7 @@ def reduced_entropy(p: float, lam: float) -> float:
     if lam == 0.0 or p == 0.0:
         return 0.0
     pl2 = p * lam**2
-    return -(
+    return -float(
         np.log(1.0 - pl2)
         + pl2 * np.log(p * (1.0 - lam**2) / (1.0 - pl2))
         + 2.0 * pl2 * np.log(lam) / (1.0 - lam**2)

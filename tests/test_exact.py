@@ -64,6 +64,14 @@ def test_discord_report_invariants():
     assert rep.discord >= 0.0
 
 
+@pytest.mark.parametrize("p, lam", [(0.0, 0.5), (1.0, 0.5), (0.5, 0.0), (0.4, 0.6), (0.95, 0.98)])
+def test_closed_forms_return_python_floats(p, lam):
+    rep = exact.discord_report(p, lam)
+    values = [exact.reduced_entropy(p, lam), exact.global_entropy(p, lam), exact.discord(p, lam)]
+    values += [rep.eig_large, rep.eig_small, rep.entropy_global, rep.entropy_reduced, rep.discord]
+    assert all(type(v) is float for v in values), [type(v) for v in values]
+
+
 def test_domain_validation():
     with pytest.raises(ValueError):
         exact.discord(1.5, 0.5)

@@ -6,6 +6,7 @@ import pytest
 
 import helpers_fock as oracle
 from cvwerner import exact, gaussian
+from cvwerner.fock import xlogx
 from cvwerner.gaussian import (
     HOMODYNE_T,
     MAX_GRID_NODES,
@@ -134,6 +135,8 @@ def test_mixture_weights_sum_to_one():
 def test_conditional_entropy_pure_limits():
     assert conditional_entropy(1.0, 0.5, GaussianPovm(1.0, 0.0)) == 0.0
     assert conditional_entropy(0.0, 0.5, GaussianPovm(1.0, 0.0)) == 0.0
+    for p in (0.0, 1.0):
+        assert conditional_entropy_mc(p, 0.5, GaussianPovm(1.0, 0.4), n_samples=1000) == (0.0, 0.0)
 
 
 def test_conditional_entropy_integrand_matches_fock_oracle():
@@ -147,18 +150,66 @@ def test_conditional_entropy_integrand_matches_fock_oracle():
             x, y = rng.normal(0, 1.2), rng.normal(0, 1.2)
             alpha = complex(np.exp(g) * x, np.exp(-g) * y) * np.exp(1j * phi)
             entropy, q = gaussian._conditional_entropy_terms(
-                p, lam, t, phi, np.array([x]), np.array([y])
+                p, lam, t, np.array([x**2]), np.array([y**2])
             )
             sigma, q_ref = oracle.conditional_state(p, lam, alpha, t, phi, n)
             assert q[0] == pytest.approx(q_ref, rel=1e-9)
             assert entropy[0] == pytest.approx(oracle.entropy(sigma), abs=1e-9)
 
 
+def _unfolded_complex_integrals(p, lam, povm, grid):
+    """Integrals of q S and of q over every node of ``grid``, from the complex
+    outcome algebra of ``weight_densities`` and ``conditional_params``.
+
+    Evaluated in extended precision: at t = 12 the outcomes reach
+    ``|alpha| ~ 1e5``, and rotating them by ``phi`` in double precision
+    costs ~1e-11 in their small component, which alone moves the sums by
+    up to 3e-13.
+    """
+    ext = np.longdouble
+    povm = GaussianPovm(povm.t, ext(povm.phi))
+    r = grid.radial_nodes.astype(ext)[:, None]
+    theta = grid.angular_nodes.astype(ext)[None, :]
+    g = ext(povm.t) / 2
+    x, y = r * np.cos(theta), r * np.sin(theta)
+    alpha = np.exp(1j * povm.phi) * (np.exp(g) * x + 1j * np.exp(-g) * y)
+    u, v, q = weight_densities(p, lam, povm, alpha)
+    cp = conditional_params(lam, povm, alpha)
+    overlap_sq = np.exp(
+        -np.abs(cp.beta) ** 2 + np.tanh(ext(cp.s)) * np.real(np.exp(2j * povm.phi) * cp.beta**2)
+    ) / np.cosh(ext(cp.s))
+    nu_plus, nu_minus = _mixture_spectrum(p * u / (p * u + (1 - p) * v), overlap_sq)
+    entropy = -xlogx(nu_plus) - xlogx(nu_minus)
+    weights = (grid.radial_weights * grid.radial_nodes)[:, None] * grid.angular_weights[None, :]
+    return float((weights * q * entropy).sum()), float((weights * q).sum())
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps > 1e-18, reason="needs extended-precision longdouble"
+)
+@pytest.mark.parametrize("n_angular", [64, 66, 65])  # n_ang % 4 == 0, n_ang % 4 == 2, odd
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+def test_folded_integral_matches_unfolded_complex_sum(p, n_angular):
+    # one angular node per reflection class of the real integrand against
+    # the whole grid under the complex algebra, at a phase phi != 0
+    for lam in (0.0, 0.5, 0.98):
+        for t in (0.0, 2.0, HOMODYNE_T):
+            povm = GaussianPovm(t, 0.9)
+            grid = quadrature_grid(lam, povm, n_angular=n_angular)
+            if lam < 0.9:
+                assert grid.angular_nodes.size == n_angular
+            value, norm = gaussian._integrate(p, lam, povm, grid)
+            ref_value, ref_norm = _unfolded_complex_integrals(p, lam, povm, grid)
+            assert norm == pytest.approx(ref_norm, rel=1e-13, abs=0.0), (lam, t)
+            assert value == pytest.approx(ref_value, rel=1e-13, abs=0.0), (lam, t)
+
+
 def test_outcome_norm_across_regimes():
-    for lam in (0.05, 0.5, 0.9):
-        for t in (0.0, 2.0, gaussian.HOMODYNE_T):
-            norm = outcome_norm(0.5, lam, GaussianPovm(t, 0.0))
-            assert abs(norm - 1.0) < 1e-7
+    for p in (0.0, 0.5, 1.0):
+        for lam in (0.05, 0.5, 0.9):
+            for t in (0.0, 2.0, gaussian.HOMODYNE_T):
+                norm = outcome_norm(p, lam, GaussianPovm(t, 0.0))
+                assert abs(norm - 1.0) < 1e-7
 
 
 def test_conditional_entropy_matches_monte_carlo():
@@ -207,6 +258,13 @@ def test_gaussian_discord_trivial_points():
         res = gaussian_discord(p, 0.5)
         assert res.value == pytest.approx(exact.discord(p, 0.5), abs=1e-12)
         assert res.conditional_entropy == 0.0
+
+
+def test_gaussian_discord_returns_python_floats():
+    for p in (0.0, 0.5, 1.0):
+        res = gaussian_discord(p, 0.3)
+        assert type(res.value) is float
+        assert type(res.conditional_entropy) is float
 
 
 def test_gaussian_discord_strictly_above_discord():
