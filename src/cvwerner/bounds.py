@@ -370,9 +370,14 @@ def conditional_entropy_dense(state: TwoModeState) -> float:
     """
     n = state.n_max
     p_b = _diagonal_marginal(state)
-    blocks = np.einsum("imjm->mij", state.matrix.reshape(n, n, n, n))
     keep = p_b > WEIGHT_FLOOR
-    spectra = np.linalg.eigvalsh(blocks[keep]) / p_b[keep, None]
+    # Block m holds <i m| rho |j m>, for each count m of mode B that is kept.
+    i, m, j, m2 = state._mode_indices()
+    on = (m == m2) & keep[m]
+    slot = np.cumsum(keep) - 1
+    blocks = np.zeros((int(keep.sum()), n, n), dtype=state._values.dtype)
+    blocks[slot[m[on]], i[on], j[on]] = state._values[on]
+    spectra = np.linalg.eigvalsh(blocks) / p_b[keep, None]
     return float((p_b[keep] * -(xlogx(spectra).sum(axis=1))).sum())
 
 
@@ -385,5 +390,5 @@ def upper_bound_dense(state: TwoModeState) -> float:
 
 def mid_dense(state: TwoModeState) -> float:
     """Matrix-based measurement-induced disturbance H(p_AB) - S(rho)."""
-    joint = np.real(np.diag(state.matrix))
+    joint = np.real(state._diagonal())
     return shannon_entropy(joint) - von_neumann_entropy(eig_spectrum(state))

@@ -111,7 +111,7 @@ def discord_numeric(p, lam, n_max=None) -> float:
 def joint_photon_distribution(state: TwoModeState) -> np.ndarray:
     """p(m, n) = <mn| rho |mn> as an (n_max, n_max) table."""
     n = state.n_max
-    return np.real(np.diag(state.matrix)).reshape(n, n)
+    return np.real(state._diagonal()).reshape(n, n)
 
 
 def classical_mutual_information(state: TwoModeState) -> float:

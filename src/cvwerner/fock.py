@@ -5,25 +5,29 @@ index ``m * n_max + n``.  Every module in this package shares this layout,
 so a two-mode matrix reshaped to ``(n_max, n_max, n_max, n_max)`` has axes
 ``(m, n, m', n')``.
 
-Dense spectra come from ``eig_spectrum``, which diagonalizes a matrix
-block by block: it finds the connected components of the matrix's nonzero
-pattern, which for the states here are its photon-number sectors, and
+A ``TwoModeState`` is held as its nonzero entries, exact zeros dropped,
+so that a state of dimension ``n_max^2`` costs memory in proportion to
+its entries, not ``n_max^4``.  Its dense matrix is formed only when
+``matrix`` is read, which nothing in this package does.  Partial traces
+and partial transposes work on the entries.
+
+Spectra come from ``eig_spectrum``, which diagonalizes a matrix block by
+block: it finds the connected components of the nonzero pattern of the
+entries, which for the states here are its photon-number sectors, and
 checks every block's decomposition against its rows of one seeded probe
-matrix.
+matrix.  A dense matrix passed in is first converted to its entries, with
+the checks a state's entries pass.
 
 All entropies are in nats.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 HERMITICITY_TOL = 1e-12
-# The Hermiticity scan compares square tiles of this size, so that its
-# temporaries stay small next to the matrix.
-HERMITICITY_TILE = 128
 # ``validate`` accepts a trace this close to 1.
 TRACE_TOL = 1e-10
 # Slack of each partial-sum comparison in ``is_more_mixed``.
@@ -45,41 +49,52 @@ class NonHermitianError(ValueError):
     """A matrix that must be Hermitian is not, beyond tolerance."""
 
 
-def _hermiticity_deviation(m):
-    """max |m - m^H|, taken over the square tiles on and above the block
-    diagonal, so that each entry pair is compared once and the temporaries
-    are tile-sized."""
-    t = HERMITICITY_TILE
-    dim = m.shape[0]
-    tile_max = [
-        np.max(np.abs(m[i : i + t, j : j + t] - m[j : j + t, i : i + t].conj().T))
-        for i in range(0, dim, t)
-        for j in range(i, dim, t)
-    ]
-    # np.max keeps a NaN tile maximum, where the builtin max may drop it.
-    return np.max(tile_max) if tile_max else 0.0
+def _checked_entries(dim, rows, cols, values):
+    """The entries of a ``dim x dim`` matrix, exact zeros dropped, in
+    row-major order and read-only, after the finiteness and Hermiticity
+    checks.  A complex matrix with no imaginary part comes back real."""
+    values = np.asarray(values)
+    if values.dtype not in (np.float64, np.complex128):
+        values = values.astype(complex)
+    # A NaN is nonzero, so it is kept and reported below.
+    keep = values != 0
+    key = (rows * dim + cols)[keep]
+    order = np.argsort(key, kind="stable")
+    key, values = key[order], values[keep][order]
+    rows, cols = np.divmod(key, dim)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i, j = rows[bad[0]], cols[bad[0]]
+        raise ValueError(
+            f"matrix has {bad.size} non-finite entries, the first {values[bad[0]]} at ({i}, {j})"
+        )
+    # Each entry against its mirror image, which is 0 where no entry sits.
+    mirror_key = cols * dim + rows
+    at = np.minimum(np.searchsorted(key, mirror_key), max(key.size - 1, 0))
+    mirror = np.where(key[at] == mirror_key, values[at], 0.0)
+    dev = np.max(np.abs(values - mirror.conj()), initial=0.0)
+    if not dev <= HERMITICITY_TOL:
+        raise NonHermitianError(f"matrix deviates from Hermiticity by {dev:.3e}")
+    if values.dtype == np.complex128 and np.max(np.abs(values.imag), initial=0.0) == 0.0:
+        values = values.real.copy()
+    for a in (rows, cols, values):
+        a.flags.writeable = False
+    return rows, cols, values
 
 
-def _as_state_matrix(matrix, dim):
+def _dense_entries(matrix, dim):
+    """The checked entries of a dense ``dim x dim`` matrix."""
     m = np.asarray(matrix)
-    if m.dtype not in (np.float64, np.complex128):
-        m = m.astype(complex)
     if m.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} matrix, got shape {m.shape}")
-    # A NaN or infinite entry makes dev NaN or infinite, so it fails the check.
-    with np.errstate(invalid="ignore"):
-        dev = _hermiticity_deviation(m)
-    if not dev <= HERMITICITY_TOL:
-        bad = np.argwhere(~np.isfinite(m))
-        if bad.size:
-            i, j = bad[0]
-            raise ValueError(
-                f"matrix has {len(bad)} non-finite entries, the first {m[i, j]} at ({i}, {j})"
-            )
-        raise NonHermitianError(f"matrix deviates from Hermiticity by {dev:.3e}")
-    if m.dtype == np.complex128 and np.max(np.abs(m.imag)) == 0.0:
-        m = np.ascontiguousarray(m.real)
-    m = np.ascontiguousarray(m)
+    rows, cols = np.divmod(np.flatnonzero(m != 0), dim)
+    return _checked_entries(dim, rows, cols, m[rows, cols])
+
+
+def _dense(dim, rows, cols, values):
+    """The read-only dense matrix holding the given entries."""
+    m = np.zeros((dim, dim), dtype=values.dtype)
+    m[rows, cols] = values
     m.flags.writeable = False
     return m
 
@@ -107,7 +122,8 @@ class OneModeState:
     def __post_init__(self):
         if self.n_max < 1:
             raise ValueError("n_max must be positive")
-        object.__setattr__(self, "matrix", _as_state_matrix(self.matrix, self.n_max))
+        entries = _dense_entries(self.matrix, self.n_max)
+        object.__setattr__(self, "matrix", _dense(self.n_max, *entries))
 
     @property
     def dim(self) -> int:
@@ -121,16 +137,51 @@ class OneModeState:
         return self
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class TwoModeState:
-    """Two-mode density matrix on the |m, n>, m, n < n_max basis."""
+    """Two-mode density matrix on the |m, n>, m, n < n_max basis, held as
+    its nonzero entries: row, column and value arrays in row-major order.
+
+    ``TwoModeState(n_max, matrix)`` converts a dense matrix once; the
+    builders in :mod:`cvwerner.states` pass their entries directly.  Either
+    way the entries pass the same finiteness and Hermiticity checks.
+    ``matrix`` is the dense form, read-only and formed on each access.
+    """
 
     n_max: int
-    matrix: np.ndarray
+    _rows: np.ndarray = field(repr=False)
+    _cols: np.ndarray = field(repr=False)
+    _values: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        check_two_mode_cutoff(self.n_max)
-        object.__setattr__(self, "matrix", _as_state_matrix(self.matrix, self.dim))
+    def __init__(self, n_max: int, matrix):
+        check_two_mode_cutoff(n_max)
+        self._hold(n_max, _dense_entries(matrix, n_max**2))
+
+    @classmethod
+    def _from_entries(cls, n_max, rows, cols, values):
+        """The state with these entries (exact zeros are dropped); the
+        caller has checked ``n_max`` with ``check_two_mode_cutoff``."""
+        state = object.__new__(cls)
+        state._hold(n_max, _checked_entries(n_max**2, rows, cols, values))
+        return state
+
+    def _hold(self, n_max, entries):
+        for name, value in zip(("n_max", "_rows", "_cols", "_values"), (n_max, *entries)):
+            object.__setattr__(self, name, value)
+
+    def _diagonal(self) -> np.ndarray:
+        on = self._rows == self._cols
+        d = np.zeros(self.dim, dtype=self._values.dtype)
+        d[self._rows[on]] = self._values[on]
+        return d
+
+    def _mode_indices(self):
+        """(m, n, m', n') of each entry <m n| rho |m' n'>."""
+        return (*np.divmod(self._rows, self.n_max), *np.divmod(self._cols, self.n_max))
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return _dense(self.dim, self._rows, self._cols, self._values)
 
     @property
     def dim(self) -> int:
@@ -141,7 +192,7 @@ class TwoModeState:
         return m * self.n_max + n
 
     def trace(self) -> float:
-        return float(np.real(np.trace(self.matrix)))
+        return float(np.real(self._diagonal().sum()))
 
     def validate(self):
         _validate_state(self)
@@ -211,28 +262,29 @@ def antidiagonal_entropy(entry, diag) -> float:
 
 def partial_trace(state: TwoModeState, mode: str = "A") -> OneModeState:
     """Trace out the named mode, returning the state of the other one."""
-    n = state.n_max
-    r = state.matrix.reshape(n, n, n, n)
-    if mode == "A":
-        reduced = np.einsum("anam->nm", r)
-    elif mode == "B":
-        reduced = np.einsum("nama->nm", r)
-    else:
+    if mode not in ("A", "B"):
         raise ValueError("mode must be 'A' or 'B'")
-    return OneModeState(n, reduced)
+    m, n, m2, n2 = state._mode_indices()
+    if mode == "A":
+        on, row, col = m == m2, n, n2
+    else:
+        on, row, col = n == n2, m, m2
+    reduced = np.zeros((state.n_max, state.n_max), dtype=state._values.dtype)
+    np.add.at(reduced, (row[on], col[on]), state._values[on])
+    return OneModeState(state.n_max, reduced)
 
 
 def partial_transpose(state: TwoModeState, mode: str = "A") -> TwoModeState:
     """Transpose the indices of one mode; the result may be non-positive."""
-    n = state.n_max
-    r = state.matrix.reshape(n, n, n, n)
-    if mode == "A":
-        out = r.transpose(2, 1, 0, 3)
-    elif mode == "B":
-        out = r.transpose(0, 3, 2, 1)
-    else:
+    if mode not in ("A", "B"):
         raise ValueError("mode must be 'A' or 'B'")
-    return TwoModeState(n, out.reshape(n * n, n * n))
+    m, n, m2, n2 = state._mode_indices()
+    k = state.n_max
+    if mode == "A":
+        rows, cols = m2 * k + n, m * k + n2
+    else:
+        rows, cols = m * k + n2, m2 * k + n
+    return TwoModeState._from_entries(k, rows, cols, state._values)
 
 
 def is_more_mixed(a, b) -> bool:
@@ -249,24 +301,34 @@ def is_more_mixed(a, b) -> bool:
     return bool(np.all(np.cumsum(a) <= np.cumsum(b) + MAJORIZATION_TOL))
 
 
-def _blocks_by_size(m) -> list[np.ndarray]:
-    """The connected components of the nonzero pattern of ``m``, as one
-    ``(count, size)`` index array per block size, ascending within a block."""
+def _blocks_by_size(dim, rows, cols, values):
+    """The connected components of the nonzero pattern of the matrix with
+    the given entries, one ``(idx, blocks)`` pair per block size: ``idx``
+    holds each component's indices, ascending, as a ``(count, size)``
+    array, and ``blocks`` the matching ``(count, size, size)`` submatrices."""
     # Imported here, so that importing the package does not load scipy
-    # (about 0.3 s) for work that never diagonalizes a dense matrix.
+    # (about 0.4 s) for work that never diagonalizes a matrix.
     from scipy.sparse import coo_array
     from scipy.sparse.csgraph import connected_components
 
-    dim = m.shape[0]
-    # Scanning a boolean copy is several times faster than np.nonzero(m).
-    rows, cols = np.divmod(np.flatnonzero(m != 0), dim)
     pattern = coo_array((np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(dim, dim))
     _, labels = connected_components(pattern, directed=False)
     sizes = np.bincount(labels)[labels]
     order = np.lexsort((labels, sizes))
     size_values, counts = np.unique(sizes[order], return_counts=True)
-    groups = np.split(order, np.cumsum(counts)[:-1])
-    return [idx.reshape(-1, size) for idx, size in zip(groups, size_values)]
+    # Where each index sits: its component's slot within its size, and its
+    # position within the component.
+    slot, pos = np.empty(dim, dtype=np.intp), np.empty(dim, dtype=np.intp)
+    out = []
+    for idx, size in zip(np.split(order, np.cumsum(counts)[:-1]), size_values):
+        idx = idx.reshape(-1, size)
+        slot[idx] = np.arange(idx.shape[0])[:, None]
+        pos[idx] = np.arange(size)
+        on = sizes[rows] == size
+        blocks = np.zeros((idx.shape[0], size, size), dtype=values.dtype)
+        blocks[slot[rows[on]], pos[rows[on]], pos[cols[on]]] = values[on]
+        out.append((idx, blocks))
+    return out
 
 
 def eig_spectrum(rho) -> np.ndarray:
@@ -275,22 +337,27 @@ def eig_spectrum(rho) -> np.ndarray:
     The matrix is diagonalized block by block.  The blocks are the connected
     components of its own nonzero pattern, so nothing about the state family
     is assumed; for the states here they are the photon-number sectors, and
-    a dense matrix is one block.  Blocks of equal size go to one stacked
+    a dense matrix is one block.  A ``TwoModeState`` gives its entries
+    directly; any other matrix is first converted to its checked entries.
+    Blocks of equal size go to one stacked
     ``numpy.linalg.eigh`` call (LAPACK's divide-and-conquer driver, which
     does not stall on the large eigenvalue clusters of these states).  Each
     block's decomposition is applied to its rows of ``RESIDUAL_PROBES``
     seeded random probe vectors; the largest residual over the blocks,
     which is the residual of the whole matrix, must stay below
-    ``1e-9 * dim``.
+    ``1e-9 * dim``.  An empty matrix has an empty spectrum.
     """
-    m = getattr(rho, "matrix", None)
-    if m is None:
-        m = _as_state_matrix(rho, np.asarray(rho).shape[0])
-    dim = m.shape[0]
+    if isinstance(rho, TwoModeState):
+        dim, entries = rho.dim, (rho._rows, rho._cols, rho._values)
+    else:
+        m = getattr(rho, "matrix", rho)
+        dim = np.shape(m)[0]
+        entries = _dense_entries(m, dim)
+    if dim == 0:
+        return np.zeros(0)
     x = np.random.default_rng(RESIDUAL_SEED).standard_normal((dim, RESIDUAL_PROBES))
     spectra, residuals = [], []
-    for idx in _blocks_by_size(m):
-        blocks = m[idx[:, :, None], idx[:, None, :]]
+    for idx, blocks in _blocks_by_size(dim, *entries):
         w, v = np.linalg.eigh(blocks)
         xb = x[idx]
         recon = v @ (w[..., None] * (v.conj().transpose(0, 2, 1) @ xb))

@@ -376,10 +376,12 @@ _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 def _golden_section(f, a, b, tol):
-    """Golden-section minimization of f on [a, b] to width tol."""
+    """Golden-section minimization of f on [a, b] to width tol; returns the
+    final point and its value."""
     h = b - a
     if h <= tol:
-        return (a + b) / 2.0
+        mid = (a + b) / 2.0
+        return mid, f(mid)
     c = a + _INV_PHI_SQ * h
     d = a + _INV_PHI * h
     yc, yd = f(c), f(d)
@@ -395,7 +397,7 @@ def _golden_section(f, a, b, tol):
             h *= _INV_PHI
             d = a + _INV_PHI * h
             yd = f(d)
-    return c if yc < yd else d
+    return (c, yc) if yc < yd else (d, yd)
 
 
 @dataclass(frozen=True)
@@ -434,8 +436,7 @@ def gaussian_discord(p: float, lam: float, eps_int: float = EPS_INT) -> Gaussian
 
     lo = max(0.0, best[0] - COARSE_STEP)
     hi = min(HOMODYNE_T, best[0] + COARSE_STEP)
-    t_ref = _golden_section(objective, lo, hi, T_TOL)
-    t_opt, h_min = min([best, (t_ref, objective(t_ref))], key=lambda c: c[1])
+    t_opt, h_min = min([best, _golden_section(objective, lo, hi, T_TOL)], key=lambda c: c[1])
     if not math.isfinite(h_min) or h_min < -1e-12:
         raise OptimizationError(
             f"conditional-entropy minimization failed (min {h_min!r}); "

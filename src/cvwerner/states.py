@@ -7,6 +7,13 @@ The central family is the continuous-variable Werner state
 a two-mode squeezed vacuum (squeezing factor ``lam = tanh r``) mixed with a
 product of thermal states.  Cutoffs are picked from closed-form geometric
 tail bounds rather than trial and error.
+
+The two-mode builders write only the nonzero entries of a state:
+``tmsv`` and ``werner`` those of the squeezed-vacuum projector, on the
+``|k, k>`` indices, and the diagonal; ``ppt_werner`` the diagonal and the
+entries at ``(|n, m>, |m, n>)``.  Each entry comes from the same
+arithmetic as in the dense matrix, and no ``n_max^2 x n_max^2`` array is
+formed.
 """
 
 from __future__ import annotations
@@ -87,18 +94,27 @@ def tmsv_vector(lam: float, n_max: int) -> np.ndarray:
     return np.sqrt(1.0 - lam**2) * lam ** np.arange(n_max, dtype=float)
 
 
-def _tmsv_ket(lam: float, n_max: int) -> np.ndarray:
-    """The truncated two-mode squeezed vacuum as a flat two-mode vector."""
-    check_two_mode_cutoff(n_max)
-    vec = np.zeros(n_max * n_max)
-    vec[np.arange(n_max) * (n_max + 1)] = tmsv_vector(lam, n_max)
-    return vec
+def _projector_entries(lam: float, n_max: int):
+    """Rows, columns and values of the truncated two-mode squeezed vacuum
+    projector, whose entries sit on the ``|k, k>`` indices only."""
+    c = tmsv_vector(lam, n_max)
+    kk = np.arange(n_max) * (n_max + 1)
+    rows, cols = np.meshgrid(kk, kk, indexing="ij")
+    return rows.ravel(), cols.ravel(), np.outer(c, c).ravel()
+
+
+def _with_diagonal(n_max, diag, rows, cols, values):
+    """The state with the full diagonal ``diag`` and the given off-diagonal entries."""
+    flat = np.arange(n_max * n_max)
+    return TwoModeState._from_entries(
+        n_max, np.concatenate([flat, rows]), np.concatenate([flat, cols]), np.concatenate([diag, values])
+    )
 
 
 def tmsv(lam: float, n_max: int) -> TwoModeState:
     """Projector onto the two-mode squeezed vacuum, truncated at ``n_max``."""
-    vec = _tmsv_ket(lam, n_max)
-    return TwoModeState(n_max, np.outer(vec, vec))
+    check_two_mode_cutoff(n_max)
+    return TwoModeState._from_entries(n_max, *_projector_entries(lam, n_max))
 
 
 def thermal(mu: float, n_max: int) -> OneModeState:
@@ -124,14 +140,16 @@ def werner(params: WernerParams, n_max: int | None = None) -> TwoModeState:
     """
     if n_max is None:
         n_max = choose_cutoff(params)
-    vec = _tmsv_ket(params.lam, n_max)
-    # One full-size array: the scaled projector, with the thermal product,
-    # which is diagonal, added on its diagonal.
-    rho = np.outer(vec, vec)
-    rho *= params.p
+    check_two_mode_cutoff(n_max)
+    rows, cols, proj = _projector_entries(params.lam, n_max)
+    proj *= params.p
+    # The thermal product is diagonal; the projector's own diagonal entries
+    # are added to it, and its other entries stay as they are.
     th = np.diag(thermal(params.mu, n_max).matrix)
-    rho[np.diag_indices(n_max * n_max)] += (1.0 - params.p) * np.kron(th, th)
-    return TwoModeState(n_max, rho)
+    diag = (1.0 - params.p) * np.kron(th, th)
+    on = rows == cols
+    diag[rows[on]] += proj[on]
+    return _with_diagonal(n_max, diag, rows[~on], cols[~on], proj[~on])
 
 
 def _ppt_point(lam: float) -> WernerParams:
@@ -154,12 +172,12 @@ def ppt_werner(lam: float, n_max: int | None = None) -> TwoModeState:
     norm = (1.0 - lam**2) * (1.0 - lam) / 2.0
     powers = lam ** np.arange(n_max, dtype=float)
     weights = norm * np.outer(powers, powers)  # N lam^(m+n)
-    dim = n_max * n_max
-    rho = np.zeros((dim, dim))
-    flat = np.arange(dim)
-    rho[flat, flat] = weights.ravel()
+    # Each weight sits on the diagonal at |m, n> and at (|n, m>, |m, n>);
+    # for m = n both are the same diagonal entry, which gets twice the weight.
+    diag = weights.ravel().copy()
+    diag[np.arange(n_max) * (n_max + 1)] += np.diagonal(weights)
     mm, nn = np.meshgrid(np.arange(n_max), np.arange(n_max), indexing="ij")
-    rows = (nn * n_max + mm).ravel()
-    cols = (mm * n_max + nn).ravel()
-    rho[rows, cols] += weights.ravel()
-    return TwoModeState(n_max, rho)
+    off = (mm != nn).ravel()
+    rows = (nn * n_max + mm).ravel()[off]
+    cols = (mm * n_max + nn).ravel()[off]
+    return _with_diagonal(n_max, diag, rows, cols, weights.ravel()[off])

@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvwerner import states
 from cvwerner.fock import (
@@ -269,22 +273,51 @@ def test_states_reject_non_finite_entries(bad):
         TwoModeState(2, np.full((4, 4), bad))
 
 
-@pytest.mark.parametrize("dtype", [float, complex])
-def test_hermiticity_scan_reaches_every_tile(dtype):
-    # Dimension 300 spans three scan tiles per side; each defect sits in a
-    # different tile, below and above the diagonal and on it.
-    dim = 300
-    for (i, j), dev in (((299, 0), 3e-3), ((10, 290), 2e-4), ((150, 149), 5e-5)):
-        m = np.eye(dim, dtype=dtype) / dim
+def _hermitian_background(dim, dtype, full):
+    """A Hermitian matrix: diagonal, or with every entry nonzero."""
+    if not full:
+        return np.eye(dim, dtype=dtype) / dim
+    ones = np.ones((dim, dim))
+    m = (ones + np.eye(dim)) / dim**2
+    if dtype is complex:
+        m = m + 1j * (np.triu(ones, 1) - np.tril(ones, -1)) / dim**2
+    return m
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    data=st.data(),
+    dev=st.floats(1e-11, 1.0),
+    dtype=st.sampled_from([float, complex]),
+    full=st.booleans(),
+)
+def test_entry_checks_find_a_defect_or_nan_anywhere(n, data, dev, dtype, full):
+    # The checks run on the entries of every state: one defect, anywhere in
+    # the matrix and whether or not its mirror entry is zero, is reported
+    # with its size, and one NaN with its place.
+    dim = n * n
+    i, j = data.draw(st.integers(0, dim - 1)), data.draw(st.integers(0, dim - 1))
+    m = _hermitian_background(dim, dtype, full)
+    if dtype is complex and i == j:
+        m[i, j] += 1j * dev  # not Hermitian although it equals its transpose
+    else:
         m[i, j] += dev
-        with pytest.raises(NonHermitianError, match=f"deviates from Hermiticity by {dev:.3e}"):
-            OneModeState(dim, m)
-    imag = np.eye(dim, dtype=complex) / dim
-    imag[200, 200] = 1j  # not Hermitian although it equals its transpose
-    with pytest.raises(NonHermitianError, match="by 2.000e\\+00"):
-        OneModeState(dim, imag)
-    for i, j in ((299, 1), (250, 250)):
-        m = np.eye(dim, dtype=dtype) / dim
-        m[i, j] = np.nan
+    expected = abs(m[i, j] - np.conj(m[j, i]))
+    if i == j and dtype is float:
+        assert expected == 0.0  # a real diagonal entry is always Hermitian
+        TwoModeState(n, m)
+    else:
+        for build in (lambda: TwoModeState(n, m), lambda: OneModeState(dim, m), lambda: eig_spectrum(m)):
+            with pytest.raises(NonHermitianError, match=re.escape(f"deviates from Hermiticity by {expected:.3e}")):
+                build()
+    m = _hermitian_background(dim, dtype, full)
+    m[i, j] = np.nan
+    for build in (lambda: TwoModeState(n, m), lambda: OneModeState(dim, m), lambda: eig_spectrum(m)):
         with pytest.raises(ValueError, match=rf"1 non-finite entries, the first \S+ at \({i}, {j}\)"):
-            OneModeState(dim, m)
+            build()
+
+
+def test_eig_spectrum_of_empty_matrix_is_empty():
+    spec = eig_spectrum(np.zeros((0, 0)))
+    assert spec.shape == (0,)

@@ -267,6 +267,19 @@ def test_gaussian_discord_returns_python_floats():
         assert type(res.conditional_entropy) is float
 
 
+def test_gaussian_discord_evaluates_each_t_once(monkeypatch):
+    seen = []
+    real = gaussian.conditional_entropy
+
+    def recording(p, lam, povm, **kwargs):
+        seen.append(povm.t)
+        return real(p, lam, povm, **kwargs)
+
+    monkeypatch.setattr(gaussian, "conditional_entropy", recording)
+    res = gaussian_discord(0.5, 0.5)
+    assert len(seen) == len(set(seen)) == res.evaluations == 44
+
+
 def test_gaussian_discord_strictly_above_discord():
     res = gaussian_discord(0.5, 0.5)
     assert res.value - exact.discord(0.5, 0.5) > 1e-3

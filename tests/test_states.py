@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvwerner import bounds, exact, gaussian, nongauss, ppt
 from cvwerner.fock import (
@@ -267,3 +269,57 @@ def test_ppt_werner_reduced_weights():
     # the truncated marginal misses one geometric tail per row
     assert np.max(np.abs(red - expected)) < 1e-9
 
+
+
+# Dense references for the entry-built states, with the arithmetic of a
+# builder that forms the whole matrix: bit-for-bit equality is expected.
+def _dense_tmsv_ket(lam, n):
+    vec = np.zeros(n * n)
+    vec[np.arange(n) * (n + 1)] = np.sqrt(1.0 - lam**2) * lam ** np.arange(n, dtype=float)
+    return vec
+
+
+def _dense_werner(p, lam, mu, n):
+    vec = _dense_tmsv_ket(lam, n)
+    rho = np.outer(vec, vec)
+    rho *= p
+    th = (1.0 - mu**2) * mu ** (2 * np.arange(n, dtype=float))
+    rho[np.diag_indices(n * n)] += (1.0 - p) * np.kron(th, th)
+    return rho
+
+
+def _dense_ppt_werner(lam, n):
+    norm = (1.0 - lam**2) * (1.0 - lam) / 2.0
+    powers = lam ** np.arange(n, dtype=float)
+    weights = norm * np.outer(powers, powers)
+    rho = np.zeros((n, n, n, n))
+    m, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    rho[m, k, m, k] = weights
+    rho[k, m, m, k] += weights
+    return rho.reshape(n * n, n * n)
+
+
+def _dense_partial_transpose(matrix, n, mode):
+    axes = (2, 1, 0, 3) if mode == "A" else (0, 3, 2, 1)
+    return matrix.reshape(n, n, n, n).transpose(axes).reshape(n * n, n * n)
+
+
+_unit = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+_factor = st.one_of(st.just(0.0), st.floats(0.0, 0.95))
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=_unit, lam=_factor, mu=_factor, n=st.integers(2, 12))
+def test_entry_built_states_match_dense_references(p, lam, mu, n):
+    built = [
+        (werner(WernerParams(p, lam, mu), n), _dense_werner(p, lam, mu, n)),
+        (tmsv(lam, n), np.outer(_dense_tmsv_ket(lam, n), _dense_tmsv_ket(lam, n))),
+        (ppt_werner(lam, n), _dense_ppt_werner(lam, n)),
+    ]
+    for state, dense in built:
+        assert np.array_equal(state.matrix, dense)
+        assert np.array_equal(eig_spectrum(state), eig_spectrum(state.matrix))
+        for mode in ("A", "B"):
+            pt = partial_transpose(state, mode)
+            assert np.array_equal(pt.matrix, _dense_partial_transpose(dense, n, mode))
+            assert np.array_equal(eig_spectrum(pt), eig_spectrum(pt.matrix))
