@@ -65,6 +65,7 @@ def reduced_spectrum(p: float, lam: float, mu: float, n_max: int) -> np.ndarray:
     """Eigenvalues g_m = p(1-lam^2)lam^(2m) + (1-p)(1-mu^2)mu^(2m) of either
     reduced state (diagonal in the Fock basis)."""
     WernerParams(p, lam, mu)
+    _check_cutoff(n_max)
     m = np.arange(n_max, dtype=float)
     return p * (1.0 - lam**2) * lam ** (2 * m) + (1.0 - p) * (1.0 - mu**2) * mu ** (2 * m)
 
@@ -127,6 +128,7 @@ def conditional_entropy_photon_counting(p: float, lam: float, mu: float, n_max: 
     state is pure and the result is exactly zero.
     """
     WernerParams(p, lam, mu)
+    _check_cutoff(n_max)
     if mu == 0.0 or p == 1.0:
         return 0.0
     closed = _conditional_entropy_closed(p, lam, mu, n_max)
@@ -139,7 +141,13 @@ def conditional_entropy_photon_counting(p: float, lam: float, mu: float, n_max: 
     return closed
 
 
+def _check_cutoff(n_max):
+    if n_max < 1:
+        raise ValueError(f"cutoff n_max={n_max} outside [1, inf)")
+
+
 def _check_square_size(n_max):
+    _check_cutoff(n_max)
     if n_max > MAX_TWO_MODE_DIM:
         raise ValueError(
             f"cutoff n_max={n_max} exceeds the limit {MAX_TWO_MODE_DIM} "

@@ -187,10 +187,6 @@ class TwoModeState:
     def dim(self) -> int:
         return self.n_max**2
 
-    def index(self, m: int, n: int) -> int:
-        """Flat index of the basis ket |m, n>."""
-        return m * self.n_max + n
-
     def trace(self) -> float:
         return float(np.real(self._diagonal().sum()))
 
@@ -215,13 +211,24 @@ def xlogx(x) -> np.ndarray:
         return np.where(x > 0.0, x * np.log(np.where(x > 0.0, x, 1.0)), 0.0)
 
 
+def _finite_entries(values, name):
+    """``values`` as a flat float array; a NaN or infinite entry raises
+    ``InvalidSpectrumError``."""
+    v = np.asarray(values, dtype=float).ravel()
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        raise InvalidSpectrumError(f"{name} entry {v[bad[0]]} at {bad[0]} is not finite")
+    return v
+
+
 def von_neumann_entropy(spectrum) -> float:
     """-sum(v ln v) over the spectrum, with 0 ln 0 = 0.
 
     Entries in ``[EIGENVALUE_FLOOR, 0)`` are treated as truncation noise and
-    clipped to zero; anything below raises ``InvalidSpectrumError``.
+    clipped to zero; anything below, and any NaN or infinite entry, raises
+    ``InvalidSpectrumError``.
     """
-    v = np.asarray(spectrum, dtype=float).ravel()
+    v = _finite_entries(spectrum, "spectrum")
     if v.size and float(v.min()) < EIGENVALUE_FLOOR:
         raise InvalidSpectrumError(
             f"spectrum entry {v.min():.6e} below the tolerated floor {EIGENVALUE_FLOOR:g}"
@@ -234,9 +241,9 @@ def von_neumann_entropy(spectrum) -> float:
 def shannon_entropy(probabilities) -> float:
     """Shannon entropy -sum(p ln p) of a probability table, in nats.
 
-    Entries in ``[PROBABILITY_FLOOR, 0)`` count as zero; anything below
-    raises ``InvalidSpectrumError``."""
-    p = np.asarray(probabilities, dtype=float).ravel()
+    Entries in ``[PROBABILITY_FLOOR, 0)`` count as zero; anything below,
+    and any NaN or infinite entry, raises ``InvalidSpectrumError``."""
+    p = _finite_entries(probabilities, "probability")
     if p.size and float(p.min()) < PROBABILITY_FLOOR:
         raise InvalidSpectrumError(f"negative probability {p.min():.6e}")
     return float(-xlogx(p[p > 0.0]).sum()) + 0.0
@@ -301,18 +308,32 @@ def is_more_mixed(a, b) -> bool:
     return bool(np.all(np.cumsum(a) <= np.cumsum(b) + MAJORIZATION_TOL))
 
 
+def _component_labels(dim, rows, cols):
+    """Each index of a ``dim x dim`` nonzero pattern labelled by the smallest
+    index of its connected component, an entry joining its row and column.
+
+    Each round hooks every label to the smallest label across the entries,
+    in both directions, then jumps pointers (``label = label[label]``) to a
+    fixed point; it stops when every entry joins two indices of one label
+    (Shiloach and Vishkin, J. Algorithms 3, 1982)."""
+    label = np.arange(dim)
+    while True:
+        a, b = label[rows], label[cols]
+        if np.array_equal(a, b):
+            return label
+        np.minimum.at(label, a, b)
+        np.minimum.at(label, b, a)
+        jumped = label[label]
+        while not np.array_equal(jumped, label):
+            label, jumped = jumped, jumped[jumped]
+
+
 def _blocks_by_size(dim, rows, cols, values):
     """The connected components of the nonzero pattern of the matrix with
     the given entries, one ``(idx, blocks)`` pair per block size: ``idx``
     holds each component's indices, ascending, as a ``(count, size)``
     array, and ``blocks`` the matching ``(count, size, size)`` submatrices."""
-    # Imported here, so that importing the package does not load scipy
-    # (about 0.4 s) for work that never diagonalizes a matrix.
-    from scipy.sparse import coo_array
-    from scipy.sparse.csgraph import connected_components
-
-    pattern = coo_array((np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(dim, dim))
-    _, labels = connected_components(pattern, directed=False)
+    labels = _component_labels(dim, rows, cols)
     sizes = np.bincount(labels)[labels]
     order = np.lexsort((labels, sizes))
     size_values, counts = np.unique(sizes[order], return_counts=True)

@@ -248,6 +248,17 @@ def _node_counts(lam, t, n_radial, n_angular):
     return n_rad, n_ang
 
 
+def _check_count(name, value, least):
+    # NaN fails the comparison and is rejected.
+    if not value >= least:
+        raise ValueError(f"{name}={value} must be at least {least}")
+
+
+def _check_node_counts(n_radial, n_angular):
+    _check_count("n_radial", n_radial, 1)
+    _check_count("n_angular", n_angular, 1)
+
+
 def quadrature_grid(
     lam: float, povm: GaussianPovm, n_radial: int = N_RADIAL, n_angular: int = N_ANGULAR
 ) -> QuadratureGrid:
@@ -257,8 +268,10 @@ def quadrature_grid(
     Node counts grow with the anisotropy of the outcome density (which
     stretches like 1/(1 - lam^2) at strong squeezing) so that the requested
     counts act as a base resolution: doubling them doubles the grid in any
-    regime.  Above ``MAX_GRID_NODES`` nodes it raises ``ValueError``.
+    regime.  Above ``MAX_GRID_NODES`` nodes, or with a requested count
+    below 1, it raises ``ValueError``.
     """
+    _check_node_counts(n_radial, n_angular)
     n_rad, n_ang = _node_counts(lam, povm.t, n_radial, n_angular)
     rates = _frame_rates(lam, povm.t)
     c_min = min(rates)
@@ -324,10 +337,11 @@ def conditional_entropy(
     Refuses with diagnostics when the grid fails to reproduce the outcome
     normalization within ``eps_int``.  At p = 0 or 1 every conditional
     state is pure, and it returns 0 without building a grid, so the node
-    limit does not apply there.
+    limit does not apply there.  Node counts below 1 raise ``ValueError``.
     """
     WernerParams(p, lam)
     check_tolerance("eps_int", eps_int)
+    _check_node_counts(n_radial, n_angular)
     if p == 0.0 or p == 1.0:
         return 0.0
     grid = quadrature_grid(lam, povm, n_radial, n_angular)
@@ -351,8 +365,10 @@ def conditional_entropy_mc(
     """Monte-Carlo oracle for :func:`conditional_entropy`.
 
     Samples outcomes from the two-component Gaussian mixture and averages
-    the conditional entropy; returns (mean, standard error).
+    the conditional entropy; returns (mean, standard error).  The standard
+    error needs ``n_samples >= 2``.
     """
+    _check_count("n_samples", n_samples, 2)
     rng = np.random.default_rng(seed)
     t = povm.t
     ru_x, ru_y, rv = _frame_rates(lam, t)

@@ -57,9 +57,9 @@ def symplectic_eigenvalue(p: float, lam: float) -> float:
 
 def gaussian_state_entropy(nu: float) -> float:
     """Total entropy of a two-mode Gaussian state with doubly degenerate
-    symplectic eigenvalue nu."""
-    if nu < 1.0 - 1e-12:
-        raise ValueError(f"symplectic eigenvalue {nu} below 1")
+    symplectic eigenvalue nu, finite and at least 1 up to 1e-12."""
+    if not 1.0 - 1e-12 <= nu < math.inf:
+        raise ValueError(f"symplectic eigenvalue {nu} outside [1, inf)")
     if nu - 1.0 < 1e-12:
         return 0.0
     return (nu + 1.0) * math.log((nu + 1.0) / 2.0) - (nu - 1.0) * math.log((nu - 1.0) / 2.0)

@@ -356,6 +356,18 @@ def test_cutoff_above_dense_limit_exits_3(capsys):
     assert err.startswith("error:") and "17000" in err
 
 
+def test_cutoff_below_one_exits_3(capsys):
+    point = ("compute", "bounds", "--p", "0.5", "--lambda", "0.5", "--mu", "0.5")
+    code, out, err = run_cli(capsys, *point, "--cutoff", "0")
+    assert code == 3
+    assert out == "" and err == "error: cutoff n_max=0 outside [1, inf)\n"
+    # Cutoff 1 holds the vacuum count alone, which is all of the state at lam = mu = 0.
+    vacuum = ("compute", "bounds", "--p", "0.5", "--lambda", "0", "--mu", "0")
+    code, out, _ = run_cli(capsys, *vacuum, "--cutoff", "1")
+    assert code == 0
+    assert json.loads(out)["results"]["upper"] == 0.0
+
+
 def test_grid_above_node_limit_exits_3(capsys):
     code, _, err = run_cli(capsys, "compute", "gaussian-discord", "--p", "0.5", "--lambda", "0.99999")
     assert code == 3

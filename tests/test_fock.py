@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import coo_array
+from scipy.sparse.csgraph import connected_components
 
-from cvwerner import states
+from cvwerner import fock, states
 from cvwerner.fock import (
     InvalidSpectrumError,
     NonHermitianError,
@@ -46,6 +48,21 @@ def test_entropy_clips_truncation_noise():
 def test_entropy_rejects_real_negatives():
     with pytest.raises(InvalidSpectrumError):
         von_neumann_entropy([1.0, -1e-6])
+
+
+@pytest.mark.parametrize(
+    "entropy, values, message",
+    [
+        (von_neumann_entropy, [np.nan, 1.0], "spectrum entry nan at 0 is not finite"),
+        (von_neumann_entropy, [1.0, np.inf], "spectrum entry inf at 1 is not finite"),
+        (shannon_entropy, [np.nan, 0.5], "probability entry nan at 0 is not finite"),
+        (shannon_entropy, [np.inf], "probability entry inf at 0 is not finite"),
+        (shannon_entropy, [0.5, -np.inf], "probability entry -inf at 1 is not finite"),
+    ],
+)
+def test_entropies_reject_non_finite_entries(entropy, values, message):
+    with pytest.raises(InvalidSpectrumError, match=re.escape(message)):
+        entropy(values)
 
 
 def test_shannon_trivial():
@@ -321,3 +338,68 @@ def test_entry_checks_find_a_defect_or_nan_anywhere(n, data, dev, dtype, full):
 def test_eig_spectrum_of_empty_matrix_is_empty():
     spec = eig_spectrum(np.zeros((0, 0)))
     assert spec.shape == (0,)
+
+
+def _scipy_labels(dim, rows, cols):
+    """Component labels from scipy's ``connected_components``."""
+    pattern = coo_array((np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(dim, dim))
+    return connected_components(pattern, directed=False)[1]
+
+
+def _path(order):
+    return order[:-1], order[1:]
+
+
+@st.composite
+def _patterns(draw):
+    """A nonzero pattern ``(dim, rows, cols)``: random pairs (one-way or
+    mirrored), a path, a grid, or equal-sized paths, each with isolated
+    indices and its indices permuted at random."""
+    kind = draw(st.sampled_from(["one-way", "mirrored", "path", "grid", "equal-sizes"]))
+    isolated = draw(st.integers(0, 5))
+    if kind in ("one-way", "mirrored"):
+        dim = draw(st.integers(1, 40))
+        pairs = draw(st.lists(st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1)), max_size=60))
+        rows, cols = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        if kind == "mirrored":
+            rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+    elif kind == "path":
+        dim = draw(st.integers(2, 60))
+        rows, cols = _path(np.arange(dim))
+    elif kind == "grid":
+        a, b = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+        dim, g = a * b, np.arange(a * b).reshape(a, b)
+        rows = np.concatenate([g[:, :-1].ravel(), g[:-1, :].ravel()])
+        cols = np.concatenate([g[:, 1:].ravel(), g[1:, :].ravel()])
+    else:
+        count, size = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        dim = count * size
+        rows, cols = _path(np.arange(dim).reshape(count, size).T)
+        rows, cols = rows.ravel(), cols.ravel()
+    dim += isolated
+    perm = np.array(draw(st.permutations(range(dim))), dtype=np.intp)
+    key = np.unique(perm[rows] * dim + perm[cols])
+    return (dim, *np.divmod(key, dim))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pattern=_patterns(), seed=st.integers(0, 2**32 - 1))
+def test_component_labels_match_scipy(pattern, seed):
+    dim, rows, cols = pattern
+    labels = fock._component_labels(dim, rows, cols)
+    reference = _scipy_labels(dim, rows, cols)
+    # The same partition: two indices share a label exactly when scipy's agree.
+    assert np.array_equal(labels[:, None] == labels, reference[:, None] == reference)
+    # Each label is the smallest index of its component.
+    smallest = np.full(dim, dim)
+    np.minimum.at(smallest, reference, np.arange(dim))
+    assert np.array_equal(labels, smallest[reference])
+    # And the blocks, and their order, are those of a scipy labelling.
+    values = np.random.default_rng(seed).standard_normal(rows.size)
+    ours = fock._blocks_by_size(dim, rows, cols, values)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fock, "_component_labels", _scipy_labels)
+        theirs = fock._blocks_by_size(dim, rows, cols, values)
+    assert len(ours) == len(theirs)
+    for (idx, blocks), (ref_idx, ref_blocks) in zip(ours, theirs):
+        assert np.array_equal(idx, ref_idx) and np.array_equal(blocks, ref_blocks)

@@ -139,6 +139,31 @@ def test_conditional_entropy_pure_limits():
         assert conditional_entropy_mc(p, 0.5, GaussianPovm(1.0, 0.4), n_samples=1000) == (0.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "call, kwargs, message",
+    [
+        ("mc", {"n_samples": 1}, "n_samples=1 must be at least 2"),
+        ("mc", {"n_samples": 0}, "n_samples=0 must be at least 2"),
+        ("mc", {"n_samples": -1}, "n_samples=-1 must be at least 2"),
+        ("quadrature", {"n_radial": 0}, "n_radial=0 must be at least 1"),
+        ("quadrature", {"n_angular": -4}, "n_angular=-4 must be at least 1"),
+        # No grid is built at p = 1, but the counts are still checked.
+        ("pure", {"n_radial": 0}, "n_radial=0 must be at least 1"),
+        ("grid", {"n_angular": math.nan}, "n_angular=nan must be at least 1"),
+    ],
+)
+def test_sample_and_node_counts_name_their_limit(call, kwargs, message):
+    het = gaussian.HETERODYNE
+    calls = {
+        "mc": lambda: conditional_entropy_mc(0.5, 0.5, het, **kwargs),
+        "quadrature": lambda: conditional_entropy(0.5, 0.5, het, **kwargs),
+        "pure": lambda: conditional_entropy(1.0, 0.5, het, **kwargs),
+        "grid": lambda: gaussian.quadrature_grid(0.5, het, **kwargs),
+    }
+    with pytest.raises(ValueError, match=message):
+        calls[call]()
+
+
 def test_conditional_entropy_integrand_matches_fock_oracle():
     # per-outcome entropy and density against the brute-force construction;
     # the oracle cutoff covers displacements up to |alpha| ~ 4

@@ -55,8 +55,9 @@ def test_symplectic_eigenvalue_closed_form_and_oracle():
 def test_gaussian_state_entropy():
     assert gaussian_state_entropy(1.0) == 0.0
     assert gaussian_state_entropy(NU_55) == pytest.approx(S_TAU_55, abs=1e-13)
-    with pytest.raises(ValueError):
-        gaussian_state_entropy(0.8)
+    for nu in (0.8, math.nan, math.inf):
+        with pytest.raises(ValueError, match=rf"symplectic eigenvalue {nu} outside \[1, inf\)"):
+            gaussian_state_entropy(nu)
 
 
 def test_nongaussianity_values():

@@ -89,6 +89,32 @@ _ENTRY_POINTS.update(
 )
 
 
+# A cutoff below 1 holds no photon count.  At mu = 0 the conditional entropy
+# takes its pure-state shortcut, which must not skip the check.
+_BAD_CUTOFF = (0, -3)
+_ENTRY_POINTS.update(
+    {
+        f"bounds.{fn.__name__}-n_max": (lambda v, fn=fn: fn(0.5, 0.5, 0.5, v), _BAD_CUTOFF)
+        for fn in (
+            bounds.global_entropy,
+            bounds.marginal_entropy,
+            bounds.conditional_entropy_photon_counting,
+            bounds.reduced_spectrum,
+            bounds.correlated_block,
+            bounds.joint_photon_distribution,
+        )
+    }
+)
+_ENTRY_POINTS["bounds.conditional_entropy_photon_counting-n_max-mu0"] = (
+    lambda v: bounds.conditional_entropy_photon_counting(0.5, 0.5, 0.0, v),
+    _BAD_CUTOFF,
+)
+_ENTRY_POINTS["bounds.bounds_report-n_max"] = (
+    lambda v: bounds.bounds_report(WernerParams(0.5, 0.5, 0.5), v),
+    _BAD_CUTOFF,
+)
+
+
 _ENTRY_POINTS.update(
     {
         f"{fn.__module__.split('.')[-1]}.{fn.__name__}-{arg}": (
