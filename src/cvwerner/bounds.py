@@ -20,8 +20,10 @@ MID = U on those values.  One private helper writes that table, as its
 anti-diagonal entries and diagonal excess; the direct twin of H_eig(A|B)
 takes its rows as slices of those entries, a fixed number at a time, so a
 report holds no n_max x n_max array.  ``bounds_report`` is the only
-evaluator of U, L and MID.  Dense matrix-based twins of U and MID
-(``*_dense``) serve as oracles for arbitrary states with diagonal marginals.
+evaluator of U, L and MID.  A dense matrix-based twin of U
+(``upper_bound_dense``, with ``conditional_entropy_dense``) serves as an
+oracle for arbitrary states with diagonal marginals; the dense twin of MID,
+the photon-count table and the correlated block itself live with the tests.
 """
 
 from __future__ import annotations
@@ -34,10 +36,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .fock import (
     MAX_TWO_MODE_DIM,
     TwoModeState,
+    _check_cutoff,
     antidiagonal_entropy,
     eig_spectrum,
     partial_trace,
-    shannon_entropy,
     von_neumann_entropy,
     xlogx,
 )
@@ -65,7 +67,7 @@ def reduced_spectrum(p: float, lam: float, mu: float, n_max: int) -> np.ndarray:
     """Eigenvalues g_m = p(1-lam^2)lam^(2m) + (1-p)(1-mu^2)mu^(2m) of either
     reduced state (diagonal in the Fock basis)."""
     WernerParams(p, lam, mu)
-    _check_cutoff(n_max)
+    _check_cutoff(n_max, 1)
     m = np.arange(n_max, dtype=float)
     return p * (1.0 - lam**2) * lam ** (2 * m) + (1.0 - p) * (1.0 - mu**2) * mu ** (2 * m)
 
@@ -128,7 +130,7 @@ def conditional_entropy_photon_counting(p: float, lam: float, mu: float, n_max: 
     state is pure and the result is exactly zero.
     """
     WernerParams(p, lam, mu)
-    _check_cutoff(n_max)
+    _check_cutoff(n_max, 1)
     if mu == 0.0 or p == 1.0:
         return 0.0
     closed = _conditional_entropy_closed(p, lam, mu, n_max)
@@ -141,29 +143,13 @@ def conditional_entropy_photon_counting(p: float, lam: float, mu: float, n_max: 
     return closed
 
 
-def _check_cutoff(n_max):
-    if n_max < 1:
-        raise ValueError(f"cutoff n_max={n_max} outside [1, inf)")
-
-
 def _check_square_size(n_max):
-    _check_cutoff(n_max)
+    _check_cutoff(n_max, 1)
     if n_max > MAX_TWO_MODE_DIM:
         raise ValueError(
             f"cutoff n_max={n_max} exceeds the limit {MAX_TWO_MODE_DIM} "
             f"on dense n_max x n_max tables"
         )
-
-
-def correlated_block(p: float, lam: float, mu: float, n_max: int) -> np.ndarray:
-    """The n_max x n_max matrix whose eigenvalues are the non-analytic part
-    of the global spectrum."""
-    WernerParams(p, lam, mu)
-    _check_square_size(n_max)
-    c, v, d = _block_terms(p, lam, mu, n_max)
-    block = c * np.outer(v, v)
-    block[np.diag_indices(n_max)] += d
-    return block
 
 
 def _block_terms(p, lam, mu, n_max):
@@ -173,7 +159,7 @@ def _block_terms(p, lam, mu, n_max):
 
 
 def _block_spectrum(p, lam, mu, n_max):
-    """Spectrum of ``correlated_block`` (unordered) and the number k of
+    """Spectrum of the correlated block (unordered) and the number k of
     directions diagonalized numerically, without forming the block.
 
     The block is ``diag(d) + z z^T`` with ``d_m = (1-p)(1-mu^2)^2 mu^(4m)``
@@ -245,16 +231,6 @@ def global_entropy(p: float, lam: float, mu: float, n_max: int) -> float:
     return float(branch_entropy) + von_neumann_entropy(f)
 
 
-def joint_photon_distribution(p: float, lam: float, mu: float, n_max: int) -> np.ndarray:
-    """Photon-count statistics p(m, n) of the Werner state, in closed form."""
-    WernerParams(p, lam, mu)
-    _check_square_size(n_max)
-    entry, diag = _count_table(p, lam, mu, n_max)
-    table = sliding_window_view(entry, n_max).copy()
-    table[np.diag_indices(n_max)] += diag
-    return table
-
-
 def _count_table(p, lam, mu, n_max):
     # The one formula of the Werner photon-count table: off the diagonal
     # p(m, n) = entry[m + n] = (1-p)(1-mu^2)^2 mu^(2(m+n)), so row m is
@@ -266,7 +242,7 @@ def _count_table(p, lam, mu, n_max):
 
 
 def _joint_photon_entropy(p, lam, mu, n_max):
-    # H(p_AB) of joint_photon_distribution without building it.
+    # H(p_AB) of the photon-count table without building it.
     entry, diag = _count_table(p, lam, mu, n_max)
     return antidiagonal_entropy(entry, entry[::2] + diag)
 
@@ -394,9 +370,3 @@ def upper_bound_dense(state: TwoModeState) -> float:
     s_b = von_neumann_entropy(_diagonal_marginal(state))
     s_g = von_neumann_entropy(eig_spectrum(state))
     return s_b - s_g + conditional_entropy_dense(state)
-
-
-def mid_dense(state: TwoModeState) -> float:
-    """Matrix-based measurement-induced disturbance H(p_AB) - S(rho)."""
-    joint = np.real(state._diagonal())
-    return shannon_entropy(joint) - von_neumann_entropy(eig_spectrum(state))

@@ -11,9 +11,10 @@ state, so the conditional entropy vanishes and the discord is the entropy
 difference S(rho_B) - S(rho).  The ameliorated measurement-induced
 disturbance and the relative entropy of quantumness coincide with it.
 
-Every closed form here has a truncated-matrix twin (``*_numeric``) used as
-an independent oracle.  The reduced spectrum is the ``mu = 0`` case of
-:func:`cvwerner.bounds.reduced_spectrum`.
+The discord has a truncated-matrix twin, :func:`discord_numeric`, used as
+an independent oracle by the acceptance battery; the twins of the two
+entropies live with the tests.  The reduced spectrum is the ``mu = 0``
+case of :func:`cvwerner.bounds.reduced_spectrum`.
 """
 
 from __future__ import annotations
@@ -87,18 +88,6 @@ def discord_report(p: float, lam: float) -> DiscordReport:
 def vacuum_werner(p: float, lam: float, n_max=None) -> TwoModeState:
     """The truncated matrix itself (mu = 0 Werner state)."""
     return states.werner(states.WernerParams(p, lam, 0.0), n_max)
-
-
-def global_entropy_numeric(p, lam, n_max=None) -> float:
-    """Truncated-matrix oracle for :func:`global_entropy`."""
-    rho = vacuum_werner(p, lam, n_max)
-    return von_neumann_entropy(eig_spectrum(rho))
-
-
-def reduced_entropy_numeric(p, lam, n_max=None) -> float:
-    """Truncated-matrix oracle for :func:`reduced_entropy`."""
-    rho = vacuum_werner(p, lam, n_max)
-    return von_neumann_entropy(eig_spectrum(partial_trace(rho, "A")))
 
 
 def discord_numeric(p, lam, n_max=None) -> float:

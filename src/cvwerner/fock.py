@@ -99,11 +99,21 @@ def _dense(dim, rows, cols, values):
     return m
 
 
+def _check_cutoff(n_max, least):
+    """Raise ``ValueError`` unless the cutoff ``n_max`` is an integer of at
+    least ``least``.  Python and numpy integers pass; a float, NaN or whole,
+    does not."""
+    if not isinstance(n_max, (int, np.integer)):
+        raise ValueError(f"cutoff n_max={n_max} outside the integers")
+    if n_max < least:
+        raise ValueError(f"cutoff n_max={n_max} outside [{least}, inf)")
+
+
 def check_two_mode_cutoff(n_max: int) -> None:
-    """Raise ``ValueError`` unless ``2 <= n_max`` and ``n_max^2 <= MAX_TWO_MODE_DIM``;
-    dense two-mode builders call it before they allocate."""
-    if n_max < 2:
-        raise ValueError("n_max must be at least 2")
+    """Raise ``ValueError`` unless ``n_max`` is an integer with ``2 <= n_max``
+    and ``n_max^2 <= MAX_TWO_MODE_DIM``; dense two-mode builders call it
+    before they allocate."""
+    _check_cutoff(n_max, 2)
     dim = n_max**2
     if dim > MAX_TWO_MODE_DIM:
         raise ValueError(
@@ -120,8 +130,7 @@ class OneModeState:
     matrix: np.ndarray
 
     def __post_init__(self):
-        if self.n_max < 1:
-            raise ValueError("n_max must be positive")
+        _check_cutoff(self.n_max, 1)
         entries = _dense_entries(self.matrix, self.n_max)
         object.__setattr__(self, "matrix", _dense(self.n_max, *entries))
 
@@ -205,10 +214,11 @@ def _validate_state(state):
 
 
 def xlogx(x) -> np.ndarray:
-    """Elementwise ``x ln x`` with ``0 ln 0 = 0``; entries ``<= 0`` give 0."""
+    """Elementwise ``x ln x`` with ``0 ln 0 = 0``; entries ``<= 0`` give 0
+    and NaN entries NaN."""
     x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(x > 0.0, x * np.log(np.where(x > 0.0, x, 1.0)), 0.0)
+        return np.where(x <= 0.0, 0.0, x * np.log(np.where(x > 0.0, x, 1.0)))
 
 
 def _finite_entries(values, name):
@@ -257,7 +267,10 @@ def antidiagonal_entropy(entry, diag) -> float:
     anti-diagonal ``s = m + n`` (length ``2n - 1``), and ``diag[m]`` is the
     entry at ``(m, m)`` (length ``n``).  Anti-diagonal ``s`` holds
     ``min(s, 2(n-1) - s) + 1`` entries, one of which is diagonal when ``s``
-    is even, so the sum takes O(n) time and memory."""
+    is even, so the sum takes O(n) time and memory.  A NaN or infinite
+    entry raises ``InvalidSpectrumError``."""
+    entry = _finite_entries(entry, "probability")
+    diag = _finite_entries(diag, "probability")
     n = len(diag)
     s = np.arange(2 * n - 1, dtype=float)
     even = 1.0 - s % 2.0

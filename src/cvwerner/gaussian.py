@@ -26,8 +26,9 @@ real, phase-free and even in x and in y.  The grid and its size limit are
 those of :func:`quadrature_grid`, but only one angular node of each
 reflection class is evaluated, weighted by the class size: about
 ``n/4 + 1`` of ``n`` angular nodes when ``n`` is even, ``(n + 1)/2`` when
-it is odd.  :func:`conditional_params` and :func:`weight_densities` keep
-the complex outcome algebra as the tested reference.
+it is odd.  The complex outcome algebra, kept as the reference for this
+real integrand, and a Monte-Carlo estimate of the conditional entropy live
+with the tests.
 """
 
 from __future__ import annotations
@@ -87,16 +88,6 @@ HETERODYNE = GaussianPovm(0.0, 0.0)
 
 
 @dataclass(frozen=True)
-class ConditionalParams:
-    """Parameters of the post-measurement pure component on the unmeasured mode."""
-
-    s: float
-    beta: complex
-    z_plus: float
-    z_minus: float
-
-
-@dataclass(frozen=True)
 class QuadratureGrid:
     """Polar Gauss-Legendre nodes in the squeezed outcome frame."""
 
@@ -126,21 +117,6 @@ def _conditional_squeezing(lam: float, t: float):
     return s, z_plus, z_minus
 
 
-def conditional_params(lam: float, povm: GaussianPovm, alpha: complex) -> ConditionalParams:
-    """Squeezing ``s`` and displacement ``beta`` of the conditional pure state.
-
-    Detecting ``|alpha, xi>`` on one mode of the two-mode squeezed vacuum
-    leaves the other in ``|beta, s exp(-2i phi)>``.  ``alpha`` may be an
-    array of outcomes; ``beta`` then has its shape.
-    """
-    s, z_plus, z_minus = _conditional_squeezing(lam, povm.t)
-    beta = 0.5 * _sinh2r(lam) * (
-        (z_plus + z_minus) * np.conj(alpha)
-        + (z_plus - z_minus) * np.exp(-2j * povm.phi) * alpha
-    )
-    return ConditionalParams(s, beta, z_plus, z_minus)
-
-
 def _frame_rates(lam: float, t: float):
     """Gaussian decay rates of u and v in the squeezed (x, y) frame.
 
@@ -168,27 +144,6 @@ def _log_densities(lam, t, x2, y2):
     logu = logpref_u - ru_x * x2 - ru_y * y2
     logv = -log_cosh_t - rv * (x2 + y2)
     return logu, logv
-
-
-def weight_densities(p: float, lam: float, povm: GaussianPovm, alpha):
-    """Outcome weight densities (u, v, q) at complex outcome(s) ``alpha``.
-
-    ``u`` weights the squeezed component, ``v = |<0|alpha, xi>|^2`` the
-    vacuum component, and ``q = (p u + (1 - p) v) / pi`` is the outcome
-    probability density, normalized over the complex plane.  The result
-    keeps the precision of ``alpha`` and ``povm.phi`` (``np.clongdouble``
-    and ``np.longdouble`` give extended precision).
-    """
-    alpha = np.asarray(alpha)
-    g = 0.5 * povm.t
-    w = np.exp(-1j * povm.phi) * alpha
-    x = w.real / math.exp(g)
-    y = w.imag * math.exp(g)
-    logu, logv = _log_densities(lam, povm.t, x**2, y**2)
-    u = np.exp(logu)
-    v = np.exp(logv)
-    q = (p * u + (1.0 - p) * v) / math.pi
-    return u, v, q
 
 
 def _mixture_spectrum(zeta1, overlap_sq):
@@ -353,38 +308,6 @@ def conditional_entropy(
             f"r_max={grid.r_max:.3g}, nodes={grid.radial_nodes.size}x{grid.angular_nodes.size}"
         )
     return value
-
-
-def conditional_entropy_mc(
-    p: float,
-    lam: float,
-    povm: GaussianPovm,
-    n_samples: int = 200_000,
-    seed: int = 0,
-):
-    """Monte-Carlo oracle for :func:`conditional_entropy`.
-
-    Samples outcomes from the two-component Gaussian mixture and averages
-    the conditional entropy; returns (mean, standard error).  The standard
-    error needs ``n_samples >= 2``.
-    """
-    _check_count("n_samples", n_samples, 2)
-    rng = np.random.default_rng(seed)
-    t = povm.t
-    ru_x, ru_y, rv = _frame_rates(lam, t)
-    pick_u = rng.random(n_samples) < p
-    x = np.where(
-        pick_u,
-        rng.normal(0.0, 1.0 / math.sqrt(2.0 * ru_x), n_samples),
-        rng.normal(0.0, 1.0 / math.sqrt(2.0 * rv), n_samples),
-    )
-    y = np.where(
-        pick_u,
-        rng.normal(0.0, 1.0 / math.sqrt(2.0 * ru_y), n_samples),
-        rng.normal(0.0, 1.0 / math.sqrt(2.0 * rv), n_samples),
-    )
-    entropy, _ = _conditional_entropy_terms(p, lam, t, x**2, y**2)
-    return float(entropy.mean()), float(entropy.std(ddof=1) / math.sqrt(n_samples))
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0

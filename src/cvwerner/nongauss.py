@@ -19,33 +19,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import exact, gaussian
 from .states import WernerParams, check_unit
 
 EULER_GAMMA = 0.57721566490153286061
-
-
-def covariance_cs(p: float, lam: float):
-    """Diagonal C and correlation S entries of the covariance matrix."""
-    WernerParams(p, lam)
-    c2r = (1.0 + lam**2) / (1.0 - lam**2)
-    s2r = 2.0 * lam / (1.0 - lam**2)
-    return p * c2r + (1.0 - p), p * s2r
-
-
-def covariance_matrix(p: float, lam: float) -> np.ndarray:
-    """4x4 covariance matrix of the vacuum Werner state (vacuum variance 1)."""
-    c, s = covariance_cs(p, lam)
-    return np.array(
-        [
-            [c, 0.0, s, 0.0],
-            [0.0, c, 0.0, -s],
-            [s, 0.0, c, 0.0],
-            [0.0, -s, 0.0, c],
-        ]
-    )
 
 
 def symplectic_eigenvalue(p: float, lam: float) -> float:

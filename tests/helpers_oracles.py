@@ -1,0 +1,174 @@
+"""Reference implementations that only the tests call.
+
+Each one is a second route to a quantity the package computes another way:
+the complex outcome algebra and a Monte-Carlo average for the Gaussian
+conditional entropy, dense photon-count tables and matrices for the
+photon-counting bounds, the covariance matrix behind the symplectic
+eigenvalue, and truncated-matrix entropies of the vacuum Werner state.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+from cvwerner.bounds import _block_terms, _check_square_size, _count_table
+from cvwerner.exact import vacuum_werner
+from cvwerner.fock import (
+    TwoModeState,
+    eig_spectrum,
+    partial_trace,
+    shannon_entropy,
+    von_neumann_entropy,
+)
+from cvwerner.gaussian import (
+    GaussianPovm,
+    _check_count,
+    _conditional_entropy_terms,
+    _conditional_squeezing,
+    _frame_rates,
+    _log_densities,
+    _sinh2r,
+)
+from cvwerner.states import WernerParams
+
+
+@dataclass(frozen=True)
+class ConditionalParams:
+    """Parameters of the post-measurement pure component on the unmeasured mode."""
+
+    s: float
+    beta: complex
+    z_plus: float
+    z_minus: float
+
+
+def conditional_params(lam: float, povm: GaussianPovm, alpha: complex) -> ConditionalParams:
+    """Squeezing ``s`` and displacement ``beta`` of the conditional pure state.
+
+    Detecting ``|alpha, xi>`` on one mode of the two-mode squeezed vacuum
+    leaves the other in ``|beta, s exp(-2i phi)>``.  ``alpha`` may be an
+    array of outcomes; ``beta`` then has its shape.
+    """
+    s, z_plus, z_minus = _conditional_squeezing(lam, povm.t)
+    beta = 0.5 * _sinh2r(lam) * (
+        (z_plus + z_minus) * np.conj(alpha)
+        + (z_plus - z_minus) * np.exp(-2j * povm.phi) * alpha
+    )
+    return ConditionalParams(s, beta, z_plus, z_minus)
+
+
+def weight_densities(p: float, lam: float, povm: GaussianPovm, alpha):
+    """Outcome weight densities (u, v, q) at complex outcome(s) ``alpha``.
+
+    ``u`` weights the squeezed component, ``v = |<0|alpha, xi>|^2`` the
+    vacuum component, and ``q = (p u + (1 - p) v) / pi`` is the outcome
+    probability density, normalized over the complex plane.  The result
+    keeps the precision of ``alpha`` and ``povm.phi`` (``np.clongdouble``
+    and ``np.longdouble`` give extended precision).
+    """
+    alpha = np.asarray(alpha)
+    g = 0.5 * povm.t
+    w = np.exp(-1j * povm.phi) * alpha
+    x = w.real / math.exp(g)
+    y = w.imag * math.exp(g)
+    logu, logv = _log_densities(lam, povm.t, x**2, y**2)
+    u = np.exp(logu)
+    v = np.exp(logv)
+    q = (p * u + (1.0 - p) * v) / math.pi
+    return u, v, q
+
+
+def conditional_entropy_mc(
+    p: float,
+    lam: float,
+    povm: GaussianPovm,
+    n_samples: int = 200_000,
+    seed: int = 0,
+):
+    """Monte-Carlo oracle for :func:`conditional_entropy`.
+
+    Samples outcomes from the two-component Gaussian mixture and averages
+    the conditional entropy; returns (mean, standard error).  The standard
+    error needs ``n_samples >= 2``.
+    """
+    _check_count("n_samples", n_samples, 2)
+    rng = np.random.default_rng(seed)
+    t = povm.t
+    ru_x, ru_y, rv = _frame_rates(lam, t)
+    pick_u = rng.random(n_samples) < p
+    x = np.where(
+        pick_u,
+        rng.normal(0.0, 1.0 / math.sqrt(2.0 * ru_x), n_samples),
+        rng.normal(0.0, 1.0 / math.sqrt(2.0 * rv), n_samples),
+    )
+    y = np.where(
+        pick_u,
+        rng.normal(0.0, 1.0 / math.sqrt(2.0 * ru_y), n_samples),
+        rng.normal(0.0, 1.0 / math.sqrt(2.0 * rv), n_samples),
+    )
+    entropy, _ = _conditional_entropy_terms(p, lam, t, x**2, y**2)
+    return float(entropy.mean()), float(entropy.std(ddof=1) / math.sqrt(n_samples))
+
+
+def correlated_block(p: float, lam: float, mu: float, n_max: int) -> np.ndarray:
+    """The n_max x n_max matrix whose eigenvalues are the non-analytic part
+    of the global spectrum."""
+    WernerParams(p, lam, mu)
+    _check_square_size(n_max)
+    c, v, d = _block_terms(p, lam, mu, n_max)
+    block = c * np.outer(v, v)
+    block[np.diag_indices(n_max)] += d
+    return block
+
+
+def joint_photon_distribution(p: float, lam: float, mu: float, n_max: int) -> np.ndarray:
+    """Photon-count statistics p(m, n) of the Werner state, in closed form."""
+    WernerParams(p, lam, mu)
+    _check_square_size(n_max)
+    entry, diag = _count_table(p, lam, mu, n_max)
+    table = sliding_window_view(entry, n_max).copy()
+    table[np.diag_indices(n_max)] += diag
+    return table
+
+
+def mid_dense(state: TwoModeState) -> float:
+    """Matrix-based measurement-induced disturbance H(p_AB) - S(rho)."""
+    joint = np.real(state._diagonal())
+    return shannon_entropy(joint) - von_neumann_entropy(eig_spectrum(state))
+
+
+def covariance_cs(p: float, lam: float):
+    """Diagonal C and correlation S entries of the covariance matrix."""
+    WernerParams(p, lam)
+    c2r = (1.0 + lam**2) / (1.0 - lam**2)
+    s2r = 2.0 * lam / (1.0 - lam**2)
+    return p * c2r + (1.0 - p), p * s2r
+
+
+def covariance_matrix(p: float, lam: float) -> np.ndarray:
+    """4x4 covariance matrix of the vacuum Werner state (vacuum variance 1)."""
+    c, s = covariance_cs(p, lam)
+    return np.array(
+        [
+            [c, 0.0, s, 0.0],
+            [0.0, c, 0.0, -s],
+            [s, 0.0, c, 0.0],
+            [0.0, -s, 0.0, c],
+        ]
+    )
+
+
+def global_entropy_numeric(p, lam, n_max=None) -> float:
+    """Truncated-matrix oracle for :func:`global_entropy`."""
+    rho = vacuum_werner(p, lam, n_max)
+    return von_neumann_entropy(eig_spectrum(rho))
+
+
+def reduced_entropy_numeric(p, lam, n_max=None) -> float:
+    """Truncated-matrix oracle for :func:`reduced_entropy`."""
+    rho = vacuum_werner(p, lam, n_max)
+    return von_neumann_entropy(eig_spectrum(partial_trace(rho, "A")))

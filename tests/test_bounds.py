@@ -16,6 +16,7 @@ from cvwerner.fock import (
     xlogx,
 )
 from cvwerner.states import WernerParams, choose_cutoff, thermal_entropy, werner
+from helpers_oracles import correlated_block, joint_photon_distribution, mid_dense
 
 
 def _cutoff(p, lam, mu, eps=1e-12):
@@ -56,7 +57,7 @@ def test_conditional_entropy_closed_vs_direct_and_shannon_identity():
     direct = bounds._conditional_entropy_direct(p, lam, mu, n)
     assert h == pytest.approx(direct, abs=1e-10)
     # third route: H(p_AB) - H(p_B)
-    joint = bounds.joint_photon_distribution(p, lam, mu, n)
+    joint = joint_photon_distribution(p, lam, mu, n)
     identity = shannon_entropy(joint) - shannon_entropy(bounds.reduced_spectrum(p, lam, mu, n))
     assert h == pytest.approx(identity, abs=1e-8)
 
@@ -150,8 +151,9 @@ def test_bounds_report_fields_follow_from_the_entropies(p, lam, mu, n):
 
 
 def test_mid_flags_bad_truncation():
-    # A report runs all its identity checks; at (0.5, 0.0, 0.3) only
-    # closed-form vs direct conditional entropy fails.
+    # A report runs all its identity checks.  At (0.5, 0.0, 0.3) both fail:
+    # closed-form - direct conditional entropy is +4.1e-6 and MID - U is
+    # -4.2e-6; the direct check raises because it runs first.
     for point in ((0.5, 0.8, 0.8), (0.5, 0.0, 0.3)):
         with pytest.raises(TruncationError):
             _report(*point, 6)
@@ -199,15 +201,11 @@ def test_dense_routes_agree_with_series():
     rho = werner(params, n)
     rep = bounds.bounds_report(params, n)
     assert bounds.upper_bound_dense(rho) == pytest.approx(rep.upper, abs=1e-8)
-    assert bounds.mid_dense(rho) == pytest.approx(rep.mid, abs=1e-8)
+    assert mid_dense(rho) == pytest.approx(rep.mid, abs=1e-8)
 
 
 def test_bounds_report_evaluates_each_entropy_once(monkeypatch):
-    calls = {
-        "global_entropy": 0,
-        "conditional_entropy_photon_counting": 0,
-        "joint_photon_distribution": 0,
-    }
+    calls = {"global_entropy": 0, "conditional_entropy_photon_counting": 0}
     for name in calls:
         original = getattr(bounds, name)
 
@@ -217,14 +215,7 @@ def test_bounds_report_evaluates_each_entropy_once(monkeypatch):
 
         monkeypatch.setattr(bounds, name, counted)
     rep = bounds.bounds_report(WernerParams(0.5, 0.8, 0.8))
-    # A report builds no photon-count table: H(p_AB) is summed by
-    # anti-diagonals, and the direct conditional-entropy oracle builds the
-    # table's rows a block at a time.
-    assert calls == {
-        "global_entropy": 1,
-        "conditional_entropy_photon_counting": 1,
-        "joint_photon_distribution": 0,
-    }
+    assert calls == {"global_entropy": 1, "conditional_entropy_photon_counting": 1}
     assert rep.mid == pytest.approx(rep.upper, abs=1e-8)
 
 
@@ -235,7 +226,7 @@ def test_bounds_report_evaluates_each_entropy_once(monkeypatch):
 )
 def test_joint_entropy_by_antidiagonals_matches_table(p, lam, mu, n):
     n = n or _cutoff(p, lam, mu)
-    table = shannon_entropy(bounds.joint_photon_distribution(p, lam, mu, n))
+    table = shannon_entropy(joint_photon_distribution(p, lam, mu, n))
     assert abs(bounds._joint_photon_entropy(p, lam, mu, n) - table) < 1e-14
 
 
@@ -265,9 +256,6 @@ def test_cutoff_above_dense_limit_raises_before_allocating():
     try:
         with pytest.raises(ValueError, match=f"limit {MAX_TWO_MODE_DIM}"):
             bounds.bounds_report(WernerParams(0.5, 0.9999, 0.5))
-        for build in (bounds.correlated_block, bounds.joint_photon_distribution):
-            with pytest.raises(ValueError, match=f"limit {MAX_TWO_MODE_DIM}"):
-                build(0.5, 0.5, 0.5, MAX_TWO_MODE_DIM + 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -284,7 +272,7 @@ def test_cutoff_above_dense_limit_raises_before_allocating():
 def test_deflated_block_spectrum_matches_dense_eigvalsh(p, lam, mu, n):
     n = n or _cutoff(p, lam, mu)
     assert n <= 1500
-    block = bounds.correlated_block(p, lam, mu, n)
+    block = correlated_block(p, lam, mu, n)
     dense = np.linalg.eigvalsh(block)
     spectrum, k = bounds._block_spectrum(p, lam, mu, n)
     assert spectrum.shape == (n,)
@@ -303,12 +291,8 @@ def test_deflation_keeps_few_survivors(p, lam, mu, k):
     assert abs(survivors - k) <= 2
 
 
-def test_bounds_report_runs_in_bounded_memory(monkeypatch):
+def test_bounds_report_runs_in_bounded_memory():
     # Cutoff 2757: one n_max x n_max array would take 61 MB.
-    def no_block(*args):
-        raise AssertionError("correlated_block called")
-
-    monkeypatch.setattr(bounds, "correlated_block", no_block)
     params = WernerParams(0.5, 0.995, 0.5)
     assert choose_cutoff(params, 1e-12) == 2757
     tracemalloc.start()
@@ -327,6 +311,6 @@ def test_row_blocked_direct_matches_full_table():
     assert n > 2 * bounds.ROW_BLOCK
     g = bounds.reduced_spectrum(p, lam, mu, n)
     keep = g > bounds.WEIGHT_FLOOR
-    eta = bounds.joint_photon_distribution(p, lam, mu, n)[keep] / g[keep, None]
+    eta = joint_photon_distribution(p, lam, mu, n)[keep] / g[keep, None]
     full = float((g[keep] * -(xlogx(eta).sum(axis=1))).sum())
     assert abs(bounds._conditional_entropy_direct(p, lam, mu, n) - full) < 1e-14

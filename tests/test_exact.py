@@ -4,6 +4,7 @@ import pytest
 from cvwerner import bounds, exact
 from cvwerner.fock import eig_spectrum, partial_trace, von_neumann_entropy
 from cvwerner.states import WernerParams, thermal_entropy, werner
+from helpers_oracles import global_entropy_numeric, reduced_entropy_numeric
 
 # frozen oracle values at p = lam = 0.5 (direct series / eigensolver)
 S_GLOBAL_55 = 0.24577536666847116
@@ -23,7 +24,7 @@ def test_global_entropy_frozen_point():
 def test_global_entropy_matches_matrix_oracle():
     for p, lam in ((0.3, 0.2), (0.5, 0.5), (0.8, 0.6)):
         assert exact.global_entropy(p, lam) == pytest.approx(
-            exact.global_entropy_numeric(p, lam), abs=1e-9
+            global_entropy_numeric(p, lam), abs=1e-9
         )
 
 
@@ -35,7 +36,7 @@ def test_reduced_entropy_closed_form():
     series = von_neumann_entropy(bounds.reduced_spectrum(0.5, 0.5, 0.0, 300))
     assert exact.reduced_entropy(0.5, 0.5) == pytest.approx(series, abs=1e-12)
     assert exact.reduced_entropy(0.5, 0.5) == pytest.approx(
-        exact.reduced_entropy_numeric(0.5, 0.5), abs=1e-9
+        reduced_entropy_numeric(0.5, 0.5), abs=1e-9
     )
 
 

@@ -58,11 +58,31 @@ def test_entropy_rejects_real_negatives():
         (shannon_entropy, [np.nan, 0.5], "probability entry nan at 0 is not finite"),
         (shannon_entropy, [np.inf], "probability entry inf at 0 is not finite"),
         (shannon_entropy, [0.5, -np.inf], "probability entry -inf at 1 is not finite"),
+        (
+            lambda v: fock.antidiagonal_entropy(v, [0.5, np.nan]),
+            [np.nan, 0.1, 0.1],
+            "probability entry nan at 0 is not finite",
+        ),
+        (
+            lambda v: fock.antidiagonal_entropy([0.1, 0.1, 0.1], v),
+            [0.5, np.inf],
+            "probability entry inf at 1 is not finite",
+        ),
     ],
 )
 def test_entropies_reject_non_finite_entries(entropy, values, message):
     with pytest.raises(InvalidSpectrumError, match=re.escape(message)):
         entropy(values)
+
+
+def test_xlogx_keeps_nan_and_no_other_bit():
+    x = np.array([np.nan, -np.inf, -1.0, -0.0, 0.0, 5e-324, 1e-300, 0.5, 1.0, 7.0, np.inf])
+    got = fock.xlogx(x)
+    assert np.isnan(got[0])
+    # Apart from NaN, bit for bit the formula that sends NaN to 0.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        before = np.where(x > 0.0, x * np.log(np.where(x > 0.0, x, 1.0)), 0.0)
+    assert np.array_equal(got[1:].view(np.int64), before[1:].view(np.int64))
 
 
 def test_shannon_trivial():

@@ -14,13 +14,11 @@ from cvwerner.gaussian import (
     QuadratureError,
     _mixture_spectrum,
     conditional_entropy,
-    conditional_entropy_mc,
-    conditional_params,
     gaussian_discord,
     outcome_norm,
     quadrature_grid,
-    weight_densities,
 )
+from helpers_oracles import conditional_entropy_mc, conditional_params, weight_densities
 
 
 def test_povm_validation():

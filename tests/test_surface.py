@@ -2,14 +2,17 @@
 CLI, listed in full, so that adding or removing one is a visible change to
 this file."""
 
+import ast
 import importlib
 import inspect
+from pathlib import Path
 
+import cvwerner
 from cvwerner import cli
 
 MODULES = ("fock", "states", "exact", "gaussian", "nongauss", "bounds", "ppt", "acceptance")
 
-# Public functions and methods of each module, 81 in all.
+# Public functions and methods of each module, 71 in all.
 PUBLIC = {
     "fock": (
         "OneModeState.trace", "OneModeState.validate", "TwoModeState.trace",
@@ -23,22 +26,18 @@ PUBLIC = {
     ),
     "exact": (
         "classical_mutual_information", "discord", "discord_numeric", "discord_report",
-        "eigenvalue_pair", "global_entropy", "global_entropy_numeric", "joint_photon_distribution",
-        "quantumness_indicators", "reduced_entropy", "reduced_entropy_numeric", "vacuum_werner",
+        "eigenvalue_pair", "global_entropy", "joint_photon_distribution", "quantumness_indicators",
+        "reduced_entropy", "vacuum_werner",
     ),
-    "gaussian": (
-        "conditional_entropy", "conditional_entropy_mc", "conditional_params", "gaussian_discord",
-        "outcome_norm", "quadrature_grid", "weight_densities",
-    ),
+    "gaussian": ("conditional_entropy", "gaussian_discord", "outcome_norm", "quadrature_grid"),
     "nongauss": (
-        "covariance_cs", "covariance_matrix", "discord_gap", "gap_approx", "gaussian_state_entropy",
-        "low_squeezing_ratio", "nongaussianity", "nongaussianity_approx", "symplectic_eigenvalue",
+        "discord_gap", "gap_approx", "gaussian_state_entropy", "low_squeezing_ratio",
+        "nongaussianity", "nongaussianity_approx", "symplectic_eigenvalue",
     ),
     "bounds": (
         "bounds_report", "conditional_entropy_dense", "conditional_entropy_photon_counting",
-        "correlated_block", "discord_is_positive", "global_entropy", "joint_photon_distribution",
-        "marginal_entropy", "mid_dense", "p_ppt", "p_separable", "reduced_spectrum",
-        "separability_region", "upper_bound_dense",
+        "discord_is_positive", "global_entropy", "marginal_entropy", "p_ppt", "p_separable",
+        "reduced_spectrum", "separability_region", "upper_bound_dense",
     ),
     "ppt": (
         "bounds", "closed_form_spectrum", "global_entropy", "norm_const", "reduced_entropy",
@@ -52,7 +51,7 @@ PUBLIC = {
     ),
 }
 
-# Defaulted parameters of the public functions and methods, 27 in all.
+# Defaulted parameters of the public functions and methods, 23 in all.
 SETTABLE = {
     "fock.partial_trace": ("mode",),
     "fock.partial_transpose": ("mode",),
@@ -61,13 +60,10 @@ SETTABLE = {
     "states.werner": ("n_max",),
     "states.ppt_werner": ("n_max",),
     "exact.vacuum_werner": ("n_max",),
-    "exact.global_entropy_numeric": ("n_max",),
-    "exact.reduced_entropy_numeric": ("n_max",),
     "exact.discord_numeric": ("n_max",),
     "exact.quantumness_indicators": ("n_max",),
     "gaussian.quadrature_grid": ("n_radial", "n_angular"),
     "gaussian.conditional_entropy": ("n_radial", "n_angular", "eps_int"),
-    "gaussian.conditional_entropy_mc": ("n_samples", "seed"),
     "gaussian.gaussian_discord": ("eps_int",),
     "nongauss.discord_gap": ("eps_int",),
     "bounds.bounds_report": ("n_max", "eps_tail"),
@@ -108,7 +104,7 @@ def test_public_functions_of_the_package():
         module = importlib.import_module(f"cvwerner.{mod_name}")
         found[mod_name] = tuple(sorted(name for name, _ in _public_functions(module)))
     assert found == PUBLIC
-    assert sum(map(len, found.values())) == 81
+    assert sum(map(len, found.values())) == 71
 
 
 def test_settable_values_of_the_package():
@@ -121,7 +117,7 @@ def test_settable_values_of_the_package():
             if defaulted:
                 found[f"{mod_name}.{name}"] = defaulted
     assert found == SETTABLE
-    assert sum(map(len, found.values())) == 27
+    assert sum(map(len, found.values())) == 23
 
 
 def test_settable_values_of_the_cli():
@@ -133,3 +129,102 @@ def test_settable_values_of_the_cli():
     }
     assert found == FLAGS
     assert sum(map(len, found.values())) == 24
+
+
+ROOT = Path(__file__).resolve().parents[1]
+# Where a public function must be called from; the tests do not count.
+CALLER_DIRS = ("src/cvwerner", "demos", "perfbench")
+PACKAGE_MODULES = set(MODULES) | {"cli"}
+
+
+def _scopes(tree, own):
+    """Each top-level statement, or method of a top-level class, with the
+    qualified name of the package function it defines (None elsewhere)."""
+    for node in tree.body:
+        if own and isinstance(node, ast.ClassDef):
+            for item in node.body:
+                method = isinstance(item, ast.FunctionDef)
+                yield item, f"{own}.{node.name}.{item.name}" if method else None
+        elif own and isinstance(node, ast.FunctionDef):
+            yield node, f"{own}.{node.name}"
+        else:
+            yield node, None
+
+
+def _references(path):
+    """(target, enclosing) for each name or attribute read in one file.
+
+    ``target`` is ``"module.name"`` when the reference resolves to a package
+    module: a bare name defined in or imported into the file, or an
+    attribute of a name or attribute spelled like a package module.  Any
+    other attribute gives ``"*.name"``, a candidate method.  ``enclosing``
+    is the package function whose body holds the reference, or None.
+    """
+    tree = ast.parse(path.read_text())
+    own = path.stem if path.parent.name == "cvwerner" else None
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            source = node.module.split(".")[-1]
+            if source in PACKAGE_MODULES and (node.level or node.module.startswith("cvwerner")):
+                for alias in node.names:
+                    names[alias.asname or alias.name] = f"{source}.{alias.name}"
+    if own:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names[node.name] = f"{own}.{node.name}"
+    for scope, enclosing in _scopes(tree, own):
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Name) and node.id in names:
+                yield names[node.id], enclosing
+            elif isinstance(node, ast.Attribute):
+                owner = getattr(node.value, "id", None) or getattr(node.value, "attr", None)
+                yield f"{owner if owner in PACKAGE_MODULES else '*'}.{node.attr}", enclosing
+
+
+def test_every_public_function_has_a_caller_or_is_exported():
+    # A function is live when code outside every package function (module
+    # level, demos, perfbench) reads it, when a live function reads it, or
+    # when cvwerner.__all__ exports it or its class.  A live attribute read
+    # ``*.m`` makes every method m live, and a live class its dunder methods.
+    live, edges = set(), {}
+    for mod_name in MODULES:
+        module = importlib.import_module(f"cvwerner.{mod_name}")
+        live |= {
+            f"{mod_name}.{name}" for name in cvwerner.__all__
+            if getattr(module, name, None) is getattr(cvwerner, name)
+        }
+    exported = set(live)
+    for top in CALLER_DIRS:
+        for path in sorted((ROOT / top).glob("*.py")):
+            for target, where in _references(path):
+                if where is None:
+                    live.add(target)
+                elif where != target:
+                    edges.setdefault(where, set()).add(target)
+    frontier = list(live)
+    while frontier:
+        node = frontier.pop()
+        scope, _, name = node.rpartition(".")
+        reached = set(edges.get(node, ()))
+        for where in edges:
+            owner, _, method = where.rpartition(".")
+            if (scope == "*" and method == name and owner.count(".") == 1) or (
+                owner == node and method.startswith("__")
+            ):
+                reached.add(where)
+        frontier += reached - live
+        live |= reached
+    missing = []
+    for mod_name in MODULES:
+        module = importlib.import_module(f"cvwerner.{mod_name}")
+        for name, _ in _public_functions(module):
+            owner, _, method = name.rpartition(".")
+            qualified = f"{mod_name}.{name}"
+            if owner:
+                found = {qualified, f"*.{method}"} & live or f"{mod_name}.{owner}" in exported
+            else:
+                found = qualified in live
+            if not found:
+                missing.append(qualified)
+    assert missing == []
