@@ -27,7 +27,7 @@ from .fock import (
     shannon_entropy,
     von_neumann_entropy,
 )
-from .gaussian import GaussianPovm, gaussian_discord
+from .gaussian import gaussian_discord
 from .nongauss import discord_gap, nongaussianity
 from .states import (
     WernerParams,
@@ -42,7 +42,6 @@ __all__ = [
     "OneModeState",
     "TwoModeState",
     "WernerParams",
-    "GaussianPovm",
     "bounds",
     "choose_cutoff",
     "discord_gap",

@@ -90,8 +90,8 @@ def _m_gaussian_discord(p, lam, eps_int=gaussian.EPS_INT):
     results = {
         "gaussian_discord": res.value,
         "conditional_entropy_min": res.conditional_entropy,
-        "t_opt": res.povm.t,
-        "phi_opt": res.povm.phi,
+        "t_opt": res.t,
+        "phi_opt": 0.0,  # no conditional entropy depends on the measurement phase
         "discord": d,
         "gap": res.value - d,
     }

@@ -85,14 +85,9 @@ def discord_report(p: float, lam: float) -> DiscordReport:
     return DiscordReport(p, lam, nu1, nu2, s_global, s_reduced, s_reduced - s_global)
 
 
-def vacuum_werner(p: float, lam: float, n_max=None) -> TwoModeState:
-    """The truncated matrix itself (mu = 0 Werner state)."""
-    return states.werner(states.WernerParams(p, lam, 0.0), n_max)
-
-
 def discord_numeric(p, lam, n_max=None) -> float:
     """Truncated-matrix oracle for :func:`discord` (one state build)."""
-    rho = vacuum_werner(p, lam, n_max)
+    rho = states.werner(states.WernerParams(p, lam, 0.0), n_max)
     s_b = von_neumann_entropy(eig_spectrum(partial_trace(rho, "A")))
     return s_b - von_neumann_entropy(eig_spectrum(rho))
 
@@ -122,7 +117,7 @@ def quantumness_indicators(p: float, lam: float, n_max=None):
     Shannon entropy minus the global entropy.  For this family all three
     coincide.
     """
-    rho = vacuum_werner(p, lam, n_max)
+    rho = states.werner(states.WernerParams(p, lam, 0.0), n_max)
     s_global = von_neumann_entropy(eig_spectrum(rho))
     s_a = von_neumann_entropy(eig_spectrum(partial_trace(rho, "B")))
     s_b = von_neumann_entropy(eig_spectrum(partial_trace(rho, "A")))

@@ -1,12 +1,14 @@
 """Gaussian measurements on the vacuum Werner state.
 
 A rank-1 Gaussian POVM ``Pi(alpha) = |alpha, xi><alpha, xi| / pi`` with
-``xi = t exp(2i phi)`` is applied to one mode; ``t = 0`` is heterodyne and
-``t -> infinity`` homodyne detection (handled at the proxy
-``HOMODYNE_T = 12``, where ``exp(-2t) < 4e-11``).  Conditioned on the outcome
-``alpha`` the other mode is left in a two-component mixture of a displaced
-squeezed state and the vacuum, whose entropy has a closed form; only the
-average over outcomes needs quadrature.
+``xi = t exp(2i phi)`` is applied to one mode.  The functions here take
+the measurement as its squeezing ``t`` in [0, 300] alone, because the
+phase drops out (see below); ``t = 0`` is heterodyne and ``t -> infinity``
+homodyne detection (handled at the proxy ``HOMODYNE_T = 12``, where
+``exp(-2t) < 4e-11``).  Conditioned on the outcome ``alpha`` the other
+mode is left in a two-component mixture of a displaced squeezed state and
+the vacuum, whose entropy has a closed form; only the average over
+outcomes needs quadrature.
 
 The outcome density stretches like ``exp(t)`` along one quadrature, so the
 integral is taken in area-preserving squeezed coordinates
@@ -18,11 +20,12 @@ are evaluated in cancellation-free forms (no ``1 - tanh(t)`` subtractions).
 The conditional entropy does not depend on ``phi``: the Werner state is
 invariant under opposite phase rotations of its two modes, and such a
 rotation turns the measurement at phase ``phi`` into the one at phase 0
-without changing any conditional entropy.  The optimizer therefore scans
-``t`` alone.  The quadrature uses the same invariance: in the (x, y) frame
-the log-weights of both components and the log-overlap between them are
-linear in ``x^2`` and ``y^2``, with no trace of ``phi``, so the integrand is
-real, phase-free and even in x and in y.  The grid and its size limit are
+without changing any conditional entropy.  So the measurement is its
+squeezing ``t``, and the optimizer scans ``t`` alone.  The quadrature uses
+the same invariance: in the (x, y) frame the log-weights of both
+components and the log-overlap between them are linear in ``x^2`` and
+``y^2``, with no trace of ``phi``, so the integrand is real, phase-free
+and even in x and in y.  The grid and its size limit are
 those of :func:`quadrature_grid`, but only one angular node of each
 reflection class is evaluated, weighted by the class size: about
 ``n/4 + 1`` of ``n`` angular nodes when ``n`` is even, ``(n + 1)/2`` when
@@ -43,6 +46,7 @@ from . import exact
 from .fock import xlogx
 from .states import WernerParams, check_tolerance
 
+HETERODYNE = 0.0
 HOMODYNE_T = 12.0
 _T_CAP = 300.0  # exp(2t) must stay finite
 # Envelope mass the quadrature grid may leave outside its radius.
@@ -68,23 +72,6 @@ class QuadratureError(ValueError):
 
 class OptimizationError(RuntimeError):
     """The measurement optimizer did not produce a usable minimum."""
-
-
-@dataclass(frozen=True)
-class GaussianPovm:
-    """Measurement squeezing ``t >= 0`` and phase ``phi`` in [0, pi)."""
-
-    t: float
-    phi: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.t <= _T_CAP:
-            raise ValueError(f"t={self.t} outside [0, {_T_CAP}]")
-        if not 0.0 <= self.phi < math.pi:
-            raise ValueError(f"phi={self.phi} outside [0, pi)")
-
-
-HETERODYNE = GaussianPovm(0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -209,13 +196,16 @@ def _check_count(name, value, least):
         raise ValueError(f"{name}={value} must be at least {least}")
 
 
-def _check_node_counts(n_radial, n_angular):
+def _check_measurement(t, n_radial, n_angular):
+    # The measurement squeezing t and the node counts; NaN is rejected.
+    if not 0.0 <= t <= _T_CAP:
+        raise ValueError(f"t={t} outside [0, {_T_CAP}]")
     _check_count("n_radial", n_radial, 1)
     _check_count("n_angular", n_angular, 1)
 
 
 def quadrature_grid(
-    lam: float, povm: GaussianPovm, n_radial: int = N_RADIAL, n_angular: int = N_ANGULAR
+    lam: float, t: float, n_radial: int = N_RADIAL, n_angular: int = N_ANGULAR
 ) -> QuadratureGrid:
     """Polar grid sized so the Gaussian envelope tail mass stays below
     ``TAIL_EPS``.
@@ -223,12 +213,12 @@ def quadrature_grid(
     Node counts grow with the anisotropy of the outcome density (which
     stretches like 1/(1 - lam^2) at strong squeezing) so that the requested
     counts act as a base resolution: doubling them doubles the grid in any
-    regime.  Above ``MAX_GRID_NODES`` nodes, or with a requested count
-    below 1, it raises ``ValueError``.
+    regime.  Above ``MAX_GRID_NODES`` nodes, with a requested count below
+    1, or with ``t`` outside [0, 300], it raises ``ValueError``.
     """
-    _check_node_counts(n_radial, n_angular)
-    n_rad, n_ang = _node_counts(lam, povm.t, n_radial, n_angular)
-    rates = _frame_rates(lam, povm.t)
+    _check_measurement(t, n_radial, n_angular)
+    n_rad, n_ang = _node_counts(lam, t, n_radial, n_angular)
+    rates = _frame_rates(lam, t)
     c_min = min(rates)
     r_max = math.sqrt((math.log(1.0 / TAIL_EPS) + 3.0) / c_min)
     xg, wg = _leggauss(n_rad)
@@ -254,7 +244,7 @@ def _angular_fold(n):
     return np.unique(np.min(images, axis=0), return_counts=True)
 
 
-def _integrate(p, lam, povm, grid):
+def _integrate(p, lam, t, grid):
     """Integrals of q S and of q over the grid.
 
     The integrand depends on x^2 and y^2 only, so one angular node per
@@ -267,22 +257,22 @@ def _integrate(p, lam, povm, grid):
     # y^2, to the bit, as on the whole grid: near a flat minimum in t the
     # optimizer's comparisons turn on the last bits of the integral.
     entropy, q = _conditional_entropy_terms(
-        p, lam, povm.t, (r * np.cos(theta)) ** 2, (r * np.sin(theta)) ** 2
+        p, lam, t, (r * np.cos(theta)) ** 2, (r * np.sin(theta)) ** 2
     )
     angular_weights = grid.angular_weights[rep] * size
     weights = (grid.radial_weights * grid.radial_nodes)[:, None] * angular_weights
     return float((weights * q * entropy).sum()), float((weights * q).sum())
 
 
-def outcome_norm(p: float, lam: float, povm: GaussianPovm) -> float:
+def outcome_norm(p: float, lam: float, t: float) -> float:
     """Integral of the outcome density over the default grid (should be 1)."""
-    return _integrate(p, lam, povm, quadrature_grid(lam, povm))[1]
+    return _integrate(p, lam, t, quadrature_grid(lam, t))[1]
 
 
 def conditional_entropy(
     p: float,
     lam: float,
-    povm: GaussianPovm,
+    t: float,
     n_radial: int = N_RADIAL,
     n_angular: int = N_ANGULAR,
     eps_int: float = EPS_INT,
@@ -292,19 +282,20 @@ def conditional_entropy(
     Refuses with diagnostics when the grid fails to reproduce the outcome
     normalization within ``eps_int``.  At p = 0 or 1 every conditional
     state is pure, and it returns 0 without building a grid, so the node
-    limit does not apply there.  Node counts below 1 raise ``ValueError``.
+    limit does not apply there.  Node counts below 1, and a measurement
+    squeezing ``t`` outside [0, 300], raise ``ValueError`` there too.
     """
     WernerParams(p, lam)
     check_tolerance("eps_int", eps_int)
-    _check_node_counts(n_radial, n_angular)
+    _check_measurement(t, n_radial, n_angular)
     if p == 0.0 or p == 1.0:
         return 0.0
-    grid = quadrature_grid(lam, povm, n_radial, n_angular)
-    value, norm = _integrate(p, lam, povm, grid)
+    grid = quadrature_grid(lam, t, n_radial, n_angular)
+    value, norm = _integrate(p, lam, t, grid)
     if abs(norm - 1.0) > eps_int:
         raise QuadratureError(
             f"outcome density integrates to {norm!r} (defect {norm - 1.0:.3e} "
-            f"> eps_int={eps_int:g}) at lam={lam}, t={povm.t}, phi={povm.phi}, "
+            f"> eps_int={eps_int:g}) at lam={lam}, t={t}, "
             f"r_max={grid.r_max:.3g}, nodes={grid.radial_nodes.size}x{grid.angular_nodes.size}"
         )
     return value
@@ -341,32 +332,37 @@ def _golden_section(f, a, b, tol):
 
 @dataclass(frozen=True)
 class GaussianDiscordResult:
+    """Gaussian discord ``value``, the least ``conditional_entropy`` over
+    the scanned measurements, the measurement squeezing ``t`` that attains
+    it, and the number of conditional-entropy ``evaluations`` spent."""
+
     value: float
     conditional_entropy: float
-    povm: GaussianPovm
+    t: float
     evaluations: int
 
 
 def gaussian_discord(p: float, lam: float, eps_int: float = EPS_INT) -> GaussianDiscordResult:
     """Discord restricted to Gaussian measurements, with its minimizer.
 
-    Minimizes the conditional entropy over a grid in t of spacing
-    ``COARSE_STEP``, then refines t by golden section.  The phase stays at
-    phi = 0: the state is invariant under opposite phase rotations of its
-    two modes, so the conditional entropy does not depend on phi.  The upper end
+    Minimizes the conditional entropy over the measurement squeezing t, on
+    a grid of spacing ``COARSE_STEP``, then refines t by golden section.
+    No phase is scanned: the state is invariant under opposite phase
+    rotations of its two modes, so the conditional entropy of the
+    measurement ``xi = t exp(2i phi)`` does not depend on phi.  The upper end
     ``HOMODYNE_T`` stands in for the homodyne limit.  At strong squeezing
     (``lam`` above about 0.7) the scan finds heterodyne ``t = 0`` rather
     than homodyne to be the Gaussian-optimal measurement.
     """
     base = exact.reduced_entropy(p, lam) - exact.global_entropy(p, lam)
     if p == 0.0 or p == 1.0:
-        return GaussianDiscordResult(base, 0.0, GaussianPovm(0.0, 0.0), 0)
+        return GaussianDiscordResult(base, 0.0, 0.0, 0)
     _node_counts(lam, HOMODYNE_T, N_RADIAL, N_ANGULAR)  # the grid grows with t
 
     trace = []
 
     def objective(t):
-        val = conditional_entropy(p, lam, GaussianPovm(t), eps_int=eps_int)
+        val = conditional_entropy(p, lam, t, eps_int=eps_int)
         trace.append((t, val))
         return val
 
@@ -381,6 +377,4 @@ def gaussian_discord(p: float, lam: float, eps_int: float = EPS_INT) -> Gaussian
             f"conditional-entropy minimization failed (min {h_min!r}); "
             f"iterates: {trace[-20:]}"
         )
-    return GaussianDiscordResult(
-        base + h_min, h_min, GaussianPovm(t_opt), len(trace)
-    )
+    return GaussianDiscordResult(base + h_min, h_min, t_opt, len(trace))

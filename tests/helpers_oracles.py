@@ -16,7 +16,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from cvwerner.bounds import _block_terms, _check_square_size, _count_table
-from cvwerner.exact import vacuum_werner
 from cvwerner.fock import (
     TwoModeState,
     eig_spectrum,
@@ -25,7 +24,6 @@ from cvwerner.fock import (
     von_neumann_entropy,
 )
 from cvwerner.gaussian import (
-    GaussianPovm,
     _check_count,
     _conditional_entropy_terms,
     _conditional_squeezing,
@@ -33,7 +31,7 @@ from cvwerner.gaussian import (
     _log_densities,
     _sinh2r,
 )
-from cvwerner.states import WernerParams
+from cvwerner.states import WernerParams, werner
 
 
 @dataclass(frozen=True)
@@ -46,36 +44,37 @@ class ConditionalParams:
     z_minus: float
 
 
-def conditional_params(lam: float, povm: GaussianPovm, alpha: complex) -> ConditionalParams:
+def conditional_params(lam: float, t: float, phi: float, alpha: complex) -> ConditionalParams:
     """Squeezing ``s`` and displacement ``beta`` of the conditional pure state.
 
-    Detecting ``|alpha, xi>`` on one mode of the two-mode squeezed vacuum
-    leaves the other in ``|beta, s exp(-2i phi)>``.  ``alpha`` may be an
-    array of outcomes; ``beta`` then has its shape.
+    Detecting ``|alpha, xi>``, ``xi = t exp(2i phi)``, on one mode of the
+    two-mode squeezed vacuum leaves the other in ``|beta, s exp(-2i phi)>``.
+    ``alpha`` may be an array of outcomes; ``beta`` then has its shape.
     """
-    s, z_plus, z_minus = _conditional_squeezing(lam, povm.t)
+    s, z_plus, z_minus = _conditional_squeezing(lam, t)
     beta = 0.5 * _sinh2r(lam) * (
         (z_plus + z_minus) * np.conj(alpha)
-        + (z_plus - z_minus) * np.exp(-2j * povm.phi) * alpha
+        + (z_plus - z_minus) * np.exp(-2j * phi) * alpha
     )
     return ConditionalParams(s, beta, z_plus, z_minus)
 
 
-def weight_densities(p: float, lam: float, povm: GaussianPovm, alpha):
-    """Outcome weight densities (u, v, q) at complex outcome(s) ``alpha``.
+def weight_densities(p: float, lam: float, t: float, phi: float, alpha):
+    """Outcome weight densities (u, v, q) at complex outcome(s) ``alpha`` of
+    the measurement ``xi = t exp(2i phi)``.
 
     ``u`` weights the squeezed component, ``v = |<0|alpha, xi>|^2`` the
     vacuum component, and ``q = (p u + (1 - p) v) / pi`` is the outcome
     probability density, normalized over the complex plane.  The result
-    keeps the precision of ``alpha`` and ``povm.phi`` (``np.clongdouble``
-    and ``np.longdouble`` give extended precision).
+    keeps the precision of ``alpha`` and ``phi`` (``np.clongdouble`` and
+    ``np.longdouble`` give extended precision).
     """
     alpha = np.asarray(alpha)
-    g = 0.5 * povm.t
-    w = np.exp(-1j * povm.phi) * alpha
+    g = 0.5 * t
+    w = np.exp(-1j * phi) * alpha
     x = w.real / math.exp(g)
     y = w.imag * math.exp(g)
-    logu, logv = _log_densities(lam, povm.t, x**2, y**2)
+    logu, logv = _log_densities(lam, t, x**2, y**2)
     u = np.exp(logu)
     v = np.exp(logv)
     q = (p * u + (1.0 - p) * v) / math.pi
@@ -85,7 +84,7 @@ def weight_densities(p: float, lam: float, povm: GaussianPovm, alpha):
 def conditional_entropy_mc(
     p: float,
     lam: float,
-    povm: GaussianPovm,
+    t: float,
     n_samples: int = 200_000,
     seed: int = 0,
 ):
@@ -97,7 +96,6 @@ def conditional_entropy_mc(
     """
     _check_count("n_samples", n_samples, 2)
     rng = np.random.default_rng(seed)
-    t = povm.t
     ru_x, ru_y, rv = _frame_rates(lam, t)
     pick_u = rng.random(n_samples) < p
     x = np.where(
@@ -164,11 +162,11 @@ def covariance_matrix(p: float, lam: float) -> np.ndarray:
 
 def global_entropy_numeric(p, lam, n_max=None) -> float:
     """Truncated-matrix oracle for :func:`global_entropy`."""
-    rho = vacuum_werner(p, lam, n_max)
+    rho = werner(WernerParams(p, lam, 0.0), n_max)
     return von_neumann_entropy(eig_spectrum(rho))
 
 
 def reduced_entropy_numeric(p, lam, n_max=None) -> float:
     """Truncated-matrix oracle for :func:`reduced_entropy`."""
-    rho = vacuum_werner(p, lam, n_max)
+    rho = werner(WernerParams(p, lam, 0.0), n_max)
     return von_neumann_entropy(eig_spectrum(partial_trace(rho, "A")))

@@ -88,7 +88,7 @@ def test_classical_mutual_information_product_state():
 def test_classical_mutual_information_saturates_reduced_entropy():
     # photon counting on the vacuum Werner state: I(p_AB) = S(rho_B)
     p, lam = 0.6, 0.5
-    rho = exact.vacuum_werner(p, lam)
+    rho = werner(WernerParams(p, lam, 0.0))
     s_b = von_neumann_entropy(eig_spectrum(partial_trace(rho, "A")))
     assert exact.classical_mutual_information(rho) == pytest.approx(s_b, abs=1e-10)
 

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,6 @@ from cvwerner.fock import xlogx
 from cvwerner.gaussian import (
     HOMODYNE_T,
     MAX_GRID_NODES,
-    GaussianPovm,
     QuadratureError,
     _mixture_spectrum,
     conditional_entropy,
@@ -21,11 +21,17 @@ from cvwerner.gaussian import (
 from helpers_oracles import conditional_entropy_mc, conditional_params, weight_densities
 
 
-def test_povm_validation():
-    with pytest.raises(ValueError):
-        GaussianPovm(-0.1, 0.0)
-    with pytest.raises(ValueError):
-        GaussianPovm(1.0, 3.5)
+@pytest.mark.parametrize("t", [-0.1, 301, math.nan])
+@pytest.mark.parametrize("call", ["quadrature", "pure", "grid"])
+def test_measurement_squeezing_range(call, t):
+    # No grid is built at p = 0, but t is still checked.
+    calls = {
+        "quadrature": lambda: conditional_entropy(0.5, 0.5, t),
+        "pure": lambda: conditional_entropy(0.0, 0.5, t),
+        "grid": lambda: quadrature_grid(0.5, t),
+    }
+    with pytest.raises(ValueError, match=re.escape(f"t={t} outside [0, 300.0]")):
+        calls[call]()
 
 
 def test_mixture_spectrum_trivial_cases():
@@ -56,21 +62,21 @@ def test_mixture_spectrum_matches_gram_construction():
 
 def test_conditional_params_trivial():
     # no squeezing in the state: conditional state is the vacuum
-    cp = conditional_params(0.0, GaussianPovm(1.3, 0.4), 0.7 + 0.2j)
+    cp = conditional_params(0.0, 1.3, 0.4, 0.7 + 0.2j)
     assert cp.s == pytest.approx(0.0, abs=1e-15)
     assert abs(cp.beta) == pytest.approx(0.0, abs=1e-15)
     # heterodyne leaves a coherent state for any squeezing
-    cp = conditional_params(0.6, GaussianPovm(0.0, 0.0), 1.0)
+    cp = conditional_params(0.6, 0.0, 0.0, 1.0)
     assert cp.s == pytest.approx(0.0, abs=1e-15)
     # beta is linear in alpha
-    cp = conditional_params(0.6, GaussianPovm(2.0, 0.3), 0.0)
+    cp = conditional_params(0.6, 2.0, 0.3, 0.0)
     assert cp.beta == 0.0
 
 
 def test_conditional_params_heterodyne_displacement():
     # heterodyne on the squeezed vacuum leaves |lam * conj(alpha)>
     lam, alpha = 0.45, 0.8 - 0.3j
-    cp = conditional_params(lam, GaussianPovm(0.0, 0.0), alpha)
+    cp = conditional_params(lam, 0.0, 0.0, alpha)
     assert cp.beta == pytest.approx(lam * np.conj(alpha), abs=1e-14)
 
 
@@ -81,7 +87,7 @@ def test_conditional_state_matches_fock_oracle():
     rng = np.random.default_rng(2)
     for t, phi in ((0.0, 0.0), (1.2, 0.7), (0.5, 2.0)):
         alpha = complex(rng.normal(0, 1), rng.normal(0, 1))
-        cp = conditional_params(lam, GaussianPovm(t, phi), alpha)
+        cp = conditional_params(lam, t, phi, alpha)
         psi = oracle.povm_state(alpha, t, phi, n)
         w = oracle.tmsv_amplitudes(lam, n) * np.conj(psi)
         w = w / np.linalg.norm(w)
@@ -92,9 +98,8 @@ def test_conditional_state_matches_fock_oracle():
 
 def test_weight_densities_heterodyne_closed_forms():
     lam = 0.5
-    povm = GaussianPovm(0.0, 0.0)
     for alpha in (0.3, 1.0 - 0.7j, -2.0 + 0.1j):
-        u, v, q = weight_densities(0.5, lam, povm, alpha)
+        u, v, q = weight_densities(0.5, lam, 0.0, 0.0, alpha)
         assert u == pytest.approx((1 - lam**2) * np.exp(-(1 - lam**2) * abs(alpha) ** 2), rel=1e-12)
         assert v == pytest.approx(np.exp(-abs(alpha) ** 2), rel=1e-12)
         assert q == pytest.approx((0.5 * u + 0.5 * v) / np.pi, rel=1e-14)
@@ -102,7 +107,7 @@ def test_weight_densities_heterodyne_closed_forms():
 
 def test_weight_densities_vacuum_overlap_at_origin():
     for t in (0.5, 2.0, 5.0):
-        _, v, _ = weight_densities(0.5, 0.5, GaussianPovm(t, 0.9), 0.0)
+        _, v, _ = weight_densities(0.5, 0.5, t, 0.9, 0.0)
         assert v == pytest.approx(1.0 / np.cosh(t), rel=1e-12)
 
 
@@ -113,7 +118,7 @@ def test_weight_densities_match_fock_oracle():
     rng = np.random.default_rng(4)
     for t, phi, n in ((0.0, 0.0, 90), (1.0, 0.0, 150), (2.0, 0.4, 420), (0.5, 1.1, 100)):
         alpha = complex(rng.normal(0, 1.2), rng.normal(0, 1.2))
-        u, v, _ = weight_densities(0.5, lam, GaussianPovm(t, phi), alpha)
+        u, v, _ = weight_densities(0.5, lam, t, phi, alpha)
         u_ref, v_ref = oracle.measured_weights(lam, alpha, t, phi, n)
         assert u == pytest.approx(u_ref, rel=1e-9)
         assert v == pytest.approx(v_ref, rel=1e-9)
@@ -121,20 +126,19 @@ def test_weight_densities_match_fock_oracle():
 
 def test_mixture_weights_sum_to_one():
     p, lam = 0.35, 0.55
-    povm = GaussianPovm(1.5, 0.6)
     rng = np.random.default_rng(9)
     alphas = rng.normal(0, 2, 20) + 1j * rng.normal(0, 2, 20)
-    u, v, q = weight_densities(p, lam, povm, alphas)
+    u, v, q = weight_densities(p, lam, 1.5, 0.6, alphas)
     zeta1 = p * u / (np.pi * q)
     zeta2 = (1 - p) * v / (np.pi * q)
     assert np.max(np.abs(zeta1 + zeta2 - 1.0)) < 1e-12
 
 
 def test_conditional_entropy_pure_limits():
-    assert conditional_entropy(1.0, 0.5, GaussianPovm(1.0, 0.0)) == 0.0
-    assert conditional_entropy(0.0, 0.5, GaussianPovm(1.0, 0.0)) == 0.0
+    assert conditional_entropy(1.0, 0.5, 1.0) == 0.0
+    assert conditional_entropy(0.0, 0.5, 1.0) == 0.0
     for p in (0.0, 1.0):
-        assert conditional_entropy_mc(p, 0.5, GaussianPovm(1.0, 0.4), n_samples=1000) == (0.0, 0.0)
+        assert conditional_entropy_mc(p, 0.5, 1.0, n_samples=1000) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize(
@@ -180,9 +184,10 @@ def test_conditional_entropy_integrand_matches_fock_oracle():
             assert entropy[0] == pytest.approx(oracle.entropy(sigma), abs=1e-9)
 
 
-def _unfolded_complex_integrals(p, lam, povm, grid):
-    """Integrals of q S and of q over every node of ``grid``, from the complex
-    outcome algebra of ``weight_densities`` and ``conditional_params``.
+def _unfolded_complex_integrals(p, lam, t, phi, grid):
+    """Integrals of q S and of q over every node of ``grid``, for the
+    measurement ``xi = t exp(2i phi)``, from the complex outcome algebra of
+    ``weight_densities`` and ``conditional_params``.
 
     Evaluated in extended precision: at t = 12 the outcomes reach
     ``|alpha| ~ 1e5``, and rotating them by ``phi`` in double precision
@@ -190,16 +195,16 @@ def _unfolded_complex_integrals(p, lam, povm, grid):
     up to 3e-13.
     """
     ext = np.longdouble
-    povm = GaussianPovm(povm.t, ext(povm.phi))
+    phi = ext(phi)
     r = grid.radial_nodes.astype(ext)[:, None]
     theta = grid.angular_nodes.astype(ext)[None, :]
-    g = ext(povm.t) / 2
+    g = ext(t) / 2
     x, y = r * np.cos(theta), r * np.sin(theta)
-    alpha = np.exp(1j * povm.phi) * (np.exp(g) * x + 1j * np.exp(-g) * y)
-    u, v, q = weight_densities(p, lam, povm, alpha)
-    cp = conditional_params(lam, povm, alpha)
+    alpha = np.exp(1j * phi) * (np.exp(g) * x + 1j * np.exp(-g) * y)
+    u, v, q = weight_densities(p, lam, t, phi, alpha)
+    cp = conditional_params(lam, t, phi, alpha)
     overlap_sq = np.exp(
-        -np.abs(cp.beta) ** 2 + np.tanh(ext(cp.s)) * np.real(np.exp(2j * povm.phi) * cp.beta**2)
+        -np.abs(cp.beta) ** 2 + np.tanh(ext(cp.s)) * np.real(np.exp(2j * phi) * cp.beta**2)
     ) / np.cosh(ext(cp.s))
     nu_plus, nu_minus = _mixture_spectrum(p * u / (p * u + (1 - p) * v), overlap_sq)
     entropy = -xlogx(nu_plus) - xlogx(nu_minus)
@@ -207,9 +212,12 @@ def _unfolded_complex_integrals(p, lam, povm, grid):
     return float((weights * q * entropy).sum()), float((weights * q).sum())
 
 
-@pytest.mark.skipif(
+needs_longdouble = pytest.mark.skipif(
     np.finfo(np.longdouble).eps > 1e-18, reason="needs extended-precision longdouble"
 )
+
+
+@needs_longdouble
 @pytest.mark.parametrize("n_angular", [64, 66, 65])  # n_ang % 4 == 0, n_ang % 4 == 2, odd
 @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
 def test_folded_integral_matches_unfolded_complex_sum(p, n_angular):
@@ -217,12 +225,11 @@ def test_folded_integral_matches_unfolded_complex_sum(p, n_angular):
     # the whole grid under the complex algebra, at a phase phi != 0
     for lam in (0.0, 0.5, 0.98):
         for t in (0.0, 2.0, HOMODYNE_T):
-            povm = GaussianPovm(t, 0.9)
-            grid = quadrature_grid(lam, povm, n_angular=n_angular)
+            grid = quadrature_grid(lam, t, n_angular=n_angular)
             if lam < 0.9:
                 assert grid.angular_nodes.size == n_angular
-            value, norm = gaussian._integrate(p, lam, povm, grid)
-            ref_value, ref_norm = _unfolded_complex_integrals(p, lam, povm, grid)
+            value, norm = gaussian._integrate(p, lam, t, grid)
+            ref_value, ref_norm = _unfolded_complex_integrals(p, lam, t, 0.9, grid)
             assert norm == pytest.approx(ref_norm, rel=1e-13, abs=0.0), (lam, t)
             assert value == pytest.approx(ref_value, rel=1e-13, abs=0.0), (lam, t)
 
@@ -231,49 +238,44 @@ def test_outcome_norm_across_regimes():
     for p in (0.0, 0.5, 1.0):
         for lam in (0.05, 0.5, 0.9):
             for t in (0.0, 2.0, gaussian.HOMODYNE_T):
-                norm = outcome_norm(p, lam, GaussianPovm(t, 0.0))
+                norm = outcome_norm(p, lam, t)
                 assert abs(norm - 1.0) < 1e-7
 
 
 def test_conditional_entropy_matches_monte_carlo():
     for t in (2.0, gaussian.HOMODYNE_T):
-        povm = GaussianPovm(t, 0.0)
-        value = conditional_entropy(0.5, 0.5, povm)
-        mc, se = conditional_entropy_mc(0.5, 0.5, povm, n_samples=150_000, seed=42)
+        value = conditional_entropy(0.5, 0.5, t)
+        mc, se = conditional_entropy_mc(0.5, 0.5, t, n_samples=150_000, seed=42)
         assert abs(value - mc) < 3.0 * se
 
 
+@needs_longdouble
 def test_conditional_entropy_phase_independent():
-    # gaussian_discord scans t at phi = 0 only, relying on this invariance
+    # conditional_entropy takes no phase; the complex algebra, which does,
+    # must give its value at phi != 0 on the same grid
     for p in (0.25, 0.75):
         for lam in (0.1, 0.5, 0.9):
             for t in (0.0, 2.0, gaussian.HOMODYNE_T):
-                vals = [
-                    conditional_entropy(p, lam, GaussianPovm(t, phi))
-                    for phi in (0.0, math.pi / 4, math.pi / 2)
-                ]
-                assert max(vals) - min(vals) < 1e-10, (p, lam, t)
+                value = conditional_entropy(p, lam, t)
+                for phi in (math.pi / 4, math.pi / 2):
+                    ref, _ = _unfolded_complex_integrals(p, lam, t, phi, quadrature_grid(lam, t))
+                    assert value == pytest.approx(ref, rel=1e-13, abs=0.0), (p, lam, t, phi)
 
 
 def test_conditional_entropy_quadrature_refinement():
-    povm = GaussianPovm(2.0, 0.0)
-    h1 = conditional_entropy(0.5, 0.5, povm, n_radial=80, n_angular=64)
-    h2 = conditional_entropy(0.5, 0.5, povm, n_radial=160, n_angular=128)
+    h1 = conditional_entropy(0.5, 0.5, 2.0, n_radial=80, n_angular=64)
+    h2 = conditional_entropy(0.5, 0.5, 2.0, n_radial=160, n_angular=128)
     assert abs(h1 - h2) < 1e-6
 
 
 def test_conditional_entropy_monotone_ladder():
-    povm_vals = [
-        conditional_entropy(0.5, 0.5, GaussianPovm(t, 0.0))
-        for t in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 12.0)
-    ]
-    assert all(b <= a + 1e-9 for a, b in zip(povm_vals, povm_vals[1:]))
+    vals = [conditional_entropy(0.5, 0.5, t) for t in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 12.0)]
+    assert all(b <= a + 1e-9 for a, b in zip(vals, vals[1:]))
 
 
 def test_quadrature_norm_check_refuses_bad_grid():
-    povm = GaussianPovm(0.0, 0.0)
     with pytest.raises(QuadratureError):
-        conditional_entropy(0.5, 0.5, povm, n_radial=3, n_angular=2)
+        conditional_entropy(0.5, 0.5, 0.0, n_radial=3, n_angular=2)
 
 
 def test_gaussian_discord_trivial_points():
@@ -294,9 +296,9 @@ def test_gaussian_discord_evaluates_each_t_once(monkeypatch):
     seen = []
     real = gaussian.conditional_entropy
 
-    def recording(p, lam, povm, **kwargs):
-        seen.append(povm.t)
-        return real(p, lam, povm, **kwargs)
+    def recording(p, lam, t, **kwargs):
+        seen.append(t)
+        return real(p, lam, t, **kwargs)
 
     monkeypatch.setattr(gaussian, "conditional_entropy", recording)
     res = gaussian_discord(0.5, 0.5)
@@ -307,7 +309,7 @@ def test_gaussian_discord_strictly_above_discord():
     res = gaussian_discord(0.5, 0.5)
     assert res.value - exact.discord(0.5, 0.5) > 1e-3
     assert res.conditional_entropy == pytest.approx(0.19129774, abs=1e-6)
-    assert res.povm.t > 11.0  # homodyne proxy wins at moderate squeezing
+    assert res.t > 11.0  # homodyne proxy wins at moderate squeezing
 
 
 def test_gaussian_discord_dominates_exact_discord_on_grid():
@@ -320,16 +322,16 @@ def test_gaussian_discord_dominates_exact_discord_on_grid():
 def test_gaussian_discord_heterodyne_optimal_at_strong_squeezing():
     # above lam ~ 0.7 the scan favors t = 0 within the Gaussian family
     res = gaussian_discord(0.5, 0.9)
-    assert res.povm.t == pytest.approx(0.0, abs=1e-3)
+    assert res.t == pytest.approx(0.0, abs=1e-3)
     assert res.value > exact.discord(0.5, 0.9)
 
 
 def test_grid_node_limit():
     # The grid at HOMODYNE_T grows with lam: 983 x 983 nodes at 0.9993, 1062 x 1062 at 0.9994.
-    grid = quadrature_grid(0.9993, GaussianPovm(HOMODYNE_T))
+    grid = quadrature_grid(0.9993, HOMODYNE_T)
     assert grid.radial_nodes.size * grid.angular_nodes.size <= MAX_GRID_NODES
     with pytest.raises(ValueError, match=f"1062x1062 quadrature grid, above the limit {MAX_GRID_NODES}"):
-        quadrature_grid(0.9994, GaussianPovm(HOMODYNE_T))
+        quadrature_grid(0.9994, HOMODYNE_T)
 
 
 def test_grid_above_node_limit_raises_before_allocating():

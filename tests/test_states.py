@@ -116,6 +116,12 @@ _ENTRY_POINTS["werner-n_max"] = (lambda v: werner(WernerParams(0.5, 0.5, 0.5), v
 _ENTRY_POINTS["ppt_werner-n_max"] = (lambda v: ppt_werner(0.5, v), _BAD_CUTOFF)
 _ENTRY_POINTS["tmsv-n_max"] = (lambda v: tmsv(0.5, v), _BAD_CUTOFF)
 _ENTRY_POINTS["OneModeState-n_max"] = (lambda v: OneModeState(v, np.eye(1)), _BAD_CUTOFF)
+# These check the cutoff before np.arange would round or drop it.
+_ENTRY_POINTS["thermal-n_max"] = (lambda v: thermal(0.5, v), _BAD_CUTOFF)
+_ENTRY_POINTS["tmsv_vector-n_max"] = (lambda v: tmsv_vector(0.5, v), _BAD_CUTOFF)
+_ENTRY_POINTS["ppt.closed_form_spectrum-n_max"] = (
+    lambda v: ppt.closed_form_spectrum(0.5, v), _BAD_CUTOFF
+)
 
 
 _ENTRY_POINTS.update(
@@ -150,7 +156,7 @@ _TOLERANCE_ENTRY_POINTS = {
     "choose_cutoff-eps_tail": lambda v: choose_cutoff(WernerParams(0.5, 0.5, 0.5), v),
     # At this coarse grid the default eps_int raises QuadratureError (defect 7.1e-2).
     "gaussian.conditional_entropy-eps_int": lambda v: gaussian.conditional_entropy(
-        0.5, 0.5, gaussian.GaussianPovm(2.0), n_radial=4, n_angular=4, eps_int=v
+        0.5, 0.5, 2.0, n_radial=4, n_angular=4, eps_int=v
     ),
     "ppt.reduced_entropy-tol": lambda v: ppt.reduced_entropy(0.5, v),
     "ppt.bounds-tol": lambda v: ppt.bounds(0.5, v),
@@ -172,12 +178,11 @@ def test_tolerance_check_rejects_non_positive_and_non_finite(entry, value):
         lambda: ppt_werner(0.5, 131),
         lambda: werner(WernerParams(0.5, 0.5, 0.5), 131),
         lambda: tmsv(0.5, 131),
-        lambda: exact.vacuum_werner(0.5, 0.5, 131),
         # lam = 0.9 picks cutoff 132, dimension 17424.
         lambda: exact.discord_numeric(0.5, 0.9),
         lambda: exact.quantumness_indicators(0.5, 0.9),
     ],
-    ids=["ppt_werner", "werner", "tmsv", "vacuum_werner", "discord_numeric", "quantumness_indicators"],
+    ids=["ppt_werner", "werner", "tmsv", "discord_numeric", "quantumness_indicators"],
 )
 def test_dense_builders_raise_before_allocating(build):
     # One dense matrix of dimension 17161 would take 2.4 GB.

@@ -1,8 +1,9 @@
-"""The public functions, the settable values of the public API and of the
-CLI, listed in full, so that adding or removing one is a visible change to
-this file."""
+"""The public classes and functions, the settable values of the public API
+and of the CLI, listed in full, so that adding or removing one is a visible
+change to this file."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 from pathlib import Path
@@ -12,7 +13,19 @@ from cvwerner import cli
 
 MODULES = ("fock", "states", "exact", "gaussian", "nongauss", "bounds", "ppt", "acceptance")
 
-# Public functions and methods of each module, 71 in all.
+# Public classes of each module, 16 in all.
+CLASSES = {
+    "fock": ("InvalidSpectrumError", "NonHermitianError", "OneModeState", "TwoModeState"),
+    "states": ("WernerParams",),
+    "exact": ("DiscordReport",),
+    "gaussian": ("GaussianDiscordResult", "OptimizationError", "QuadratureError", "QuadratureGrid"),
+    "nongauss": ("GapReport",),
+    "bounds": ("BoundsReport", "TruncationError"),
+    "ppt": ("PptReport", "SeriesCrossCheckError"),
+    "acceptance": ("CheckResult",),
+}
+
+# Public functions and methods of each module, 70 in all.
 PUBLIC = {
     "fock": (
         "OneModeState.trace", "OneModeState.validate", "TwoModeState.trace",
@@ -27,7 +40,7 @@ PUBLIC = {
     "exact": (
         "classical_mutual_information", "discord", "discord_numeric", "discord_report",
         "eigenvalue_pair", "global_entropy", "joint_photon_distribution", "quantumness_indicators",
-        "reduced_entropy", "vacuum_werner",
+        "reduced_entropy",
     ),
     "gaussian": ("conditional_entropy", "gaussian_discord", "outcome_norm", "quadrature_grid"),
     "nongauss": (
@@ -51,7 +64,8 @@ PUBLIC = {
     ),
 }
 
-# Defaulted parameters of the public functions and methods, 23 in all.
+# Defaulted parameters of the public functions and methods, and defaulted
+# fields of the public dataclasses, 23 in all.
 SETTABLE = {
     "fock.partial_trace": ("mode",),
     "fock.partial_transpose": ("mode",),
@@ -59,7 +73,7 @@ SETTABLE = {
     "states.choose_cutoff": ("eps_tail",),
     "states.werner": ("n_max",),
     "states.ppt_werner": ("n_max",),
-    "exact.vacuum_werner": ("n_max",),
+    "states.WernerParams": ("mu",),
     "exact.discord_numeric": ("n_max",),
     "exact.quantumness_indicators": ("n_max",),
     "gaussian.quadrature_grid": ("n_radial", "n_angular"),
@@ -86,16 +100,27 @@ FLAGS = {
 }
 
 
-def _public_functions(module):
+def _public_objects(module, kind):
     for name, obj in vars(module).items():
-        if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
-            continue
-        if inspect.isfunction(obj):
+        if not name.startswith("_") and kind(obj) and obj.__module__ == module.__name__:
             yield name, obj
-        elif inspect.isclass(obj):
-            for attr, fn in vars(obj).items():
-                if not attr.startswith("_") and inspect.isfunction(fn):
-                    yield f"{name}.{attr}", fn
+
+
+def _public_functions(module):
+    yield from _public_objects(module, inspect.isfunction)
+    for name, cls in _public_objects(module, inspect.isclass):
+        for attr, fn in vars(cls).items():
+            if not attr.startswith("_") and inspect.isfunction(fn):
+                yield f"{name}.{attr}", fn
+
+
+def test_public_classes_of_the_package():
+    found = {}
+    for mod_name in MODULES:
+        module = importlib.import_module(f"cvwerner.{mod_name}")
+        found[mod_name] = tuple(sorted(name for name, _ in _public_objects(module, inspect.isclass)))
+    assert found == CLASSES
+    assert sum(map(len, found.values())) == 16
 
 
 def test_public_functions_of_the_package():
@@ -104,7 +129,7 @@ def test_public_functions_of_the_package():
         module = importlib.import_module(f"cvwerner.{mod_name}")
         found[mod_name] = tuple(sorted(name for name, _ in _public_functions(module)))
     assert found == PUBLIC
-    assert sum(map(len, found.values())) == 71
+    assert sum(map(len, found.values())) == 70
 
 
 def test_settable_values_of_the_package():
@@ -114,6 +139,14 @@ def test_settable_values_of_the_package():
         for name, fn in _public_functions(module):
             params = inspect.signature(fn).parameters.values()
             defaulted = tuple(p.name for p in params if p.default is not p.empty)
+            if defaulted:
+                found[f"{mod_name}.{name}"] = defaulted
+        for name, cls in _public_objects(module, inspect.isclass):
+            fields = dataclasses.fields(cls) if dataclasses.is_dataclass(cls) else ()
+            defaulted = tuple(
+                f.name for f in fields
+                if f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING
+            )
             if defaulted:
                 found[f"{mod_name}.{name}"] = defaulted
     assert found == SETTABLE
