@@ -15,7 +15,9 @@ integral is taken in area-preserving squeezed coordinates
 ``alpha = exp(i phi) (exp(t/2) x + i exp(-t/2) y)``: in the (x, y) plane
 every component is a near-isotropic Gaussian at any ``t`` and a fixed-size
 polar Gauss-Legendre grid converges uniformly.  All Gaussian decay rates
-are evaluated in cancellation-free forms (no ``1 - tanh(t)`` subtractions).
+are evaluated in cancellation-free forms (no ``1 - tanh(t)`` subtractions),
+and so is the small eigenvalue of each conditional state, which keeps its
+relative precision at weak squeezing and in the tails.
 
 The conditional entropy does not depend on ``phi``: the Werner state is
 invariant under opposite phase rotations of its two modes, and such a
@@ -25,13 +27,12 @@ squeezing ``t``, and the optimizer scans ``t`` alone.  The quadrature uses
 the same invariance: in the (x, y) frame the log-weights of both
 components and the log-overlap between them are linear in ``x^2`` and
 ``y^2``, with no trace of ``phi``, so the integrand is real, phase-free
-and even in x and in y.  The grid and its size limit are
-those of :func:`quadrature_grid`, but only one angular node of each
-reflection class is evaluated, weighted by the class size: about
-``n/4 + 1`` of ``n`` angular nodes when ``n`` is even, ``(n + 1)/2`` when
-it is odd.  The complex outcome algebra, kept as the reference for this
-real integrand, and a Monte-Carlo estimate of the conditional entropy live
-with the tests.
+and even in x and in y.  The grid and its size limit are those of
+:func:`quadrature_grid`, whose angular count is a multiple of 4, but only
+one angular node of each reflection class is evaluated, weighted by the
+class size: n/4 + 1 of n.  The complex outcome algebra, kept as the
+reference for this real integrand, and a Monte-Carlo estimate of the
+conditional entropy live with the tests.
 """
 
 from __future__ import annotations
@@ -61,8 +62,8 @@ EPS_INT = 1e-7
 N_RADIAL = 80
 N_ANGULAR = 64
 # Largest quadrature grid, in nodes: the grid at HOMODYNE_T fits up to
-# lam = 0.9993 (983 x 983 nodes, of which the reflection fold evaluates
-# 983 x 492; a 48 MB ``conditional_entropy`` peak).
+# lam = 0.9993 (983 x 984 nodes, of which the reflection fold evaluates
+# 983 x 247; a 22 MB ``conditional_entropy`` peak).
 MAX_GRID_NODES = 2**20
 
 
@@ -100,7 +101,8 @@ def _conditional_squeezing(lam: float, t: float):
     e2t = math.exp(2.0 * t)
     z_plus = 1.0 / (c2r + e2t)
     z_minus = 1.0 / (c2r + 1.0 / e2t)
-    s = 0.5 * math.log((1.0 + e2t * c2r) / (c2r + e2t))
+    # s = log((1 + e2t c2r) / (c2r + e2t)) / 2, without cancelling near 0
+    s = 0.5 * math.log1p(2.0 * lam**2 / (1.0 - lam**2) * math.expm1(2.0 * t) / (c2r + e2t))
     return s, z_plus, z_minus
 
 
@@ -117,9 +119,9 @@ def _frame_rates(lam: float, t: float):
     return ru_x, ru_y, sech
 
 
-def _log_densities(lam, t, x2, y2):
-    """log u and log v at ``x2 = x^2``, ``y2 = y^2`` of the squeezed frame;
-    each is linear in (x2, y2)."""
+def _log_density_forms(lam, t):
+    """log u and log v as linear forms ``c - a x^2 - b y^2`` of the squeezed
+    frame, each returned as ``(c, a, b)``."""
     ru_x, ru_y, rv = _frame_rates(lam, t)
     tau = math.tanh(t)
     log_cosh_t = t + math.log1p(math.exp(-2.0 * t)) - math.log(2.0)
@@ -128,18 +130,15 @@ def _log_densities(lam, t, x2, y2):
         - log_cosh_t
         - 0.5 * (math.log1p(-(lam**2) * tau) + math.log1p(lam**2 * tau))
     )
-    logu = logpref_u - ru_x * x2 - ru_y * y2
-    logv = -log_cosh_t - rv * (x2 + y2)
-    return logu, logv
+    return (logpref_u, ru_x, ru_y), (-log_cosh_t, rv, rv)
 
 
-def _mixture_spectrum(zeta1, overlap_sq):
-    """Eigenvalue pair of ``z1 |a><a| + (1 - z1) |b><b|`` with
-    ``|<a|b>|^2 = overlap_sq``, elementwise:
-    ``(1 +- sqrt(1 - 4 z1 (1 - z1) (1 - overlap_sq))) / 2``."""
-    zeta2 = 1.0 - zeta1
-    disc = np.sqrt(np.clip(1.0 - 4.0 * zeta1 * zeta2 * (1.0 - overlap_sq), 0.0, None))
-    return (1.0 + disc) / 2.0, (1.0 - disc) / 2.0
+def _small_eigenvalue(m):
+    """Smaller eigenvalue ``(1 - sqrt(1 - m)) / 2`` of the mixture
+    ``z1 |a><a| + (1 - z1) |b><b|``, with ``m = 4 z1 (1 - z1) (1 - |<a|b>|^2)``
+    in [0, 1], formed as ``m / (2 (1 + sqrt(1 - m)))`` so that it does not
+    cancel when ``m`` is small."""
+    return m / (2.0 * (1.0 + np.sqrt(np.maximum(1.0 - m, 0.0))))
 
 
 def _conditional_entropy_terms(p, lam, t, x2, y2):
@@ -148,25 +147,42 @@ def _conditional_entropy_terms(p, lam, t, x2, y2):
 
     In that frame ``beta = exp(-i phi) s2r (z_plus a - i z_minus b)`` with
     ``a = exp(t/2) x``, ``b = exp(-t/2) y``, so ``|beta|^2`` and
-    ``Re(exp(2i phi) beta^2)`` lose the phase, and log(p u), log((1-p) v)
-    and the log-overlap of the two components are each linear in
-    (x2, y2).  At p = 0 or 1 one weight is exactly zero and S is 0.
+    ``Re(exp(2i phi) beta^2)`` lose the phase, and log(p u), log((1-p) v),
+    their difference and the log-overlap of the two components are each
+    linear in (x2, y2).  The weights enter S only through
+    ``z1 z2 = E / (1 + E)^2`` with ``E = (1-p) v / (p u)``, which is the same
+    for ``E`` and ``1/E``.  At p = 0 or 1 one weight is exactly zero and S
+    is 0.
     """
-    logu, logv = _log_densities(lam, t, x2, y2)
+    (cu, ux, uy), (cv, vx, _) = _log_density_forms(lam, t)
+    log_p = math.log(p) if p > 0.0 else -math.inf
+    log_1mp = math.log1p(-p) if p < 1.0 else -math.inf
+    lw1 = (log_p + cu) - ux * x2 - uy * y2
+    lw2 = (log_1mp + cv) - vx * (x2 + y2)
+    q = (np.exp(lw1) + np.exp(lw2)) / math.pi
+    # log(z2 / z1) = lw2 - lw1: log cosh t cancels from the constant, and
+    # the rate differences use (1 -+ tanh t) = exp(-+t) sech t.
+    lam2, tau = lam**2, math.tanh(t)
+    sech_sq = 1.0 / math.cosh(t) ** 2
+    d0 = (
+        log_1mp
+        - log_p
+        - math.log1p(-lam2)
+        + 0.5 * (math.log1p(-lam2 * tau) + math.log1p(lam2 * tau))
+    )
+    dx = lam2 * sech_sq * math.exp(-t) / (1.0 - lam2 * tau)
+    dy = lam2 * sech_sq * math.exp(t) / (1.0 + lam2 * tau)
+    e = np.exp(-np.abs(d0 - dx * x2 - dy * y2))
     s, z_plus, z_minus = _conditional_squeezing(lam, t)
     s2r_sq = _sinh2r(lam) ** 2
     tanh_s = math.tanh(s)
     ox = s2r_sq * (1.0 - tanh_s) * z_plus**2 * math.exp(t)
     oy = s2r_sq * (1.0 + tanh_s) * z_minus**2 * math.exp(-t)
-    log_p = math.log(p) if p > 0.0 else -math.inf
-    log_1mp = math.log1p(-p) if p < 1.0 else -math.inf
-    lw1 = log_p + logu
-    lw2 = log_1mp + logv
-    overlap_sq = np.exp(-ox * x2 - oy * y2) / math.cosh(s)
-    zeta1 = 1.0 / (1.0 + np.exp(np.clip(lw2 - lw1, -700.0, 700.0)))
-    nu_plus, nu_minus = _mixture_spectrum(zeta1, overlap_sq)
-    entropy = -xlogx(nu_plus) - xlogx(nu_minus)
-    q = np.exp(np.logaddexp(lw1, lw2)) / math.pi
+    # m = 4 z1 z2 (1 - overlap^2), with 1 - overlap^2 from expm1.
+    log_cosh_s = math.log1p(2.0 * math.sinh(s / 2.0) ** 2)
+    m = -4.0 * e / (1.0 + e) ** 2 * np.expm1(-log_cosh_s - ox * x2 - oy * y2)
+    nu = _small_eigenvalue(m)
+    entropy = -xlogx(nu) - (1.0 - nu) * np.log1p(-nu)
     return entropy, q
 
 
@@ -181,7 +197,8 @@ def _node_counts(lam, t, n_radial, n_angular):
     stretch = math.sqrt((1.0 + lam**2 * tau) / (1.0 - lam**2))
     ecc = math.sqrt((1.0 + lam**2 * tau) / (1.0 - lam**2 * tau))
     n_rad = math.ceil(max(n_radial, 26.0 * stretch * n_radial / N_RADIAL))
-    n_ang = math.ceil(max(n_angular, 26.0 * ecc * n_angular / N_ANGULAR))
+    # A multiple of 4, so that the reflection fold keeps n/4 + 1 nodes.
+    n_ang = 4 * math.ceil(max(n_angular, 26.0 * ecc * n_angular / N_ANGULAR) / 4)
     if n_rad * n_ang > MAX_GRID_NODES:
         raise ValueError(
             f"lam={lam}, t={t} needs a {n_rad}x{n_ang} quadrature grid, "
@@ -213,7 +230,7 @@ def quadrature_grid(
     Node counts grow with the anisotropy of the outcome density (which
     stretches like 1/(1 - lam^2) at strong squeezing) so that the requested
     counts act as a base resolution: doubling them doubles the grid in any
-    regime.  Above ``MAX_GRID_NODES`` nodes, with a requested count below
+    regime.  The angular count is rounded up to a multiple of 4.  Above ``MAX_GRID_NODES`` nodes, with a requested count below
     1, or with ``t`` outside [0, 300], it raises ``ValueError``.
     """
     _check_measurement(t, n_radial, n_angular)
@@ -229,19 +246,17 @@ def quadrature_grid(
     return QuadratureGrid(radial, radial_w, angular, angular_w, r_max)
 
 
-@cache
 def _angular_fold(n):
-    """Reflection classes of the angular nodes ``2 pi k / n``: the smallest
-    ``k`` of each class and the class size.
+    """Sizes of the reflection classes of the angular nodes ``2 pi k / n``,
+    ``n`` a multiple of 4, whose smallest members are ``k = 0, ..., n/4``.
 
-    ``y -> -y`` maps ``k`` to ``n - k``; for even ``n``, ``x -> -x`` maps it
-    to ``n/2 - k`` and the two together to ``n/2 + k``.
+    ``y -> -y`` maps ``k`` to ``n - k``, ``x -> -x`` maps it to ``n/2 - k``
+    and the two together to ``n/2 + k``: the classes of ``k = 0`` and
+    ``k = n/4`` hold 2 nodes, every other class 4.
     """
-    k = np.arange(n)
-    images = [k, -k % n]
-    if n % 2 == 0:
-        images += [(n // 2 - k) % n, (n // 2 + k) % n]
-    return np.unique(np.min(images, axis=0), return_counts=True)
+    size = np.full(n // 4 + 1, 4.0)
+    size[[0, -1]] = 2.0
+    return size
 
 
 def _integrate(p, lam, t, grid):
@@ -250,8 +265,8 @@ def _integrate(p, lam, t, grid):
     The integrand depends on x^2 and y^2 only, so one angular node per
     reflection class is evaluated, weighted by the class size.
     """
-    rep, size = _angular_fold(grid.angular_nodes.size)
-    theta = grid.angular_nodes[rep]
+    size = _angular_fold(grid.angular_nodes.size)
+    theta = grid.angular_nodes[: size.size]
     r = grid.radial_nodes[:, None]
     # Squaring x = r cos(theta) gives each evaluated node the same x^2 and
     # y^2, to the bit, as on the whole grid: near a flat minimum in t the
@@ -259,13 +274,17 @@ def _integrate(p, lam, t, grid):
     entropy, q = _conditional_entropy_terms(
         p, lam, t, (r * np.cos(theta)) ** 2, (r * np.sin(theta)) ** 2
     )
-    angular_weights = grid.angular_weights[rep] * size
+    angular_weights = grid.angular_weights[: size.size] * size
     weights = (grid.radial_weights * grid.radial_nodes)[:, None] * angular_weights
     return float((weights * q * entropy).sum()), float((weights * q).sum())
 
 
 def outcome_norm(p: float, lam: float, t: float) -> float:
-    """Integral of the outcome density over the default grid (should be 1)."""
+    """Integral of the outcome density over the default grid (should be 1).
+
+    ``p`` and ``lam`` outside the Werner domain, and ``t`` outside [0, 300],
+    raise ``ValueError``."""
+    WernerParams(p, lam)
     return _integrate(p, lam, t, quadrature_grid(lam, t))[1]
 
 
@@ -330,6 +349,25 @@ def _golden_section(f, a, b, tol):
     return (c, yc) if yc < yd else (d, yd)
 
 
+def _refine(f, t_best, h_best):
+    """Refine the best point ``(t_best, h_best)`` of the coarse scan of f
+    over [0, HOMODYNE_T]; returns the final point and its value.
+
+    An interior point is refined by golden section on its two neighbouring
+    scan intervals.  At an end of the scan f is first probed ``T_TOL``
+    inside it: if the probe is not lower, the end is returned, since on a
+    unimodal bracket (which golden section assumes too) the minimizer then
+    lies within ``T_TOL`` of the end; if it is lower, golden section runs.
+    """
+    if t_best in (0.0, HOMODYNE_T):
+        probe = T_TOL if t_best == 0.0 else HOMODYNE_T - T_TOL
+        if not f(probe) < h_best:
+            return t_best, h_best
+    lo = max(0.0, t_best - COARSE_STEP)
+    hi = min(HOMODYNE_T, t_best + COARSE_STEP)
+    return min([(t_best, h_best), _golden_section(f, lo, hi, T_TOL)], key=lambda c: c[1])
+
+
 @dataclass(frozen=True)
 class GaussianDiscordResult:
     """Gaussian discord ``value``, the least ``conditional_entropy`` over
@@ -347,6 +385,10 @@ def gaussian_discord(p: float, lam: float, eps_int: float = EPS_INT) -> Gaussian
 
     Minimizes the conditional entropy over the measurement squeezing t, on
     a grid of spacing ``COARSE_STEP``, then refines t by golden section.
+    When the best scan point is an end, 0 or ``HOMODYNE_T``, one probe at
+    ``T_TOL`` inside that end comes first, and golden section runs only if
+    the probe is lower; otherwise the end is returned, which golden section
+    would have pinned within ``T_TOL`` on a unimodal bracket.
     No phase is scanned: the state is invariant under opposite phase
     rotations of its two modes, so the conditional entropy of the
     measurement ``xi = t exp(2i phi)`` does not depend on phi.  The upper end
@@ -368,10 +410,7 @@ def gaussian_discord(p: float, lam: float, eps_int: float = EPS_INT) -> Gaussian
 
     coarse_t = np.arange(0.0, HOMODYNE_T + COARSE_STEP / 2.0, COARSE_STEP)
     best = min(((float(t), objective(float(t))) for t in coarse_t), key=lambda c: c[1])
-
-    lo = max(0.0, best[0] - COARSE_STEP)
-    hi = min(HOMODYNE_T, best[0] + COARSE_STEP)
-    t_opt, h_min = min([best, _golden_section(objective, lo, hi, T_TOL)], key=lambda c: c[1])
+    t_opt, h_min = _refine(objective, *best)
     if not math.isfinite(h_min) or h_min < -1e-12:
         raise OptimizationError(
             f"conditional-entropy minimization failed (min {h_min!r}); "

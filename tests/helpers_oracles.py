@@ -1,10 +1,12 @@
 """Reference implementations that only the tests call.
 
 Each one is a second route to a quantity the package computes another way:
-the complex outcome algebra and a Monte-Carlo average for the Gaussian
-conditional entropy, dense photon-count tables and matrices for the
-photon-counting bounds, the covariance matrix behind the symplectic
-eigenvalue, and truncated-matrix entropies of the vacuum Werner state.
+the complex outcome algebra, a Monte-Carlo average, the reflection classes
+of the angular grid and an optimizer that always runs golden section for
+the Gaussian conditional entropy and discord, dense photon-count tables
+and matrices for the photon-counting bounds, the covariance matrix behind
+the symplectic eigenvalue, and truncated-matrix entropies of the vacuum
+Werner state.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from cvwerner import exact
 from cvwerner.bounds import _block_terms, _check_square_size, _count_table
 from cvwerner.fock import (
     TwoModeState,
@@ -24,12 +27,17 @@ from cvwerner.fock import (
     von_neumann_entropy,
 )
 from cvwerner.gaussian import (
+    COARSE_STEP,
+    HOMODYNE_T,
+    T_TOL,
     _check_count,
     _conditional_entropy_terms,
     _conditional_squeezing,
     _frame_rates,
-    _log_densities,
+    _golden_section,
+    _log_density_forms,
     _sinh2r,
+    conditional_entropy,
 )
 from cvwerner.states import WernerParams, werner
 
@@ -74,11 +82,54 @@ def weight_densities(p: float, lam: float, t: float, phi: float, alpha):
     w = np.exp(-1j * phi) * alpha
     x = w.real / math.exp(g)
     y = w.imag * math.exp(g)
-    logu, logv = _log_densities(lam, t, x**2, y**2)
-    u = np.exp(logu)
-    v = np.exp(logv)
+    (cu, ux, uy), (cv, vx, vy) = _log_density_forms(lam, t)
+    u = np.exp(cu - ux * x**2 - uy * y**2)
+    v = np.exp(cv - vx * x**2 - vy * y**2)
     q = (p * u + (1.0 - p) * v) / math.pi
     return u, v, q
+
+
+def mixture_entropy(zeta1, zeta2, distinguishability):
+    """Entropy of ``z1 |a><a| + z2 |b><b|`` with
+    ``1 - |<a|b>|^2 = distinguishability``, in the precision of its arguments.
+
+    The eigenvalues are those of the 2 x 2 Gram form: the larger from the
+    quadratic, the smaller as the determinant ``z1 z2 (1 - |<a|b>|^2)``
+    over the larger, which keeps it to full relative precision.
+    """
+    det = zeta1 * zeta2 * distinguishability
+    nu_plus = (1 + np.sqrt(1 - 4 * det)) / 2
+    nu_minus = det / nu_plus
+    with np.errstate(divide="ignore", invalid="ignore"):
+        small = np.where(nu_minus > 0, -nu_minus * np.log(nu_minus), 0)
+    return small - nu_plus * np.log1p(-nu_minus)
+
+
+def angular_fold(n):
+    """Reflection classes of the angular nodes ``2 pi k / n``: the smallest
+    ``k`` of each class and the class size, found by listing the images of
+    every node under ``y -> -y``, ``x -> -x`` and both."""
+    k = np.arange(n)
+    images = [k, -k % n]
+    if n % 2 == 0:
+        images += [(n // 2 - k) % n, (n // 2 + k) % n]
+    return np.unique(np.min(images, axis=0), return_counts=True)
+
+
+def gaussian_discord_golden(p: float, lam: float):
+    """``(value, conditional_entropy, t)`` of :func:`gaussian_discord` by its
+    coarse scan followed by golden section at every point, ends included."""
+
+    def objective(t):
+        return conditional_entropy(p, lam, t)
+
+    coarse = np.arange(0.0, HOMODYNE_T + COARSE_STEP / 2.0, COARSE_STEP)
+    best = min(((float(t), objective(float(t))) for t in coarse), key=lambda c: c[1])
+    lo = max(0.0, best[0] - COARSE_STEP)
+    hi = min(HOMODYNE_T, best[0] + COARSE_STEP)
+    t_opt, h_min = min([best, _golden_section(objective, lo, hi, T_TOL)], key=lambda c: c[1])
+    base = exact.reduced_entropy(p, lam) - exact.global_entropy(p, lam)
+    return base + h_min, h_min, t_opt
 
 
 def conditional_entropy_mc(

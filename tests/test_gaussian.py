@@ -7,18 +7,25 @@ import pytest
 
 import helpers_fock as oracle
 from cvwerner import exact, gaussian
-from cvwerner.fock import xlogx
 from cvwerner.gaussian import (
     HOMODYNE_T,
     MAX_GRID_NODES,
+    T_TOL,
     QuadratureError,
-    _mixture_spectrum,
+    _small_eigenvalue,
     conditional_entropy,
     gaussian_discord,
     outcome_norm,
     quadrature_grid,
 )
-from helpers_oracles import conditional_entropy_mc, conditional_params, weight_densities
+from helpers_oracles import (
+    angular_fold,
+    conditional_entropy_mc,
+    conditional_params,
+    gaussian_discord_golden,
+    mixture_entropy,
+    weight_densities,
+)
 
 
 @pytest.mark.parametrize("t", [-0.1, 301, math.nan])
@@ -34,18 +41,23 @@ def test_measurement_squeezing_range(call, t):
         calls[call]()
 
 
-def test_mixture_spectrum_trivial_cases():
-    assert _mixture_spectrum(1.0, 0.3) == (1.0, 0.0)
-    assert _mixture_spectrum(0.5, 1.0) == (1.0, 0.0)
+def _m(z1, ov):
+    # m = 4 z1 (1 - z1) (1 - |<a|b>|^2) of the mixture z1 |a><a| + (1 - z1) |b><b|
+    return 4.0 * z1 * (1.0 - z1) * (1.0 - ov)
 
 
-def test_mixture_spectrum_worked_example():
-    nu1, nu2 = _mixture_spectrum(0.5, 0.25)
-    assert nu1 == pytest.approx(0.75, abs=1e-15)
-    assert nu2 == pytest.approx(0.25, abs=1e-15)
+def test_small_eigenvalue_trivial_cases():
+    # a pure mixture (one weight, or equal states) and the maximally mixed one
+    assert _small_eigenvalue(_m(1.0, 0.3)) == 0.0
+    assert _small_eigenvalue(_m(0.5, 1.0)) == 0.0
+    assert _small_eigenvalue(_m(0.5, 0.0)) == 0.5
 
 
-def test_mixture_spectrum_matches_gram_construction():
+def test_small_eigenvalue_worked_example():
+    assert _small_eigenvalue(_m(0.5, 0.25)) == pytest.approx(0.25, abs=1e-15)
+
+
+def test_small_eigenvalue_matches_gram_construction():
     rng = np.random.default_rng(5)
     for _ in range(25):
         z1 = rng.uniform(0.0, 1.0)
@@ -54,10 +66,8 @@ def test_mixture_spectrum_matches_gram_construction():
         phi1 = np.array([1.0, 0.0])
         phi2 = np.array([c, np.sqrt(1 - ov)])
         sigma = z1 * np.outer(phi1, phi1) + (1 - z1) * np.outer(phi2, phi2)
-        direct = np.sort(np.linalg.eigvalsh(sigma))[::-1]
-        closed = _mixture_spectrum(z1, ov)
-        assert abs(direct[0] - closed[0]) < 1e-12
-        assert abs(direct[1] - closed[1]) < 1e-12
+        direct = np.linalg.eigvalsh(sigma)[0]
+        assert abs(direct - _small_eigenvalue(_m(z1, ov))) < 1e-12
 
 
 def test_conditional_params_trivial():
@@ -184,10 +194,10 @@ def test_conditional_entropy_integrand_matches_fock_oracle():
             assert entropy[0] == pytest.approx(oracle.entropy(sigma), abs=1e-9)
 
 
-def _unfolded_complex_integrals(p, lam, t, phi, grid):
-    """Integrals of q S and of q over every node of ``grid``, for the
-    measurement ``xi = t exp(2i phi)``, from the complex outcome algebra of
-    ``weight_densities`` and ``conditional_params``.
+def _complex_terms(p, lam, t, phi, grid):
+    """Per-node conditional entropy S and outcome density q on every node of
+    ``grid``, for the measurement ``xi = t exp(2i phi)``, from the complex
+    outcome algebra of ``weight_densities`` and ``conditional_params``.
 
     Evaluated in extended precision: at t = 12 the outcomes reach
     ``|alpha| ~ 1e5``, and rotating them by ``phi`` in double precision
@@ -203,11 +213,17 @@ def _unfolded_complex_integrals(p, lam, t, phi, grid):
     alpha = np.exp(1j * phi) * (np.exp(g) * x + 1j * np.exp(-g) * y)
     u, v, q = weight_densities(p, lam, t, phi, alpha)
     cp = conditional_params(lam, t, phi, alpha)
-    overlap_sq = np.exp(
-        -np.abs(cp.beta) ** 2 + np.tanh(ext(cp.s)) * np.real(np.exp(2j * phi) * cp.beta**2)
-    ) / np.cosh(ext(cp.s))
-    nu_plus, nu_minus = _mixture_spectrum(p * u / (p * u + (1 - p) * v), overlap_sq)
-    entropy = -xlogx(nu_plus) - xlogx(nu_minus)
+    s = ext(cp.s)
+    re_beta_sq = np.real(np.exp(2j * phi) * cp.beta**2)
+    log_overlap_sq = -np.abs(cp.beta) ** 2 + np.tanh(s) * re_beta_sq - np.log(np.cosh(s))
+    w = p * u + (1 - p) * v
+    return mixture_entropy(p * u / w, (1 - p) * v / w, -np.expm1(log_overlap_sq)), q
+
+
+def _unfolded_complex_integrals(p, lam, t, phi, grid):
+    """Integrals of q S and of q over every node of ``grid``, from
+    :func:`_complex_terms`."""
+    entropy, q = _complex_terms(p, lam, t, phi, grid)
     weights = (grid.radial_weights * grid.radial_nodes)[:, None] * grid.angular_weights[None, :]
     return float((weights * q * entropy).sum()), float((weights * q).sum())
 
@@ -217,8 +233,16 @@ needs_longdouble = pytest.mark.skipif(
 )
 
 
+def test_angular_fold_matches_reflection_classes():
+    # the closed form against the classes listed image by image
+    for n in range(4, 1001, 4):
+        rep, size = angular_fold(n)
+        np.testing.assert_array_equal(rep, np.arange(n // 4 + 1))
+        np.testing.assert_array_equal(gaussian._angular_fold(n), size)
+
+
 @needs_longdouble
-@pytest.mark.parametrize("n_angular", [64, 66, 65])  # n_ang % 4 == 0, n_ang % 4 == 2, odd
+@pytest.mark.parametrize("n_angular", [64, 66, 65])  # each rounded up to a multiple of 4
 @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
 def test_folded_integral_matches_unfolded_complex_sum(p, n_angular):
     # one angular node per reflection class of the real integrand against
@@ -226,12 +250,34 @@ def test_folded_integral_matches_unfolded_complex_sum(p, n_angular):
     for lam in (0.0, 0.5, 0.98):
         for t in (0.0, 2.0, HOMODYNE_T):
             grid = quadrature_grid(lam, t, n_angular=n_angular)
+            assert grid.angular_nodes.size % 4 == 0
             if lam < 0.9:
-                assert grid.angular_nodes.size == n_angular
+                assert grid.angular_nodes.size == {64: 64, 65: 68, 66: 68}[n_angular]
             value, norm = gaussian._integrate(p, lam, t, grid)
             ref_value, ref_norm = _unfolded_complex_integrals(p, lam, t, 0.9, grid)
             assert norm == pytest.approx(ref_norm, rel=1e-13, abs=0.0), (lam, t)
             assert value == pytest.approx(ref_value, rel=1e-13, abs=0.0), (lam, t)
+
+
+@needs_longdouble
+def test_integrand_keeps_relative_precision_at_weak_squeezing_and_in_tails():
+    # Per-node entropies down to 1e-290 against the extended-precision complex
+    # algebra.  Forming the small eigenvalue as (1 - sqrt(1 - m))/2 loses up
+    # to 5e-8 of it at lam = 0.05 and flushes it to 0 in the tails at 0.9.
+    worst = 0.0
+    for p in (0.05, 0.5):
+        for lam in (0.05, 0.5, 0.9):
+            for t in (0.0, 2.0, HOMODYNE_T):
+                grid = quadrature_grid(lam, t)
+                r = grid.radial_nodes[:, None]
+                theta = grid.angular_nodes[None, :]
+                entropy, _ = gaussian._conditional_entropy_terms(
+                    p, lam, t, (r * np.cos(theta)) ** 2, (r * np.sin(theta)) ** 2
+                )
+                ref, _ = _complex_terms(p, lam, t, 0.0, grid)
+                kept = ref > 1e-290
+                worst = max(worst, float(np.max(np.abs(entropy[kept] / ref[kept] - 1.0))))
+    assert worst < 1e-12
 
 
 def test_outcome_norm_across_regimes():
@@ -302,7 +348,55 @@ def test_gaussian_discord_evaluates_each_t_once(monkeypatch):
 
     monkeypatch.setattr(gaussian, "conditional_entropy", recording)
     res = gaussian_discord(0.5, 0.5)
-    assert len(seen) == len(set(seen)) == res.evaluations == 44
+    # 25 scan points and one probe inside the end t = HOMODYNE_T
+    assert len(seen) == len(set(seen)) == res.evaluations == 26
+
+
+class _Counted:
+    """A synthetic objective that records the points it is evaluated at."""
+
+    def __init__(self, f):
+        self.f, self.calls = f, []
+
+    def __call__(self, t):
+        self.calls.append(t)
+        return self.f(t)
+
+
+def test_refine_runs_golden_section_inside_the_scan():
+    f = _Counted(lambda t: (t - 3.3) ** 2)
+    t_opt, h_min = gaussian._refine(f, 3.5, f(3.5))
+    assert abs(t_opt - 3.3) < T_TOL
+    assert h_min == f.f(t_opt)
+    assert T_TOL not in f.calls and HOMODYNE_T - T_TOL not in f.calls
+
+
+@pytest.mark.parametrize("end, f", [(0.0, lambda t: t), (HOMODYNE_T, lambda t: -t)])
+def test_refine_returns_an_end_whose_probe_is_not_lower(end, f):
+    f = _Counted(f)
+    assert gaussian._refine(f, end, f(end)) == (end, f.f(end))
+    assert f.calls == [end, T_TOL if end == 0.0 else HOMODYNE_T - T_TOL]
+
+
+@pytest.mark.parametrize("end, t_min", [(0.0, 0.2), (HOMODYNE_T, HOMODYNE_T - 0.2)])
+def test_refine_falls_back_to_golden_section_when_the_probe_is_lower(end, t_min):
+    # the minimum lies inside the last scan interval, closer to the end
+    f = _Counted(lambda t: (t - t_min) ** 2)
+    t_opt, _ = gaussian._refine(f, end, f(end))
+    assert abs(t_opt - t_min) < T_TOL
+    # the end, the probe and golden section's 19 points on the last interval
+    assert len(f.calls) == 21
+
+
+def test_gaussian_discord_agrees_with_golden_section_everywhere():
+    # the endpoint probe against the optimizer that always runs golden section
+    for p in (0.05, 0.5, 0.95):
+        for lam in (0.05, 0.3, 0.5, 0.7, 0.9, 0.98):
+            res = gaussian_discord(p, lam)
+            value, h_min, t_opt = gaussian_discord_golden(p, lam)
+            assert abs(res.value - value) < 1e-12, (p, lam)
+            assert abs(res.conditional_entropy - h_min) < 1e-12, (p, lam)
+            assert abs(res.t - t_opt) < T_TOL, (p, lam)
 
 
 def test_gaussian_discord_strictly_above_discord():
@@ -327,10 +421,10 @@ def test_gaussian_discord_heterodyne_optimal_at_strong_squeezing():
 
 
 def test_grid_node_limit():
-    # The grid at HOMODYNE_T grows with lam: 983 x 983 nodes at 0.9993, 1062 x 1062 at 0.9994.
+    # The grid at HOMODYNE_T grows with lam: 983 x 984 nodes at 0.9993, 1062 x 1064 at 0.9994.
     grid = quadrature_grid(0.9993, HOMODYNE_T)
     assert grid.radial_nodes.size * grid.angular_nodes.size <= MAX_GRID_NODES
-    with pytest.raises(ValueError, match=f"1062x1062 quadrature grid, above the limit {MAX_GRID_NODES}"):
+    with pytest.raises(ValueError, match=f"1062x1064 quadrature grid, above the limit {MAX_GRID_NODES}"):
         quadrature_grid(0.9994, HOMODYNE_T)
 
 

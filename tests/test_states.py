@@ -56,6 +56,10 @@ _ENTRY_POINTS = {
     "gaussian.conditional_entropy-lam": (
         lambda v: gaussian.conditional_entropy(0.5, v, gaussian.HETERODYNE), _BAD_FACTOR
     ),
+    # Without its own check outcome_norm returned 0.0 at p = nan, 2.0 at
+    # p = 2, NaN at lam = nan and a bare ZeroDivisionError at lam = 1.
+    "gaussian.outcome_norm-p": (lambda v: gaussian.outcome_norm(v, 0.5, 0.0), _BAD_P + (2.0,)),
+    "gaussian.outcome_norm-lam": (lambda v: gaussian.outcome_norm(0.5, v, 0.0), _BAD_FACTOR),
     "bounds.separability_region-p": (lambda v: bounds.separability_region(v, 0.5), _BAD_P),
     "bounds.separability_region-mu": (lambda v: bounds.separability_region(0.5, v), _BAD_FACTOR),
     "ppt.global_entropy": (ppt.global_entropy, _BAD_FACTOR),
