@@ -27,7 +27,8 @@ from .fock import eig_spectrum, is_more_mixed, partial_transpose
 from .states import WernerParams, choose_cutoff
 
 DEFAULT_SEED = 20240801
-# The outcome density of the quadrature check must integrate to 1 within this.
+# The quadrature rule must hold the vacuum component's mass on its disc,
+# 1 - exp(-DISC_X), within this.
 NORM_TOL = 1e-7
 
 
@@ -260,7 +261,8 @@ def check_ppt_analytics():
 
 def check_quadrature_robustness():
     """Node doubling moves the conditional entropy by < 1e-6, and the
-    outcome density integrates to 1 within ``NORM_TOL``."""
+    quadrature rule holds the vacuum component's mass on its disc within
+    ``NORM_TOL``."""
 
     def body():
         p, lam, t = 0.5, 0.5, 2.0
@@ -271,7 +273,7 @@ def check_quadrature_robustness():
         margin = NORM_TOL / defect if defect > 0 else float("inf")
         ok = refine < 1e-6 and defect <= NORM_TOL
         return ok, (
-            f"refinement change {refine:.2e} (tol 1e-6); norm defect {defect:.2e} "
+            f"refinement change {refine:.2e} (tol 1e-6); vacuum-mass defect {defect:.2e} "
             f"(tol {NORM_TOL:g}, margin {margin:.0f}x)"
         )
 

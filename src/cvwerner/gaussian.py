@@ -12,10 +12,19 @@ outcomes needs quadrature.
 
 The outcome density stretches like ``exp(t)`` along one quadrature, so the
 integral is taken in area-preserving squeezed coordinates
-``alpha = exp(i phi) (exp(t/2) x + i exp(-t/2) y)``: in the (x, y) plane
-every component is a near-isotropic Gaussian at any ``t`` and a fixed-size
-polar Gauss-Legendre grid converges uniformly.  All Gaussian decay rates
-are evaluated in cancellation-free forms (no ``1 - tanh(t)`` subtractions),
+``alpha = exp(i phi) (exp(t/2) x + i exp(-t/2) y)``, where the vacuum
+component v is isotropic with rate ``r_v = sech t`` and the squeezed
+component u is wider, at most by about ``1/sqrt(1 - lam^2)``.  The
+entropy lives where both weigh: with S <= H(z1, z2), ``ln(1 + x) <= x``,
+``(1 - p) ln(1/(1 - p)) <= 1/e`` and u's constant at most v's,
+``q S <= (v / pi) (1 + 1/e + r_v r^2)``, whose mass beyond
+``r_v r^2 = X`` is at most ``(X + 2 + 1/e) exp(-X)``, free of ``p``,
+``lam`` and ``t``.  So one Gauss-Legendre rule on the unit disc (radial
+nodes on [0, 1], equispaced angles) serves every ``lam`` and ``t``: each
+evaluation scales it to the radius ``R^2 = DISC_X cosh t``, by folding
+``R^2`` into the coefficients of the integrand, and the rule itself is
+built once per pair of node counts.  All Gaussian decay rates are
+evaluated in cancellation-free forms (no ``1 - tanh(t)`` subtractions),
 and so is the small eigenvalue of each conditional state, which keeps its
 relative precision at weak squeezing and in the tails.
 
@@ -27,19 +36,19 @@ squeezing ``t``, and the optimizer scans ``t`` alone.  The quadrature uses
 the same invariance: in the (x, y) frame the log-weights of both
 components and the log-overlap between them are linear in ``x^2`` and
 ``y^2``, with no trace of ``phi``, so the integrand is real, phase-free
-and even in x and in y.  The grid and its size limit are those of
-:func:`quadrature_grid`, whose angular count is a multiple of 4, but only
-one angular node of each reflection class is evaluated, weighted by the
-class size: n/4 + 1 of n.  The complex outcome algebra, kept as the
-reference for this real integrand, and a Monte-Carlo estimate of the
-conditional entropy live with the tests.
+and even in x and in y.  The rule's angular count is a multiple of 4, and
+only one angular node of each reflection class is evaluated, weighted by
+the class size: n/4 + 1 of n.  The complex outcome algebra, kept as the
+reference for this real integrand, a Monte-Carlo estimate of the
+conditional entropy and the earlier polar grid sized to each ``lam`` and
+``t`` live with the tests.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,40 +59,28 @@ from .states import WernerParams, check_tolerance
 HETERODYNE = 0.0
 HOMODYNE_T = 12.0
 _T_CAP = 300.0  # exp(2t) must stay finite
-# Envelope mass the quadrature grid may leave outside its radius.
-TAIL_EPS = 1e-10
+# The quadrature disc ends at r_v r^2 = DISC_X, where the bound
+# (X + 2 + 1/e) exp(-X) on the entropy beyond it falls to 1.1e-16.
+DISC_X = 40.5
 # Width to which golden section refines the optimal t.
 T_TOL = 1e-4
 # Spacing of the coarse scan in t that golden section then refines.
 COARSE_STEP = 0.5
-# Default tolerance on the outcome normalization of the quadrature.
+# Default tolerance on the vacuum component's mass on the quadrature disc.
 EPS_INT = 1e-7
-# Base node counts of the polar grid, before its anisotropy scaling.
+# Default node counts of the unit-disc rule, radial and angular.
 N_RADIAL = 80
 N_ANGULAR = 64
-# Largest quadrature grid, in nodes: the grid at HOMODYNE_T fits up to
-# lam = 0.9993 (983 x 984 nodes, of which the reflection fold evaluates
-# 983 x 247; a 22 MB ``conditional_entropy`` peak).
-MAX_GRID_NODES = 2**20
+# Largest rule that may be requested, in nodes n_radial x n_angular.
+MAX_RULE_NODES = 2**20
 
 
 class QuadratureError(ValueError):
-    """The quadrature grid failed its normalization self-check."""
+    """The quadrature rule failed its normalization self-check."""
 
 
 class OptimizationError(RuntimeError):
     """The measurement optimizer did not produce a usable minimum."""
-
-
-@dataclass(frozen=True)
-class QuadratureGrid:
-    """Polar Gauss-Legendre nodes in the squeezed outcome frame."""
-
-    radial_nodes: np.ndarray
-    radial_weights: np.ndarray
-    angular_nodes: np.ndarray
-    angular_weights: np.ndarray
-    r_max: float
 
 
 def _cosh2r(lam: float) -> float:
@@ -141,24 +138,25 @@ def _small_eigenvalue(m):
     return m / (2.0 * (1.0 + np.sqrt(np.maximum(1.0 - m, 0.0))))
 
 
-def _conditional_entropy_terms(p, lam, t, x2, y2):
+def _conditional_entropy_terms(p, lam, t, x2, y2, scale=1.0):
     """Per-outcome conditional entropy S and outcome density q at
-    ``x2 = x^2``, ``y2 = y^2`` of the squeezed frame, for any ``phi``.
+    ``x^2 = scale x2``, ``y^2 = scale y2`` of the squeezed frame, for any
+    ``phi``.
 
     In that frame ``beta = exp(-i phi) s2r (z_plus a - i z_minus b)`` with
     ``a = exp(t/2) x``, ``b = exp(-t/2) y``, so ``|beta|^2`` and
     ``Re(exp(2i phi) beta^2)`` lose the phase, and log(p u), log((1-p) v),
     their difference and the log-overlap of the two components are each
-    linear in (x2, y2).  The weights enter S only through
-    ``z1 z2 = E / (1 + E)^2`` with ``E = (1-p) v / (p u)``, which is the same
-    for ``E`` and ``1/E``.  At p = 0 or 1 one weight is exactly zero and S
-    is 0.
+    linear in (x^2, y^2); ``scale`` multiplies their rates.  The weights
+    enter S only through ``z1 z2 = E / (1 + E)^2`` with
+    ``E = (1-p) v / (p u)``, which is the same for ``E`` and ``1/E``.  At
+    p = 0 or 1 one weight is exactly zero and S is 0.
     """
     (cu, ux, uy), (cv, vx, _) = _log_density_forms(lam, t)
     log_p = math.log(p) if p > 0.0 else -math.inf
     log_1mp = math.log1p(-p) if p < 1.0 else -math.inf
-    lw1 = (log_p + cu) - ux * x2 - uy * y2
-    lw2 = (log_1mp + cv) - vx * (x2 + y2)
+    lw1 = (log_p + cu) - (scale * ux) * x2 - (scale * uy) * y2
+    lw2 = (log_1mp + cv) - (scale * vx) * (x2 + y2)
     q = (np.exp(lw1) + np.exp(lw2)) / math.pi
     # log(z2 / z1) = lw2 - lw1: log cosh t cancels from the constant, and
     # the rate differences use (1 -+ tanh t) = exp(-+t) sech t.
@@ -170,14 +168,14 @@ def _conditional_entropy_terms(p, lam, t, x2, y2):
         - math.log1p(-lam2)
         + 0.5 * (math.log1p(-lam2 * tau) + math.log1p(lam2 * tau))
     )
-    dx = lam2 * sech_sq * math.exp(-t) / (1.0 - lam2 * tau)
-    dy = lam2 * sech_sq * math.exp(t) / (1.0 + lam2 * tau)
+    dx = scale * lam2 * sech_sq * math.exp(-t) / (1.0 - lam2 * tau)
+    dy = scale * lam2 * sech_sq * math.exp(t) / (1.0 + lam2 * tau)
     e = np.exp(-np.abs(d0 - dx * x2 - dy * y2))
     s, z_plus, z_minus = _conditional_squeezing(lam, t)
     s2r_sq = _sinh2r(lam) ** 2
     tanh_s = math.tanh(s)
-    ox = s2r_sq * (1.0 - tanh_s) * z_plus**2 * math.exp(t)
-    oy = s2r_sq * (1.0 + tanh_s) * z_minus**2 * math.exp(-t)
+    ox = scale * s2r_sq * (1.0 - tanh_s) * z_plus**2 * math.exp(t)
+    oy = scale * s2r_sq * (1.0 + tanh_s) * z_minus**2 * math.exp(-t)
     # m = 4 z1 z2 (1 - overlap^2), with 1 - overlap^2 from expm1.
     log_cosh_s = math.log1p(2.0 * math.sinh(s / 2.0) ** 2)
     m = -4.0 * e / (1.0 + e) ** 2 * np.expm1(-log_cosh_s - ox * x2 - oy * y2)
@@ -186,64 +184,28 @@ def _conditional_entropy_terms(p, lam, t, x2, y2):
     return entropy, q
 
 
-@cache
-def _leggauss(n):
-    return np.polynomial.legendre.leggauss(n)
-
-
-def _node_counts(lam, t, n_radial, n_angular):
-    # Radial and angular node counts of the grid at t, held to MAX_GRID_NODES.
-    tau = math.tanh(t)
-    stretch = math.sqrt((1.0 + lam**2 * tau) / (1.0 - lam**2))
-    ecc = math.sqrt((1.0 + lam**2 * tau) / (1.0 - lam**2 * tau))
-    n_rad = math.ceil(max(n_radial, 26.0 * stretch * n_radial / N_RADIAL))
-    # A multiple of 4, so that the reflection fold keeps n/4 + 1 nodes.
-    n_ang = 4 * math.ceil(max(n_angular, 26.0 * ecc * n_angular / N_ANGULAR) / 4)
-    if n_rad * n_ang > MAX_GRID_NODES:
-        raise ValueError(
-            f"lam={lam}, t={t} needs a {n_rad}x{n_ang} quadrature grid, "
-            f"above the limit {MAX_GRID_NODES} nodes"
-        )
-    return n_rad, n_ang
-
-
 def _check_count(name, value, least):
-    # NaN fails the comparison and is rejected.
-    if not value >= least:
+    # An integer of at least `least`; a float, NaN or whole, is rejected.
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name}={value} outside the integers")
+    if value < least:
         raise ValueError(f"{name}={value} must be at least {least}")
 
 
 def _check_measurement(t, n_radial, n_angular):
-    # The measurement squeezing t and the node counts; NaN is rejected.
+    """Check the measurement squeezing t and the node counts, and return the
+    angular count rounded up to a multiple of 4; NaN is rejected."""
     if not 0.0 <= t <= _T_CAP:
         raise ValueError(f"t={t} outside [0, {_T_CAP}]")
     _check_count("n_radial", n_radial, 1)
     _check_count("n_angular", n_angular, 1)
-
-
-def quadrature_grid(
-    lam: float, t: float, n_radial: int = N_RADIAL, n_angular: int = N_ANGULAR
-) -> QuadratureGrid:
-    """Polar grid sized so the Gaussian envelope tail mass stays below
-    ``TAIL_EPS``.
-
-    Node counts grow with the anisotropy of the outcome density (which
-    stretches like 1/(1 - lam^2) at strong squeezing) so that the requested
-    counts act as a base resolution: doubling them doubles the grid in any
-    regime.  The angular count is rounded up to a multiple of 4.  Above ``MAX_GRID_NODES`` nodes, with a requested count below
-    1, or with ``t`` outside [0, 300], it raises ``ValueError``.
-    """
-    _check_measurement(t, n_radial, n_angular)
-    n_rad, n_ang = _node_counts(lam, t, n_radial, n_angular)
-    rates = _frame_rates(lam, t)
-    c_min = min(rates)
-    r_max = math.sqrt((math.log(1.0 / TAIL_EPS) + 3.0) / c_min)
-    xg, wg = _leggauss(n_rad)
-    radial = (xg + 1.0) * r_max / 2.0
-    radial_w = wg * r_max / 2.0
-    angular = 2.0 * math.pi * np.arange(n_ang) / n_ang
-    angular_w = np.full(n_ang, 2.0 * math.pi / n_ang)
-    return QuadratureGrid(radial, radial_w, angular, angular_w, r_max)
+    n_angular = 4 * -(-int(n_angular) // 4)
+    if int(n_radial) * n_angular > MAX_RULE_NODES:
+        raise ValueError(
+            f"a {n_radial}x{n_angular} quadrature rule is above the limit "
+            f"{MAX_RULE_NODES} nodes"
+        )
+    return n_angular
 
 
 def _angular_fold(n):
@@ -259,33 +221,57 @@ def _angular_fold(n):
     return size
 
 
-def _integrate(p, lam, t, grid):
-    """Integrals of q S and of q over the grid.
+@dataclass(frozen=True)
+class _DiscRule:
+    """Folded polar Gauss-Legendre rule on the unit disc: ``x^2`` and ``y^2``
+    at one angular node of each reflection class, the weights
+    ``r dr dtheta`` times the class sizes, and the rule's mass of the
+    vacuum component ``exp(-DISC_X r^2) DISC_X / pi``."""
 
-    The integrand depends on x^2 and y^2 only, so one angular node per
-    reflection class is evaluated, weighted by the class size.
+    x2: np.ndarray
+    y2: np.ndarray
+    weights: np.ndarray
+    vacuum_mass: float
+
+
+@lru_cache(maxsize=8)
+def _disc_rule(n_radial, n_angular):
+    xg, wg = np.polynomial.legendre.leggauss(n_radial)
+    r = ((xg + 1.0) / 2.0)[:, None]
+    size = _angular_fold(n_angular)
+    theta = 2.0 * math.pi * np.arange(size.size) / n_angular
+    x2, y2 = (r * np.cos(theta)) ** 2, (r * np.sin(theta)) ** 2
+    weights = r * (wg / 2.0)[:, None] * (size * (2.0 * math.pi / n_angular))
+    vacuum_mass = float((weights * np.exp(-DISC_X * (x2 + y2))).sum()) * DISC_X / math.pi
+    # Every caller shares the cached arrays.
+    for a in (x2, y2, weights):
+        a.flags.writeable = False
+    return _DiscRule(x2, y2, weights, vacuum_mass)
+
+
+def _integrate(p, lam, t, rule):
+    """Integral of q S over the disc ``r_v r^2 <= DISC_X``.
+
+    The unit-disc rule is scaled to ``R^2 = DISC_X cosh t``: the integrand's
+    rates take the factor R^2, and the area element takes it once more.
     """
-    size = _angular_fold(grid.angular_nodes.size)
-    theta = grid.angular_nodes[: size.size]
-    r = grid.radial_nodes[:, None]
-    # Squaring x = r cos(theta) gives each evaluated node the same x^2 and
-    # y^2, to the bit, as on the whole grid: near a flat minimum in t the
-    # optimizer's comparisons turn on the last bits of the integral.
-    entropy, q = _conditional_entropy_terms(
-        p, lam, t, (r * np.cos(theta)) ** 2, (r * np.sin(theta)) ** 2
-    )
-    angular_weights = grid.angular_weights[: size.size] * size
-    weights = (grid.radial_weights * grid.radial_nodes)[:, None] * angular_weights
-    return float((weights * q * entropy).sum()), float((weights * q).sum())
+    scale = DISC_X * math.cosh(t)
+    entropy, q = _conditional_entropy_terms(p, lam, t, rule.x2, rule.y2, scale)
+    return scale * float((rule.weights * q * entropy).sum())
 
 
 def outcome_norm(p: float, lam: float, t: float) -> float:
-    """Integral of the outcome density over the default grid (should be 1).
+    """Mass of the vacuum component of the outcome density under the default
+    rule, on the disc ``sech(t) r^2 <= DISC_X``: 1 - exp(-DISC_X), which is
+    1 in double precision, up to the rule's error.
 
-    ``p`` and ``lam`` outside the Werner domain, and ``t`` outside [0, 300],
-    raise ``ValueError``."""
+    v does not depend on ``p`` or ``lam``, and the disc scales with ``t`` as
+    v does, so the mass depends on the node counts alone.  ``p`` and ``lam``
+    outside the Werner domain, and ``t`` outside [0, 300], raise
+    ``ValueError``."""
     WernerParams(p, lam)
-    return _integrate(p, lam, t, quadrature_grid(lam, t))[1]
+    n_angular = _check_measurement(t, N_RADIAL, N_ANGULAR)
+    return _disc_rule(N_RADIAL, n_angular).vacuum_mass
 
 
 def conditional_entropy(
@@ -298,26 +284,29 @@ def conditional_entropy(
 ) -> float:
     """Average post-measurement entropy  integral of q(alpha) S(rho|alpha).
 
-    Refuses with diagnostics when the grid fails to reproduce the outcome
-    normalization within ``eps_int``.  At p = 0 or 1 every conditional
-    state is pure, and it returns 0 without building a grid, so the node
-    limit does not apply there.  Node counts below 1, and a measurement
-    squeezing ``t`` outside [0, 300], raise ``ValueError`` there too.
+    Refuses with diagnostics when the rule fails to reproduce the vacuum
+    component's mass on the disc within ``eps_int``.  The angular count is
+    rounded up to a multiple of 4.  At p = 0 or 1 every conditional state is
+    pure, and it returns 0 without building a rule.  Node counts that are
+    not integers of at least 1, a rule above ``MAX_RULE_NODES`` nodes, and
+    a measurement squeezing ``t`` outside [0, 300] raise ``ValueError``,
+    there too.
     """
     WernerParams(p, lam)
     check_tolerance("eps_int", eps_int)
-    _check_measurement(t, n_radial, n_angular)
+    n_angular = _check_measurement(t, n_radial, n_angular)
     if p == 0.0 or p == 1.0:
         return 0.0
-    grid = quadrature_grid(lam, t, n_radial, n_angular)
-    value, norm = _integrate(p, lam, t, grid)
-    if abs(norm - 1.0) > eps_int:
+    rule = _disc_rule(int(n_radial), n_angular)
+    # v's mass on the disc against its closed form 1 - exp(-DISC_X)
+    defect = rule.vacuum_mass + math.expm1(-DISC_X)
+    if abs(defect) > eps_int:
         raise QuadratureError(
-            f"outcome density integrates to {norm!r} (defect {norm - 1.0:.3e} "
-            f"> eps_int={eps_int:g}) at lam={lam}, t={t}, "
-            f"r_max={grid.r_max:.3g}, nodes={grid.radial_nodes.size}x{grid.angular_nodes.size}"
+            f"vacuum component integrates to {rule.vacuum_mass!r} on the disc "
+            f"(defect {defect:.3e} > eps_int={eps_int:g}), "
+            f"nodes={n_radial}x{n_angular}"
         )
-    return value
+    return _integrate(p, lam, t, rule)
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -399,7 +388,6 @@ def gaussian_discord(p: float, lam: float, eps_int: float = EPS_INT) -> Gaussian
     base = exact.reduced_entropy(p, lam) - exact.global_entropy(p, lam)
     if p == 0.0 or p == 1.0:
         return GaussianDiscordResult(base, 0.0, 0.0, 0)
-    _node_counts(lam, HOMODYNE_T, N_RADIAL, N_ANGULAR)  # the grid grows with t
 
     trace = []
 

@@ -1,9 +1,10 @@
 """Reference implementations that only the tests call.
 
 Each one is a second route to a quantity the package computes another way:
-the complex outcome algebra, a Monte-Carlo average, the reflection classes
-of the angular grid and an optimizer that always runs golden section for
-the Gaussian conditional entropy and discord, dense photon-count tables
+the complex outcome algebra, a Monte-Carlo average, the polar grid sized to
+each ``lam`` and ``t``, the reflection classes of the angular grid and an
+optimizer that always runs golden section for the Gaussian conditional
+entropy and discord, dense photon-count tables
 and matrices for the photon-counting bounds, the covariance matrix behind
 the symplectic eigenvalue, and truncated-matrix entropies of the vacuum
 Werner state.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -28,9 +30,14 @@ from cvwerner.fock import (
 )
 from cvwerner.gaussian import (
     COARSE_STEP,
+    DISC_X,
     HOMODYNE_T,
+    N_ANGULAR,
+    N_RADIAL,
     T_TOL,
+    _angular_fold,
     _check_count,
+    _check_measurement,
     _conditional_entropy_terms,
     _conditional_squeezing,
     _frame_rates,
@@ -57,9 +64,14 @@ def conditional_params(lam: float, t: float, phi: float, alpha: complex) -> Cond
 
     Detecting ``|alpha, xi>``, ``xi = t exp(2i phi)``, on one mode of the
     two-mode squeezed vacuum leaves the other in ``|beta, s exp(-2i phi)>``.
-    ``alpha`` may be an array of outcomes; ``beta`` then has its shape.
+    ``alpha`` may be an array of outcomes; ``beta`` then has its shape and
+    precision.  Along ``exp(i phi)`` the two sums cancel to ``2 z_plus``,
+    which at t = 12 is 4e-11 of ``z_minus``, so they are formed in the
+    precision of ``alpha`` too.
     """
     s, z_plus, z_minus = _conditional_squeezing(lam, t)
+    alpha = np.asarray(alpha)
+    z_plus, z_minus = np.real(alpha).dtype.type(z_plus), np.real(alpha).dtype.type(z_minus)
     beta = 0.5 * _sinh2r(lam) * (
         (z_plus + z_minus) * np.conj(alpha)
         + (z_plus - z_minus) * np.exp(-2j * phi) * alpha
@@ -103,6 +115,98 @@ def mixture_entropy(zeta1, zeta2, distinguishability):
     with np.errstate(divide="ignore", invalid="ignore"):
         small = np.where(nu_minus > 0, -nu_minus * np.log(nu_minus), 0)
     return small - nu_plus * np.log1p(-nu_minus)
+
+
+# Envelope mass the sized grid may leave outside its radius.
+TAIL_EPS = 1e-10
+# Largest sized grid, in nodes: the grid at HOMODYNE_T fits up to
+# lam = 0.9993 (983 x 984 nodes, of which the reflection fold evaluates
+# 983 x 247).
+MAX_GRID_NODES = 2**20
+
+
+@dataclass(frozen=True)
+class QuadratureGrid:
+    """Polar Gauss-Legendre nodes in the squeezed outcome frame."""
+
+    radial_nodes: np.ndarray
+    radial_weights: np.ndarray
+    angular_nodes: np.ndarray
+    angular_weights: np.ndarray
+    r_max: float
+
+
+@cache
+def _leggauss(n):
+    return np.polynomial.legendre.leggauss(n)
+
+
+def _node_counts(lam, t, n_radial, n_angular):
+    # Radial and angular node counts of the grid at t, held to MAX_GRID_NODES.
+    tau = math.tanh(t)
+    stretch = math.sqrt((1.0 + lam**2 * tau) / (1.0 - lam**2))
+    ecc = math.sqrt((1.0 + lam**2 * tau) / (1.0 - lam**2 * tau))
+    n_rad = math.ceil(max(n_radial, 26.0 * stretch * n_radial / N_RADIAL))
+    # A multiple of 4, so that the reflection fold keeps n/4 + 1 nodes.
+    n_ang = 4 * math.ceil(max(n_angular, 26.0 * ecc * n_angular / N_ANGULAR) / 4)
+    if n_rad * n_ang > MAX_GRID_NODES:
+        raise ValueError(
+            f"lam={lam}, t={t} needs a {n_rad}x{n_ang} quadrature grid, "
+            f"above the limit {MAX_GRID_NODES} nodes"
+        )
+    return n_rad, n_ang
+
+
+def quadrature_grid(
+    lam: float, t: float, n_radial: int = N_RADIAL, n_angular: int = N_ANGULAR
+) -> QuadratureGrid:
+    """Polar grid sized so the Gaussian envelope tail mass stays below
+    ``TAIL_EPS``: the grid of the package before its unit-disc rule.
+
+    Node counts grow with the anisotropy of the outcome density (which
+    stretches like 1/(1 - lam^2) at strong squeezing) so that the requested
+    counts act as a base resolution: doubling them doubles the grid in any
+    regime.  The angular count is rounded up to a multiple of 4.  Above
+    ``MAX_GRID_NODES`` nodes it raises ``ValueError``.
+    """
+    _check_measurement(t, n_radial, n_angular)
+    n_rad, n_ang = _node_counts(lam, t, n_radial, n_angular)
+    rates = _frame_rates(lam, t)
+    c_min = min(rates)
+    r_max = math.sqrt((math.log(1.0 / TAIL_EPS) + 3.0) / c_min)
+    xg, wg = _leggauss(n_rad)
+    radial = (xg + 1.0) * r_max / 2.0
+    radial_w = wg * r_max / 2.0
+    angular = 2.0 * math.pi * np.arange(n_ang) / n_ang
+    angular_w = np.full(n_ang, 2.0 * math.pi / n_ang)
+    return QuadratureGrid(radial, radial_w, angular, angular_w, r_max)
+
+
+def grid_integrals(p, lam, t, grid):
+    """Integrals of q S and of q over ``grid``, one angular node per
+    reflection class, weighted by the class size."""
+    size = _angular_fold(grid.angular_nodes.size)
+    theta = grid.angular_nodes[: size.size]
+    r = grid.radial_nodes[:, None]
+    entropy, q = _conditional_entropy_terms(
+        p, lam, t, (r * np.cos(theta)) ** 2, (r * np.sin(theta)) ** 2
+    )
+    angular_weights = grid.angular_weights[: size.size] * size
+    weights = (grid.radial_weights * grid.radial_nodes)[:, None] * angular_weights
+    return float((weights * q * entropy).sum()), float((weights * q).sum())
+
+
+def disc_grid(t: float, n_radial: int = N_RADIAL, n_angular: int = N_ANGULAR) -> QuadratureGrid:
+    """Every node of the package's unit-disc rule, scaled to its radius
+    ``R^2 = DISC_X cosh t`` at ``t``: the unfolded twin of ``_disc_rule``."""
+    n_ang = _check_measurement(t, n_radial, n_angular)
+    r_max = math.sqrt(DISC_X * math.cosh(t))
+    xg, wg = _leggauss(n_radial)
+    radial = (xg + 1.0) * r_max / 2.0
+    radial_w = wg * r_max / 2.0
+    angular = 2.0 * math.pi * np.arange(n_ang) / n_ang
+    angular_w = np.full(n_ang, 2.0 * math.pi / n_ang)
+    return QuadratureGrid(radial, radial_w, angular, angular_w, r_max)
 
 
 def angular_fold(n):

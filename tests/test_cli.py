@@ -368,10 +368,11 @@ def test_cutoff_below_one_exits_3(capsys):
     assert json.loads(out)["results"]["upper"] == 0.0
 
 
-def test_grid_above_node_limit_exits_3(capsys):
-    code, _, err = run_cli(capsys, "compute", "gaussian-discord", "--p", "0.5", "--lambda", "0.99999")
-    assert code == 3
-    assert err.startswith("error:") and f"limit {2**20} nodes" in err
+def test_gaussian_discord_beyond_sized_grid_exits_0(capsys):
+    # The quadrature grid once grew with lam and stopped at 0.9993 with exit 3.
+    code, out, err = run_cli(capsys, "compute", "gaussian-discord", "--p", "0.5", "--lambda", "0.99999")
+    assert code == 0 and err == ""
+    assert json.loads(out)["results"]["gaussian_discord"] > 5.9
 
 
 def test_verify_wiring(capsys, monkeypatch):

@@ -8,34 +8,37 @@ import pytest
 import helpers_fock as oracle
 from cvwerner import exact, gaussian
 from cvwerner.gaussian import (
+    DISC_X,
     HOMODYNE_T,
-    MAX_GRID_NODES,
+    MAX_RULE_NODES,
     T_TOL,
     QuadratureError,
     _small_eigenvalue,
     conditional_entropy,
     gaussian_discord,
     outcome_norm,
-    quadrature_grid,
 )
 from helpers_oracles import (
     angular_fold,
     conditional_entropy_mc,
     conditional_params,
+    disc_grid,
     gaussian_discord_golden,
+    grid_integrals,
     mixture_entropy,
+    quadrature_grid,
     weight_densities,
 )
 
 
 @pytest.mark.parametrize("t", [-0.1, 301, math.nan])
-@pytest.mark.parametrize("call", ["quadrature", "pure", "grid"])
+@pytest.mark.parametrize("call", ["quadrature", "pure", "norm"])
 def test_measurement_squeezing_range(call, t):
-    # No grid is built at p = 0, but t is still checked.
+    # No rule is evaluated at p = 0, but t is still checked.
     calls = {
         "quadrature": lambda: conditional_entropy(0.5, 0.5, t),
         "pure": lambda: conditional_entropy(0.0, 0.5, t),
-        "grid": lambda: quadrature_grid(0.5, t),
+        "norm": lambda: outcome_norm(0.5, 0.5, t),
     }
     with pytest.raises(ValueError, match=re.escape(f"t={t} outside [0, 300.0]")):
         calls[call]()
@@ -159,9 +162,13 @@ def test_conditional_entropy_pure_limits():
         ("mc", {"n_samples": -1}, "n_samples=-1 must be at least 2"),
         ("quadrature", {"n_radial": 0}, "n_radial=0 must be at least 1"),
         ("quadrature", {"n_angular": -4}, "n_angular=-4 must be at least 1"),
-        # No grid is built at p = 1, but the counts are still checked.
+        # No rule is built at p = 1, but the counts are still checked.
         ("pure", {"n_radial": 0}, "n_radial=0 must be at least 1"),
-        ("grid", {"n_angular": math.nan}, "n_angular=nan must be at least 1"),
+        ("quadrature", {"n_angular": math.nan}, "n_angular=nan outside the integers"),
+        ("quadrature", {"n_radial": math.inf}, "n_radial=inf outside the integers"),
+        ("quadrature", {"n_radial": 80.5}, "n_radial=80.5 outside the integers"),
+        ("quadrature", {"n_angular": 64.0}, "n_angular=64.0 outside the integers"),
+        ("pure", {"n_radial": -math.inf}, "n_radial=-inf outside the integers"),
     ],
 )
 def test_sample_and_node_counts_name_their_limit(call, kwargs, message):
@@ -170,7 +177,6 @@ def test_sample_and_node_counts_name_their_limit(call, kwargs, message):
         "mc": lambda: conditional_entropy_mc(0.5, 0.5, het, **kwargs),
         "quadrature": lambda: conditional_entropy(0.5, 0.5, het, **kwargs),
         "pure": lambda: conditional_entropy(1.0, 0.5, het, **kwargs),
-        "grid": lambda: gaussian.quadrature_grid(0.5, het, **kwargs),
     }
     with pytest.raises(ValueError, match=message):
         calls[call]()
@@ -245,15 +251,20 @@ def test_angular_fold_matches_reflection_classes():
 @pytest.mark.parametrize("n_angular", [64, 66, 65])  # each rounded up to a multiple of 4
 @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
 def test_folded_integral_matches_unfolded_complex_sum(p, n_angular):
-    # one angular node per reflection class of the real integrand against
-    # the whole grid under the complex algebra, at a phase phi != 0
+    # one angular node per reflection class of the real integrand, on the
+    # scaled unit-disc rule, against every node of that rule under the
+    # complex algebra, at a phase phi != 0
+    n_ang = {64: 64, 65: 68, 66: 68}[n_angular]
+    rule = gaussian._disc_rule(80, n_ang)
+    assert rule.x2.shape == (80, n_ang // 4 + 1)
     for lam in (0.0, 0.5, 0.98):
         for t in (0.0, 2.0, HOMODYNE_T):
-            grid = quadrature_grid(lam, t, n_angular=n_angular)
-            assert grid.angular_nodes.size % 4 == 0
-            if lam < 0.9:
-                assert grid.angular_nodes.size == {64: 64, 65: 68, 66: 68}[n_angular]
-            value, norm = gaussian._integrate(p, lam, t, grid)
+            grid = disc_grid(t, n_angular=n_angular)
+            assert grid.angular_nodes.size == n_ang
+            scale = DISC_X * math.cosh(t)
+            value = gaussian._integrate(p, lam, t, rule)
+            _, q = gaussian._conditional_entropy_terms(p, lam, t, rule.x2, rule.y2, scale)
+            norm = scale * float((rule.weights * q).sum())
             ref_value, ref_norm = _unfolded_complex_integrals(p, lam, t, 0.9, grid)
             assert norm == pytest.approx(ref_norm, rel=1e-13, abs=0.0), (lam, t)
             assert value == pytest.approx(ref_value, rel=1e-13, abs=0.0), (lam, t)
@@ -262,21 +273,22 @@ def test_folded_integral_matches_unfolded_complex_sum(p, n_angular):
 @needs_longdouble
 def test_integrand_keeps_relative_precision_at_weak_squeezing_and_in_tails():
     # Per-node entropies down to 1e-290 against the extended-precision complex
-    # algebra.  Forming the small eigenvalue as (1 - sqrt(1 - m))/2 loses up
-    # to 5e-8 of it at lam = 0.05 and flushes it to 0 in the tails at 0.9.
+    # algebra, on the scaled unit-disc rule and, for deeper tails, on the
+    # sized grid.  Forming the small eigenvalue as (1 - sqrt(1 - m))/2 loses
+    # up to 5e-8 of it at lam = 0.05 and flushes it to 0 in the tails at 0.9.
     worst = 0.0
     for p in (0.05, 0.5):
         for lam in (0.05, 0.5, 0.9):
             for t in (0.0, 2.0, HOMODYNE_T):
-                grid = quadrature_grid(lam, t)
-                r = grid.radial_nodes[:, None]
-                theta = grid.angular_nodes[None, :]
-                entropy, _ = gaussian._conditional_entropy_terms(
-                    p, lam, t, (r * np.cos(theta)) ** 2, (r * np.sin(theta)) ** 2
-                )
-                ref, _ = _complex_terms(p, lam, t, 0.0, grid)
-                kept = ref > 1e-290
-                worst = max(worst, float(np.max(np.abs(entropy[kept] / ref[kept] - 1.0))))
+                for grid in (disc_grid(t), quadrature_grid(lam, t)):
+                    r = grid.radial_nodes[:, None]
+                    theta = grid.angular_nodes[None, :]
+                    entropy, _ = gaussian._conditional_entropy_terms(
+                        p, lam, t, (r * np.cos(theta)) ** 2, (r * np.sin(theta)) ** 2
+                    )
+                    ref, _ = _complex_terms(p, lam, t, 0.0, grid)
+                    kept = ref > 1e-290
+                    worst = max(worst, float(np.max(np.abs(entropy[kept] / ref[kept] - 1.0))))
     assert worst < 1e-12
 
 
@@ -286,6 +298,11 @@ def test_outcome_norm_across_regimes():
             for t in (0.0, 2.0, gaussian.HOMODYNE_T):
                 norm = outcome_norm(p, lam, t)
                 assert abs(norm - 1.0) < 1e-7
+
+
+def test_disc_tail_bound():
+    # (X + 2 + 1/e) exp(-X) bounds the entropy integrand beyond the disc
+    assert (DISC_X + 2.0 + math.exp(-1.0)) * math.exp(-DISC_X) < 1.2e-16
 
 
 def test_conditional_entropy_matches_monte_carlo():
@@ -304,7 +321,7 @@ def test_conditional_entropy_phase_independent():
             for t in (0.0, 2.0, gaussian.HOMODYNE_T):
                 value = conditional_entropy(p, lam, t)
                 for phi in (math.pi / 4, math.pi / 2):
-                    ref, _ = _unfolded_complex_integrals(p, lam, t, phi, quadrature_grid(lam, t))
+                    ref, _ = _unfolded_complex_integrals(p, lam, t, phi, disc_grid(t))
                     assert value == pytest.approx(ref, rel=1e-13, abs=0.0), (p, lam, t, phi)
 
 
@@ -420,21 +437,64 @@ def test_gaussian_discord_heterodyne_optimal_at_strong_squeezing():
     assert res.value > exact.discord(0.5, 0.9)
 
 
-def test_grid_node_limit():
-    # The grid at HOMODYNE_T grows with lam: 983 x 984 nodes at 0.9993, 1062 x 1064 at 0.9994.
-    grid = quadrature_grid(0.9993, HOMODYNE_T)
-    assert grid.radial_nodes.size * grid.angular_nodes.size <= MAX_GRID_NODES
-    with pytest.raises(ValueError, match=f"1062x1064 quadrature grid, above the limit {MAX_GRID_NODES}"):
-        quadrature_grid(0.9994, HOMODYNE_T)
+@pytest.mark.parametrize("t", [0.0, 2.0, HOMODYNE_T])
+def test_disc_rule_matches_sized_grid(t):
+    # Up to lam = 0.9993, where the sized grid at HOMODYNE_T stops, the
+    # 80 x 64 disc rule agrees with the grid sized to each lam and t.
+    for p in (0.05, 0.5, 0.95):
+        for lam in (0.0, 0.05, 0.3, 0.5, 0.7, 0.85, 0.9, 0.95, 0.98, 0.99, 0.9993):
+            ref, _ = grid_integrals(p, lam, t, quadrature_grid(lam, t))
+            assert abs(conditional_entropy(p, lam, t) - ref) < 1e-11, (p, lam)
 
 
-def test_grid_above_node_limit_raises_before_allocating():
-    # At lam = 0.99999 the grid at HOMODYNE_T would hold 8222 x 8222 nodes.
+@pytest.mark.parametrize("t", [0.0, 2.0, HOMODYNE_T])
+def test_disc_rule_converges_beyond_the_sized_grid(t):
+    # Past 0.9993, four times the nodes in each direction move no value by
+    # 1e-11 relative.
+    for p in (0.05, 0.5, 0.95):
+        for lam in (0.9994, 0.9999, 0.99999, 1.0 - 1e-8, 1.0 - 1e-12):
+            value = conditional_entropy(p, lam, t)
+            ref = conditional_entropy(p, lam, t, n_radial=320, n_angular=256)
+            assert value == pytest.approx(ref, rel=1e-11, abs=0.0), (p, lam)
+
+
+def test_gaussian_discord_beyond_the_sized_grid():
+    # The sized grid at HOMODYNE_T passed 2^20 nodes above lam = 0.9993.
+    for lam in (0.9994, 0.9999, 0.99999, 1.0 - 1e-8, 1.0 - 1e-12):
+        res = gaussian_discord(0.5, lam)
+        assert math.isfinite(res.value) and res.value > exact.discord(0.5, lam)
+        assert res.evaluations == 26
+
+
+def test_rule_above_node_limit_raises_before_allocating():
+    # 2^20 radial nodes would take leggauss 2^20 x 2^20 work and memory.
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=f"above the limit {MAX_GRID_NODES}"):
-            gaussian_discord(0.5, 0.99999)
+        with pytest.raises(ValueError, match=f"1048576x64 quadrature rule is above the limit {MAX_RULE_NODES}"):
+            conditional_entropy(0.5, 0.5, 0.0, n_radial=2**20)
+        with pytest.raises(ValueError, match=f"1025x1024 quadrature rule is above the limit {MAX_RULE_NODES}"):
+            conditional_entropy(0.5, 0.5, 0.0, n_radial=1025, n_angular=1021)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 20 * 2**20
+    assert peak < 2**20
+
+
+def test_rule_at_node_limit_is_accepted():
+    # 1024 x 1021 rounds to 1024 x 1024 nodes, the limit itself
+    assert gaussian._check_measurement(0.0, 1024, 1021) * 1024 == MAX_RULE_NODES
+
+
+def test_strong_squeezing_quadrature_memory():
+    # The sized grid at (0.9993, HOMODYNE_T) held 983 x 984 nodes, a 22 MB
+    # peak.  The peak here includes building the rule, but not numpy's lazy
+    # import of its polynomial module.
+    np.polynomial.legendre
+    gaussian._disc_rule.cache_clear()
+    tracemalloc.start()
+    try:
+        conditional_entropy(0.5, 0.9993, HOMODYNE_T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

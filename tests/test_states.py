@@ -158,7 +158,7 @@ def test_domain_check_rejects_nan_and_out_of_range(entry, value):
 
 _TOLERANCE_ENTRY_POINTS = {
     "choose_cutoff-eps_tail": lambda v: choose_cutoff(WernerParams(0.5, 0.5, 0.5), v),
-    # At this coarse grid the default eps_int raises QuadratureError (defect 7.1e-2).
+    # At this coarse rule the default eps_int raises QuadratureError (defect 8.9e-2).
     "gaussian.conditional_entropy-eps_int": lambda v: gaussian.conditional_entropy(
         0.5, 0.5, 2.0, n_radial=4, n_angular=4, eps_int=v
     ),

@@ -13,19 +13,19 @@ from cvwerner import cli
 
 MODULES = ("fock", "states", "exact", "gaussian", "nongauss", "bounds", "ppt", "acceptance")
 
-# Public classes of each module, 16 in all.
+# Public classes of each module, 15 in all.
 CLASSES = {
     "fock": ("InvalidSpectrumError", "NonHermitianError", "OneModeState", "TwoModeState"),
     "states": ("WernerParams",),
     "exact": ("DiscordReport",),
-    "gaussian": ("GaussianDiscordResult", "OptimizationError", "QuadratureError", "QuadratureGrid"),
+    "gaussian": ("GaussianDiscordResult", "OptimizationError", "QuadratureError"),
     "nongauss": ("GapReport",),
     "bounds": ("BoundsReport", "TruncationError"),
     "ppt": ("PptReport", "SeriesCrossCheckError"),
     "acceptance": ("CheckResult",),
 }
 
-# Public functions and methods of each module, 70 in all.
+# Public functions and methods of each module, 69 in all.
 PUBLIC = {
     "fock": (
         "OneModeState.trace", "OneModeState.validate", "TwoModeState.trace",
@@ -42,7 +42,7 @@ PUBLIC = {
         "eigenvalue_pair", "global_entropy", "joint_photon_distribution", "quantumness_indicators",
         "reduced_entropy",
     ),
-    "gaussian": ("conditional_entropy", "gaussian_discord", "outcome_norm", "quadrature_grid"),
+    "gaussian": ("conditional_entropy", "gaussian_discord", "outcome_norm"),
     "nongauss": (
         "discord_gap", "gap_approx", "gaussian_state_entropy", "low_squeezing_ratio",
         "nongaussianity", "nongaussianity_approx", "symplectic_eigenvalue",
@@ -65,7 +65,7 @@ PUBLIC = {
 }
 
 # Defaulted parameters of the public functions and methods, and defaulted
-# fields of the public dataclasses, 23 in all.
+# fields of the public dataclasses, 21 in all.
 SETTABLE = {
     "fock.partial_trace": ("mode",),
     "fock.partial_transpose": ("mode",),
@@ -76,7 +76,6 @@ SETTABLE = {
     "states.WernerParams": ("mu",),
     "exact.discord_numeric": ("n_max",),
     "exact.quantumness_indicators": ("n_max",),
-    "gaussian.quadrature_grid": ("n_radial", "n_angular"),
     "gaussian.conditional_entropy": ("n_radial", "n_angular", "eps_int"),
     "gaussian.gaussian_discord": ("eps_int",),
     "nongauss.discord_gap": ("eps_int",),
@@ -120,7 +119,7 @@ def test_public_classes_of_the_package():
         module = importlib.import_module(f"cvwerner.{mod_name}")
         found[mod_name] = tuple(sorted(name for name, _ in _public_objects(module, inspect.isclass)))
     assert found == CLASSES
-    assert sum(map(len, found.values())) == 16
+    assert sum(map(len, found.values())) == 15
 
 
 def test_public_functions_of_the_package():
@@ -129,7 +128,7 @@ def test_public_functions_of_the_package():
         module = importlib.import_module(f"cvwerner.{mod_name}")
         found[mod_name] = tuple(sorted(name for name, _ in _public_functions(module)))
     assert found == PUBLIC
-    assert sum(map(len, found.values())) == 70
+    assert sum(map(len, found.values())) == 69
 
 
 def test_settable_values_of_the_package():
@@ -150,7 +149,7 @@ def test_settable_values_of_the_package():
             if defaulted:
                 found[f"{mod_name}.{name}"] = defaulted
     assert found == SETTABLE
-    assert sum(map(len, found.values())) == 23
+    assert sum(map(len, found.values())) == 21
 
 
 def test_settable_values_of_the_cli():
