@@ -95,7 +95,7 @@ def _m_gaussian_discord(p, lam, eps_int=gaussian.EPS_INT):
         "discord": d,
         "gap": res.value - d,
     }
-    return results, None, {"eps_int": eps_int, "evaluations": float(res.evaluations)}
+    return results, None, {"eps_int": eps_int, "evaluations": res.evaluations}
 
 
 def _m_delta0(p, lam):

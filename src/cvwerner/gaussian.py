@@ -32,16 +32,17 @@ The conditional entropy does not depend on ``phi``: the Werner state is
 invariant under opposite phase rotations of its two modes, and such a
 rotation turns the measurement at phase ``phi`` into the one at phase 0
 without changing any conditional entropy.  So the measurement is its
-squeezing ``t``, and the optimizer scans ``t`` alone.  The quadrature uses
-the same invariance: in the (x, y) frame the log-weights of both
-components and the log-overlap between them are linear in ``x^2`` and
-``y^2``, with no trace of ``phi``, so the integrand is real, phase-free
-and even in x and in y.  The rule's angular count is a multiple of 4, and
-only one angular node of each reflection class is evaluated, weighted by
-the class size: n/4 + 1 of n.  The complex outcome algebra, kept as the
-reference for this real integrand, a Monte-Carlo estimate of the
-conditional entropy and the earlier polar grid sized to each ``lam`` and
-``t`` live with the tests.
+squeezing ``t``, and the optimizer scans ``t`` alone, at points uniform in
+``tanh t`` (``SCAN_T``).  The quadrature uses the same invariance: in the
+(x, y) frame the log-weights of both components and the log-overlap
+between them are linear in ``x^2`` and ``y^2``, with no trace of ``phi``,
+so the integrand is real, phase-free and even in x and in y.  The rule's
+angular count is a multiple of 4, and only one angular node of each
+reflection class is evaluated, weighted by the class size: n/4 + 1 of n.
+The complex outcome algebra, kept as the reference for this real
+integrand, a Monte-Carlo estimate of the conditional entropy, the earlier
+polar grid sized to each ``lam`` and ``t`` and the earlier 25-point scan
+of ``t`` live with the tests.
 """
 
 from __future__ import annotations
@@ -64,8 +65,11 @@ _T_CAP = 300.0  # exp(2t) must stay finite
 DISC_X = 40.5
 # Width to which golden section refines the optimal t.
 T_TOL = 1e-4
-# Spacing of the coarse scan in t that golden section then refines.
-COARSE_STEP = 0.5
+# The scan of t that golden section then refines: 9 points uniform in
+# tanh t from heterodyne to HOMODYNE_T, so dense where h(t) varies (t < 1.4)
+# and sparse where it approaches its homodyne value like exp(-2t).  The last
+# point is HOMODYNE_T itself, since atanh(tanh 12) is 12 - 1.6e-7.
+SCAN_T = tuple(math.atanh(k / 8.0 * math.tanh(HOMODYNE_T)) for k in range(8)) + (HOMODYNE_T,)
 # Default tolerance on the vacuum component's mass on the quadrature disc.
 EPS_INT = 1e-7
 # Default node counts of the unit-disc rule, radial and angular.
@@ -192,11 +196,15 @@ def _check_count(name, value, least):
         raise ValueError(f"{name}={value} must be at least {least}")
 
 
-def _check_measurement(t, n_radial, n_angular):
-    """Check the measurement squeezing t and the node counts, and return the
-    angular count rounded up to a multiple of 4; NaN is rejected."""
+def _check_measurement(t):
+    """Check the measurement squeezing t; NaN is rejected."""
     if not 0.0 <= t <= _T_CAP:
         raise ValueError(f"t={t} outside [0, {_T_CAP}]")
+
+
+def _check_nodes(n_radial, n_angular):
+    """Check the node counts, and return the angular count rounded up to a
+    multiple of 4."""
     _check_count("n_radial", n_radial, 1)
     _check_count("n_angular", n_angular, 1)
     n_angular = 4 * -(-int(n_angular) // 4)
@@ -270,8 +278,30 @@ def outcome_norm(p: float, lam: float, t: float) -> float:
     outside the Werner domain, and ``t`` outside [0, 300], raise
     ``ValueError``."""
     WernerParams(p, lam)
-    n_angular = _check_measurement(t, N_RADIAL, N_ANGULAR)
-    return _disc_rule(N_RADIAL, n_angular).vacuum_mass
+    _check_measurement(t)
+    return _disc_rule(N_RADIAL, N_ANGULAR).vacuum_mass
+
+
+def _checked_rule(p, lam, n_radial, n_angular, eps_int):
+    """The unit-disc rule of ``n_radial x n_angular`` nodes for the point
+    ``(p, lam)``, after checking the point, ``eps_int`` and the node counts,
+    and the rule's mass of the vacuum component against its closed form
+    ``1 - exp(-DISC_X)`` within ``eps_int``; None at p = 0 or 1, where every
+    conditional state is pure and no rule is built."""
+    WernerParams(p, lam)
+    check_tolerance("eps_int", eps_int)
+    n_angular = _check_nodes(n_radial, n_angular)
+    if p == 0.0 or p == 1.0:
+        return None
+    rule = _disc_rule(int(n_radial), n_angular)
+    defect = rule.vacuum_mass + math.expm1(-DISC_X)
+    if abs(defect) > eps_int:
+        raise QuadratureError(
+            f"vacuum component integrates to {rule.vacuum_mass!r} on the disc "
+            f"(defect {defect:.3e} > eps_int={eps_int:g}), "
+            f"nodes={n_radial}x{n_angular}"
+        )
+    return rule
 
 
 def conditional_entropy(
@@ -292,21 +322,9 @@ def conditional_entropy(
     a measurement squeezing ``t`` outside [0, 300] raise ``ValueError``,
     there too.
     """
-    WernerParams(p, lam)
-    check_tolerance("eps_int", eps_int)
-    n_angular = _check_measurement(t, n_radial, n_angular)
-    if p == 0.0 or p == 1.0:
-        return 0.0
-    rule = _disc_rule(int(n_radial), n_angular)
-    # v's mass on the disc against its closed form 1 - exp(-DISC_X)
-    defect = rule.vacuum_mass + math.expm1(-DISC_X)
-    if abs(defect) > eps_int:
-        raise QuadratureError(
-            f"vacuum component integrates to {rule.vacuum_mass!r} on the disc "
-            f"(defect {defect:.3e} > eps_int={eps_int:g}), "
-            f"nodes={n_radial}x{n_angular}"
-        )
-    return _integrate(p, lam, t, rule)
+    _check_measurement(t)
+    rule = _checked_rule(p, lam, n_radial, n_angular, eps_int)
+    return 0.0 if rule is None else _integrate(p, lam, t, rule)
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -338,22 +356,23 @@ def _golden_section(f, a, b, tol):
     return (c, yc) if yc < yd else (d, yd)
 
 
-def _refine(f, t_best, h_best):
-    """Refine the best point ``(t_best, h_best)`` of the coarse scan of f
-    over [0, HOMODYNE_T]; returns the final point and its value.
+def _refine(f, scan, k, h_best):
+    """Refine the best point ``scan[k]`` of an increasing scan of f, whose
+    value there is ``h_best``; returns the final point and its value.
 
     An interior point is refined by golden section on its two neighbouring
     scan intervals.  At an end of the scan f is first probed ``T_TOL``
     inside it: if the probe is not lower, the end is returned, since on a
     unimodal bracket (which golden section assumes too) the minimizer then
-    lies within ``T_TOL`` of the end; if it is lower, golden section runs.
+    lies within ``T_TOL`` of the end; if it is lower, golden section runs
+    on the end's scan interval.
     """
-    if t_best in (0.0, HOMODYNE_T):
-        probe = T_TOL if t_best == 0.0 else HOMODYNE_T - T_TOL
+    t_best, last = scan[k], len(scan) - 1
+    if k in (0, last):
+        probe = t_best + T_TOL if k == 0 else t_best - T_TOL
         if not f(probe) < h_best:
             return t_best, h_best
-    lo = max(0.0, t_best - COARSE_STEP)
-    hi = min(HOMODYNE_T, t_best + COARSE_STEP)
+    lo, hi = scan[max(k - 1, 0)], scan[min(k + 1, last)]
     return min([(t_best, h_best), _golden_section(f, lo, hi, T_TOL)], key=lambda c: c[1])
 
 
@@ -373,7 +392,9 @@ def gaussian_discord(p: float, lam: float, eps_int: float = EPS_INT) -> Gaussian
     """Discord restricted to Gaussian measurements, with its minimizer.
 
     Minimizes the conditional entropy over the measurement squeezing t, on
-    a grid of spacing ``COARSE_STEP``, then refines t by golden section.
+    the 9 points ``SCAN_T`` uniform in ``tanh t``, then refines t by golden
+    section between the best point's neighbours.  The inputs and the
+    quadrature rule's self-check are checked once, before the scan.
     When the best scan point is an end, 0 or ``HOMODYNE_T``, one probe at
     ``T_TOL`` inside that end comes first, and golden section runs only if
     the probe is lower; otherwise the end is returned, which golden section
@@ -389,16 +410,17 @@ def gaussian_discord(p: float, lam: float, eps_int: float = EPS_INT) -> Gaussian
     if p == 0.0 or p == 1.0:
         return GaussianDiscordResult(base, 0.0, 0.0, 0)
 
+    rule = _checked_rule(p, lam, N_RADIAL, N_ANGULAR, eps_int)
     trace = []
 
     def objective(t):
-        val = conditional_entropy(p, lam, t, eps_int=eps_int)
+        val = _integrate(p, lam, t, rule)
         trace.append((t, val))
         return val
 
-    coarse_t = np.arange(0.0, HOMODYNE_T + COARSE_STEP / 2.0, COARSE_STEP)
-    best = min(((float(t), objective(float(t))) for t in coarse_t), key=lambda c: c[1])
-    t_opt, h_min = _refine(objective, *best)
+    scan_h = [objective(t) for t in SCAN_T]
+    k = min(range(len(SCAN_T)), key=scan_h.__getitem__)
+    t_opt, h_min = _refine(objective, SCAN_T, k, scan_h[k])
     if not math.isfinite(h_min) or h_min < -1e-12:
         raise OptimizationError(
             f"conditional-entropy minimization failed (min {h_min!r}); "

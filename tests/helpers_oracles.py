@@ -3,8 +3,8 @@
 Each one is a second route to a quantity the package computes another way:
 the complex outcome algebra, a Monte-Carlo average, the polar grid sized to
 each ``lam`` and ``t``, the reflection classes of the angular grid and an
-optimizer that always runs golden section for the Gaussian conditional
-entropy and discord, dense photon-count tables
+optimizer that scans ``t`` in steps of 0.5 and always runs golden section
+for the Gaussian conditional entropy and discord, dense photon-count tables
 and matrices for the photon-counting bounds, the covariance matrix behind
 the symplectic eigenvalue, and truncated-matrix entropies of the vacuum
 Werner state.
@@ -29,7 +29,6 @@ from cvwerner.fock import (
     von_neumann_entropy,
 )
 from cvwerner.gaussian import (
-    COARSE_STEP,
     DISC_X,
     HOMODYNE_T,
     N_ANGULAR,
@@ -38,6 +37,7 @@ from cvwerner.gaussian import (
     _angular_fold,
     _check_count,
     _check_measurement,
+    _check_nodes,
     _conditional_entropy_terms,
     _conditional_squeezing,
     _frame_rates,
@@ -169,7 +169,8 @@ def quadrature_grid(
     regime.  The angular count is rounded up to a multiple of 4.  Above
     ``MAX_GRID_NODES`` nodes it raises ``ValueError``.
     """
-    _check_measurement(t, n_radial, n_angular)
+    _check_measurement(t)
+    _check_nodes(n_radial, n_angular)
     n_rad, n_ang = _node_counts(lam, t, n_radial, n_angular)
     rates = _frame_rates(lam, t)
     c_min = min(rates)
@@ -199,7 +200,8 @@ def grid_integrals(p, lam, t, grid):
 def disc_grid(t: float, n_radial: int = N_RADIAL, n_angular: int = N_ANGULAR) -> QuadratureGrid:
     """Every node of the package's unit-disc rule, scaled to its radius
     ``R^2 = DISC_X cosh t`` at ``t``: the unfolded twin of ``_disc_rule``."""
-    n_ang = _check_measurement(t, n_radial, n_angular)
+    _check_measurement(t)
+    n_ang = _check_nodes(n_radial, n_angular)
     r_max = math.sqrt(DISC_X * math.cosh(t))
     xg, wg = _leggauss(n_radial)
     radial = (xg + 1.0) * r_max / 2.0
@@ -220,15 +222,21 @@ def angular_fold(n):
     return np.unique(np.min(images, axis=0), return_counts=True)
 
 
+# The package's earlier scan of the measurement squeezing: 25 points of
+# spacing COARSE_STEP in t over [0, HOMODYNE_T].
+COARSE_STEP = 0.5
+COARSE_T = tuple(float(t) for t in np.arange(0.0, HOMODYNE_T + COARSE_STEP / 2.0, COARSE_STEP))
+
+
 def gaussian_discord_golden(p: float, lam: float):
-    """``(value, conditional_entropy, t)`` of :func:`gaussian_discord` by its
-    coarse scan followed by golden section at every point, ends included."""
+    """``(value, conditional_entropy, t)`` of :func:`gaussian_discord` by the
+    25-point scan ``COARSE_T`` followed by golden section at every point,
+    ends included."""
 
     def objective(t):
         return conditional_entropy(p, lam, t)
 
-    coarse = np.arange(0.0, HOMODYNE_T + COARSE_STEP / 2.0, COARSE_STEP)
-    best = min(((float(t), objective(float(t))) for t in coarse), key=lambda c: c[1])
+    best = min(((t, objective(t)) for t in COARSE_T), key=lambda c: c[1])
     lo = max(0.0, best[0] - COARSE_STEP)
     hi = min(HOMODYNE_T, best[0] + COARSE_STEP)
     t_opt, h_min = min([best, _golden_section(objective, lo, hi, T_TOL)], key=lambda c: c[1])

@@ -375,6 +375,13 @@ def test_gaussian_discord_beyond_sized_grid_exits_0(capsys):
     assert json.loads(out)["results"]["gaussian_discord"] > 5.9
 
 
+def test_gaussian_discord_reports_its_evaluations_as_an_integer(capsys):
+    code, out, _ = run_cli(capsys, "compute", "gaussian-discord", "--p", "0.5", "--lambda", "0.5")
+    assert code == 0
+    evaluations = json.loads(out)["error_budget"]["evaluations"]
+    assert type(evaluations) is int and evaluations == 10
+
+
 def test_verify_wiring(capsys, monkeypatch):
     stub_results = [
         acceptance.CheckResult("alpha", True, "fine", 0.1),

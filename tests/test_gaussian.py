@@ -11,6 +11,7 @@ from cvwerner.gaussian import (
     DISC_X,
     HOMODYNE_T,
     MAX_RULE_NODES,
+    SCAN_T,
     T_TOL,
     QuadratureError,
     _small_eigenvalue,
@@ -356,17 +357,36 @@ def test_gaussian_discord_returns_python_floats():
 
 
 def test_gaussian_discord_evaluates_each_t_once(monkeypatch):
-    seen = []
-    real = gaussian.conditional_entropy
+    seen, checked = [], []
+    real_integrate, real_checked_rule = gaussian._integrate, gaussian._checked_rule
 
-    def recording(p, lam, t, **kwargs):
+    def recording(p, lam, t, rule):
         seen.append(t)
-        return real(p, lam, t, **kwargs)
+        return real_integrate(p, lam, t, rule)
 
-    monkeypatch.setattr(gaussian, "conditional_entropy", recording)
+    def checking(*args):
+        checked.append(args)
+        return real_checked_rule(*args)
+
+    monkeypatch.setattr(gaussian, "_integrate", recording)
+    monkeypatch.setattr(gaussian, "_checked_rule", checking)
     res = gaussian_discord(0.5, 0.5)
-    # 25 scan points and one probe inside the end t = HOMODYNE_T
-    assert len(seen) == len(set(seen)) == res.evaluations == 26
+    # 9 scan points and one probe inside the end t = HOMODYNE_T
+    assert len(seen) == len(set(seen)) == res.evaluations == 10
+    # the inputs and the rule are checked once, before the scan
+    assert len(checked) == 1
+
+
+def test_gaussian_discord_keeps_the_rule_self_check():
+    with pytest.raises(QuadratureError, match="eps_int=1e-20"):
+        gaussian_discord(0.5, 0.5, eps_int=1e-20)
+
+
+def test_scan_is_uniform_in_tanh_t():
+    assert len(SCAN_T) == 9
+    assert SCAN_T[0] == 0.0 and SCAN_T[-1] == HOMODYNE_T
+    step = math.tanh(HOMODYNE_T) / 8.0
+    assert np.diff(np.tanh(SCAN_T)) == pytest.approx(np.full(8, step), rel=1e-14, abs=0.0)
 
 
 class _Counted:
@@ -380,40 +400,67 @@ class _Counted:
         return self.f(t)
 
 
-def test_refine_runs_golden_section_inside_the_scan():
-    f = _Counted(lambda t: (t - 3.3) ** 2)
-    t_opt, h_min = gaussian._refine(f, 3.5, f(3.5))
-    assert abs(t_opt - 3.3) < T_TOL
+@pytest.mark.parametrize("t_min", [0.6, 3.3])
+def test_refine_runs_golden_section_inside_the_scan(t_min):
+    f = _Counted(lambda t: (t - t_min) ** 2)
+    scan_h = [f(t) for t in SCAN_T]
+    k = scan_h.index(min(scan_h))
+    assert 0 < k < len(SCAN_T) - 1
+    t_opt, h_min = gaussian._refine(f, SCAN_T, k, scan_h[k])
+    assert abs(t_opt - t_min) < T_TOL
     assert h_min == f.f(t_opt)
     assert T_TOL not in f.calls and HOMODYNE_T - T_TOL not in f.calls
+    # golden section stays between the best point's neighbours
+    assert all(SCAN_T[k - 1] <= t <= SCAN_T[k + 1] for t in f.calls[len(SCAN_T):])
 
 
-@pytest.mark.parametrize("end, f", [(0.0, lambda t: t), (HOMODYNE_T, lambda t: -t)])
-def test_refine_returns_an_end_whose_probe_is_not_lower(end, f):
+@pytest.mark.parametrize("k, f", [(0, lambda t: t), (-1, lambda t: -t)])
+def test_refine_returns_an_end_whose_probe_is_not_lower(k, f):
     f = _Counted(f)
-    assert gaussian._refine(f, end, f(end)) == (end, f.f(end))
+    end = SCAN_T[k]
+    assert gaussian._refine(f, SCAN_T, k % len(SCAN_T), f(end)) == (end, f.f(end))
     assert f.calls == [end, T_TOL if end == 0.0 else HOMODYNE_T - T_TOL]
 
 
-@pytest.mark.parametrize("end, t_min", [(0.0, 0.2), (HOMODYNE_T, HOMODYNE_T - 0.2)])
-def test_refine_falls_back_to_golden_section_when_the_probe_is_lower(end, t_min):
-    # the minimum lies inside the last scan interval, closer to the end
+@pytest.mark.parametrize("k, t_min", [(0, 0.1), (-1, HOMODYNE_T - 0.2)])
+def test_refine_falls_back_to_golden_section_when_the_probe_is_lower(k, t_min):
+    # the minimum lies inside the end's scan interval, closer to the end
+    end, neighbour = SCAN_T[k], SCAN_T[1 if k == 0 else -2]
+    assert min(end, neighbour) < t_min < max(end, neighbour)
     f = _Counted(lambda t: (t - t_min) ** 2)
-    t_opt, _ = gaussian._refine(f, end, f(end))
+    t_opt, _ = gaussian._refine(f, SCAN_T, k % len(SCAN_T), f(end))
     assert abs(t_opt - t_min) < T_TOL
-    # the end, the probe and golden section's 19 points on the last interval
-    assert len(f.calls) == 21
+    # the end, the probe and golden section's points on that interval: two,
+    # then one for each step that shrinks the bracket by 1/phi to T_TOL
+    phi = (1.0 + math.sqrt(5.0)) / 2.0
+    steps = math.ceil(math.log(abs(neighbour - end) / T_TOL) / math.log(phi))
+    assert len(f.calls) == 2 + 2 + (steps - 1)
+
+
+# p near both ends and lam from weak squeezing to 1 - 1e-4, through the
+# heterodyne-homodyne switch near lam = 0.7-0.78.
+AGREEMENT_P = (0.01, 0.05, 0.5, 0.95, 0.99)
+AGREEMENT_LAM = (0.001, 0.01, 0.05, 0.3, 0.5, 0.7, 0.74, 0.78, 0.9, 0.98, 0.995, 0.9999)
 
 
 def test_gaussian_discord_agrees_with_golden_section_everywhere():
-    # the endpoint probe against the optimizer that always runs golden section
-    for p in (0.05, 0.5, 0.95):
-        for lam in (0.05, 0.3, 0.5, 0.7, 0.9, 0.98):
+    # the 9-point scan and its endpoint probe against the 25-point scan and
+    # an optimizer that always runs golden section
+    for p in AGREEMENT_P:
+        for lam in AGREEMENT_LAM:
             res = gaussian_discord(p, lam)
             value, h_min, t_opt = gaussian_discord_golden(p, lam)
             assert abs(res.value - value) < 1e-12, (p, lam)
             assert abs(res.conditional_entropy - h_min) < 1e-12, (p, lam)
             assert abs(res.t - t_opt) < T_TOL, (p, lam)
+
+
+def test_gaussian_optimum_is_an_end():
+    # The paper's finding: within the Gaussian family the optimum is
+    # homodyne (t -> infinity, here HOMODYNE_T) or heterodyne (t = 0).
+    for p in AGREEMENT_P:
+        for lam in AGREEMENT_LAM:
+            assert gaussian_discord(p, lam).t in (0.0, HOMODYNE_T), (p, lam)
 
 
 def test_gaussian_discord_strictly_above_discord():
@@ -463,7 +510,7 @@ def test_gaussian_discord_beyond_the_sized_grid():
     for lam in (0.9994, 0.9999, 0.99999, 1.0 - 1e-8, 1.0 - 1e-12):
         res = gaussian_discord(0.5, lam)
         assert math.isfinite(res.value) and res.value > exact.discord(0.5, lam)
-        assert res.evaluations == 26
+        assert res.evaluations == 10
 
 
 def test_rule_above_node_limit_raises_before_allocating():
@@ -482,7 +529,7 @@ def test_rule_above_node_limit_raises_before_allocating():
 
 def test_rule_at_node_limit_is_accepted():
     # 1024 x 1021 rounds to 1024 x 1024 nodes, the limit itself
-    assert gaussian._check_measurement(0.0, 1024, 1021) * 1024 == MAX_RULE_NODES
+    assert gaussian._check_nodes(1024, 1021) * 1024 == MAX_RULE_NODES
 
 
 def test_strong_squeezing_quadrature_memory():
