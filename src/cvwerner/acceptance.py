@@ -27,9 +27,6 @@ from .fock import eig_spectrum, is_more_mixed, partial_transpose
 from .states import WernerParams, choose_cutoff
 
 DEFAULT_SEED = 20240801
-# The quadrature rule must hold the vacuum component's mass on its disc,
-# 1 - exp(-DISC_X), within this.
-NORM_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -261,20 +258,20 @@ def check_ppt_analytics():
 
 def check_quadrature_robustness():
     """Node doubling moves the conditional entropy by < 1e-6, and the
-    quadrature rule holds the vacuum component's mass on its disc within
-    ``NORM_TOL``."""
+    default quadrature rule holds the vacuum component's mass on its disc
+    within ``gaussian.EPS_INT``, the rule's own self-check."""
 
     def body():
         p, lam, t = 0.5, 0.5, 2.0
         h1 = gaussian.conditional_entropy(p, lam, t, n_radial=80, n_angular=64)
         h2 = gaussian.conditional_entropy(p, lam, t, n_radial=160, n_angular=128)
         refine = abs(h1 - h2)
-        defect = abs(gaussian.outcome_norm(p, lam, t) - 1.0)
-        margin = NORM_TOL / defect if defect > 0 else float("inf")
-        ok = refine < 1e-6 and defect <= NORM_TOL
+        defect = abs(gaussian._disc_rule(gaussian.N_RADIAL, gaussian.N_ANGULAR).vacuum_mass - 1.0)
+        margin = gaussian.EPS_INT / defect if defect > 0 else float("inf")
+        ok = refine < 1e-6 and defect <= gaussian.EPS_INT
         return ok, (
             f"refinement change {refine:.2e} (tol 1e-6); vacuum-mass defect {defect:.2e} "
-            f"(tol {NORM_TOL:g}, margin {margin:.0f}x)"
+            f"(tol {gaussian.EPS_INT:g}, margin {margin:.0f}x)"
         )
 
     return _guard("quadrature-robustness", body)

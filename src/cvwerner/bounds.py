@@ -34,9 +34,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .fock import (
-    MAX_TWO_MODE_DIM,
     TwoModeState,
-    _check_cutoff,
+    _check_count,
+    _check_square_size,
     antidiagonal_entropy,
     eig_spectrum,
     partial_trace,
@@ -67,7 +67,7 @@ def reduced_spectrum(p: float, lam: float, mu: float, n_max: int) -> np.ndarray:
     """Eigenvalues g_m = p(1-lam^2)lam^(2m) + (1-p)(1-mu^2)mu^(2m) of either
     reduced state (diagonal in the Fock basis)."""
     WernerParams(p, lam, mu)
-    _check_cutoff(n_max, 1)
+    _check_count(n_max, 1)
     m = np.arange(n_max, dtype=float)
     return p * (1.0 - lam**2) * lam ** (2 * m) + (1.0 - p) * (1.0 - mu**2) * mu ** (2 * m)
 
@@ -130,7 +130,7 @@ def conditional_entropy_photon_counting(p: float, lam: float, mu: float, n_max: 
     state is pure and the result is exactly zero.
     """
     WernerParams(p, lam, mu)
-    _check_cutoff(n_max, 1)
+    _check_count(n_max, 1)
     if mu == 0.0 or p == 1.0:
         return 0.0
     closed = _conditional_entropy_closed(p, lam, mu, n_max)
@@ -141,15 +141,6 @@ def conditional_entropy_photon_counting(p: float, lam: float, mu: float, n_max: 
             f"{abs(closed - direct):.3e} (> {IDENTITY_TOL:g}) at n_max={n_max}"
         )
     return closed
-
-
-def _check_square_size(n_max):
-    _check_cutoff(n_max, 1)
-    if n_max > MAX_TWO_MODE_DIM:
-        raise ValueError(
-            f"cutoff n_max={n_max} exceeds the limit {MAX_TWO_MODE_DIM} "
-            f"on dense n_max x n_max tables"
-        )
 
 
 def _block_terms(p, lam, mu, n_max):

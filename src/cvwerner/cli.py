@@ -84,8 +84,8 @@ def _m_discord0(p, lam):
     return results, None, {"closed_form": 0.0}
 
 
-def _m_gaussian_discord(p, lam, eps_int=gaussian.EPS_INT):
-    res = gaussian.gaussian_discord(p, lam, eps_int=eps_int)
+def _m_gaussian_discord(p, lam):
+    res = gaussian.gaussian_discord(p, lam)
     d = exact.discord(p, lam)
     results = {
         "gaussian_discord": res.value,
@@ -95,7 +95,7 @@ def _m_gaussian_discord(p, lam, eps_int=gaussian.EPS_INT):
         "discord": d,
         "gap": res.value - d,
     }
-    return results, None, {"eps_int": eps_int, "evaluations": res.evaluations}
+    return results, None, {"eps_int": gaussian.EPS_INT, "evaluations": res.evaluations}
 
 
 def _m_delta0(p, lam):
@@ -108,8 +108,8 @@ def _m_delta0(p, lam):
     return results, None, {"closed_form": 0.0}
 
 
-def _m_gap(p, lam, eps_int=gaussian.EPS_INT):
-    rep = nongauss.discord_gap(p, lam, eps_int=eps_int)
+def _m_gap(p, lam):
+    rep = nongauss.discord_gap(p, lam)
     results = {
         "delta0": rep.delta0,
         "gap": rep.gap,
@@ -118,7 +118,7 @@ def _m_gap(p, lam, eps_int=gaussian.EPS_INT):
         "delta0_approx": rep.delta0_approx,
         "gap_approx": rep.gap_approx,
     }
-    return results, None, {"eps_int": eps_int}
+    return results, None, {"eps_int": gaussian.EPS_INT}
 
 
 def _m_bounds(p, lam, mu, cutoff=None, eps_tail=DEFAULT_EPS_TAIL):
@@ -177,7 +177,7 @@ MEASURES = {
 
 
 POINT = ("p", "lam", "mu")
-SETTINGS = ("cutoff", "eps_tail", "eps_int")
+SETTINGS = ("cutoff", "eps_tail")
 
 
 def _given(args, keys):
@@ -188,8 +188,8 @@ def _given(args, keys):
 def _measure(name, inputs):
     """The measure ``name``, once ``inputs`` are checked against its
     signature: every required input given and no input it does not read.
-    Each tolerance given is checked here, also where the library would not
-    read it (``--eps-tail`` next to ``--cutoff``, or at ``lam = 0``), so
+    A tail tolerance given is checked here, also where the library would
+    not read it (``--eps-tail`` next to ``--cutoff``, or at ``lam = 0``), so
     that no output echoes a NaN."""
     params = inspect.signature(MEASURES[name]).parameters
     missing = [k for k, v in params.items() if v.default is v.empty and k not in inputs]
@@ -198,9 +198,8 @@ def _measure(name, inputs):
         if keys:
             flags = " ".join("--" + k.replace("_", "-") for k in keys)
             raise ValueError(f"measure '{name}' {verb} {flags}")
-    for key in ("eps_tail", "eps_int"):
-        if key in inputs:
-            check_tolerance(key, inputs[key])
+    if "eps_tail" in inputs:
+        check_tolerance("eps_tail", inputs["eps_tail"])
     return MEASURES[name]
 
 
@@ -454,7 +453,6 @@ def _add_flags(parser, *names, ranged=False):
         "mu": ("--mu", dict(type=kind, help="thermal factor" + hint)),
         "cutoff": ("--cutoff", dict(type=int, help="Fock cutoff override")),
         "eps_tail": ("--eps-tail", dict(type=float, help="truncation tail tolerance")),
-        "eps_int": ("--eps-int", dict(type=float, help="quadrature tolerance")),
         "seed": ("--seed", dict(type=int, help="seed for the sampling oracles")),
         "format": ("--format", dict(choices=("csv", "json"), default="csv")),
         "out": ("--out", dict(help="output path (default stdout)")),

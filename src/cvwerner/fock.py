@@ -99,21 +99,33 @@ def _dense(dim, rows, cols, values):
     return m
 
 
-def _check_cutoff(n_max, least):
-    """Raise ``ValueError`` unless the cutoff ``n_max`` is an integer of at
-    least ``least``.  Python and numpy integers pass; a float, NaN or whole,
-    does not."""
-    if not isinstance(n_max, (int, np.integer)):
-        raise ValueError(f"cutoff n_max={n_max} outside the integers")
-    if n_max < least:
-        raise ValueError(f"cutoff n_max={n_max} outside [{least}, inf)")
+def _check_count(value, least, name="cutoff n_max"):
+    """Raise ``ValueError`` unless the count ``value``, by default a cutoff,
+    is an integer of at least ``least``.  Python and numpy integers pass; a
+    float, NaN or whole, does not."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name}={value} outside the integers")
+    if value < least:
+        raise ValueError(f"{name}={value} outside [{least}, inf)")
+
+
+def _check_square_size(n_max):
+    """Raise ``ValueError`` unless ``n_max`` is an integer in
+    [1, ``MAX_TWO_MODE_DIM``]; builders of n_max x n_max arrays call it
+    before they allocate."""
+    _check_count(n_max, 1)
+    if n_max > MAX_TWO_MODE_DIM:
+        raise ValueError(
+            f"cutoff n_max={n_max} exceeds the limit {MAX_TWO_MODE_DIM} "
+            f"on dense n_max x n_max tables"
+        )
 
 
 def check_two_mode_cutoff(n_max: int) -> None:
     """Raise ``ValueError`` unless ``n_max`` is an integer with ``2 <= n_max``
     and ``n_max^2 <= MAX_TWO_MODE_DIM``; dense two-mode builders call it
     before they allocate."""
-    _check_cutoff(n_max, 2)
+    _check_count(n_max, 2)
     dim = n_max**2
     if dim > MAX_TWO_MODE_DIM:
         raise ValueError(
@@ -130,7 +142,7 @@ class OneModeState:
     matrix: np.ndarray
 
     def __post_init__(self):
-        _check_cutoff(self.n_max, 1)
+        _check_count(self.n_max, 1)
         entries = _dense_entries(self.matrix, self.n_max)
         object.__setattr__(self, "matrix", _dense(self.n_max, *entries))
 
@@ -312,9 +324,10 @@ def is_more_mixed(a, b) -> bool:
 
     Both spectra are sorted descending and zero-padded to a common length;
     the test is ``cumsum(a)_k <= cumsum(b)_k + MAJORIZATION_TOL`` for every k.
+    A NaN or infinite entry raises ``InvalidSpectrumError``.
     """
-    a = np.sort(np.asarray(a, dtype=float).ravel())[::-1]
-    b = np.sort(np.asarray(b, dtype=float).ravel())[::-1]
+    a = np.sort(_finite_entries(a, "spectrum"))[::-1]
+    b = np.sort(_finite_entries(b, "spectrum"))[::-1]
     k = max(a.size, b.size)
     a = np.pad(a, (0, k - a.size))
     b = np.pad(b, (0, k - b.size))

@@ -23,7 +23,10 @@ entropy lives where both weigh: with S <= H(z1, z2), ``ln(1 + x) <= x``,
 nodes on [0, 1], equispaced angles) serves every ``lam`` and ``t``: each
 evaluation scales it to the radius ``R^2 = DISC_X cosh t``, by folding
 ``R^2`` into the coefficients of the integrand, and the rule itself is
-built once per pair of node counts.  All Gaussian decay rates are
+built once per pair of node counts.  When it is built, the rule checks its
+mass of the vacuum component against the closed form ``1 - exp(-DISC_X)``
+within ``EPS_INT``: that mass is the same at every ``p``, ``lam`` and
+``t``, so one check serves every evaluation.  All Gaussian decay rates are
 evaluated in cancellation-free forms (no ``1 - tanh(t)`` subtractions),
 and so is the small eigenvalue of each conditional state, which keeps its
 relative precision at weak squeezing and in the tails.
@@ -54,8 +57,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import exact
-from .fock import xlogx
-from .states import WernerParams, check_tolerance
+from .fock import _check_count, xlogx
+from .states import WernerParams
 
 HETERODYNE = 0.0
 HOMODYNE_T = 12.0
@@ -70,7 +73,7 @@ T_TOL = 1e-4
 # and sparse where it approaches its homodyne value like exp(-2t).  The last
 # point is HOMODYNE_T itself, since atanh(tanh 12) is 12 - 1.6e-7.
 SCAN_T = tuple(math.atanh(k / 8.0 * math.tanh(HOMODYNE_T)) for k in range(8)) + (HOMODYNE_T,)
-# Default tolerance on the vacuum component's mass on the quadrature disc.
+# Tolerance on each rule's mass of the vacuum component on its disc.
 EPS_INT = 1e-7
 # Default node counts of the unit-disc rule, radial and angular.
 N_RADIAL = 80
@@ -188,14 +191,6 @@ def _conditional_entropy_terms(p, lam, t, x2, y2, scale=1.0):
     return entropy, q
 
 
-def _check_count(name, value, least):
-    # An integer of at least `least`; a float, NaN or whole, is rejected.
-    if not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name}={value} outside the integers")
-    if value < least:
-        raise ValueError(f"{name}={value} must be at least {least}")
-
-
 def _check_measurement(t):
     """Check the measurement squeezing t; NaN is rejected."""
     if not 0.0 <= t <= _T_CAP:
@@ -205,8 +200,8 @@ def _check_measurement(t):
 def _check_nodes(n_radial, n_angular):
     """Check the node counts, and return the angular count rounded up to a
     multiple of 4."""
-    _check_count("n_radial", n_radial, 1)
-    _check_count("n_angular", n_angular, 1)
+    _check_count(n_radial, 1, "n_radial")
+    _check_count(n_angular, 1, "n_angular")
     n_angular = 4 * -(-int(n_angular) // 4)
     if int(n_radial) * n_angular > MAX_RULE_NODES:
         raise ValueError(
@@ -244,6 +239,9 @@ class _DiscRule:
 
 @lru_cache(maxsize=8)
 def _disc_rule(n_radial, n_angular):
+    """The rule of ``n_radial x n_angular`` nodes; ``QuadratureError`` when
+    its mass of the vacuum component misses ``1 - exp(-DISC_X)`` by more
+    than ``EPS_INT``, a failure the cache does not keep."""
     xg, wg = np.polynomial.legendre.leggauss(n_radial)
     r = ((xg + 1.0) / 2.0)[:, None]
     size = _angular_fold(n_angular)
@@ -251,6 +249,13 @@ def _disc_rule(n_radial, n_angular):
     x2, y2 = (r * np.cos(theta)) ** 2, (r * np.sin(theta)) ** 2
     weights = r * (wg / 2.0)[:, None] * (size * (2.0 * math.pi / n_angular))
     vacuum_mass = float((weights * np.exp(-DISC_X * (x2 + y2))).sum()) * DISC_X / math.pi
+    defect = vacuum_mass + math.expm1(-DISC_X)
+    if abs(defect) > EPS_INT:
+        raise QuadratureError(
+            f"vacuum component integrates to {vacuum_mass!r} on the disc "
+            f"(defect {defect:.3e} > EPS_INT={EPS_INT:g}), "
+            f"nodes={n_radial}x{n_angular}"
+        )
     # Every caller shares the cached arrays.
     for a in (x2, y2, weights):
         a.flags.writeable = False
@@ -268,40 +273,16 @@ def _integrate(p, lam, t, rule):
     return scale * float((rule.weights * q * entropy).sum())
 
 
-def outcome_norm(p: float, lam: float, t: float) -> float:
-    """Mass of the vacuum component of the outcome density under the default
-    rule, on the disc ``sech(t) r^2 <= DISC_X``: 1 - exp(-DISC_X), which is
-    1 in double precision, up to the rule's error.
-
-    v does not depend on ``p`` or ``lam``, and the disc scales with ``t`` as
-    v does, so the mass depends on the node counts alone.  ``p`` and ``lam``
-    outside the Werner domain, and ``t`` outside [0, 300], raise
-    ``ValueError``."""
-    WernerParams(p, lam)
-    _check_measurement(t)
-    return _disc_rule(N_RADIAL, N_ANGULAR).vacuum_mass
-
-
-def _checked_rule(p, lam, n_radial, n_angular, eps_int):
+def _checked_rule(p, lam, n_radial, n_angular):
     """The unit-disc rule of ``n_radial x n_angular`` nodes for the point
-    ``(p, lam)``, after checking the point, ``eps_int`` and the node counts,
-    and the rule's mass of the vacuum component against its closed form
-    ``1 - exp(-DISC_X)`` within ``eps_int``; None at p = 0 or 1, where every
-    conditional state is pure and no rule is built."""
+    ``(p, lam)``, after checking the point and the node counts; None at
+    p = 0 or 1, where every conditional state is pure and no rule is built.
+    A rule that fails its own check raises ``QuadratureError``."""
     WernerParams(p, lam)
-    check_tolerance("eps_int", eps_int)
     n_angular = _check_nodes(n_radial, n_angular)
     if p == 0.0 or p == 1.0:
         return None
-    rule = _disc_rule(int(n_radial), n_angular)
-    defect = rule.vacuum_mass + math.expm1(-DISC_X)
-    if abs(defect) > eps_int:
-        raise QuadratureError(
-            f"vacuum component integrates to {rule.vacuum_mass!r} on the disc "
-            f"(defect {defect:.3e} > eps_int={eps_int:g}), "
-            f"nodes={n_radial}x{n_angular}"
-        )
-    return rule
+    return _disc_rule(int(n_radial), n_angular)
 
 
 def conditional_entropy(
@@ -310,20 +291,19 @@ def conditional_entropy(
     t: float,
     n_radial: int = N_RADIAL,
     n_angular: int = N_ANGULAR,
-    eps_int: float = EPS_INT,
 ) -> float:
     """Average post-measurement entropy  integral of q(alpha) S(rho|alpha).
 
-    Refuses with diagnostics when the rule fails to reproduce the vacuum
-    component's mass on the disc within ``eps_int``.  The angular count is
-    rounded up to a multiple of 4.  At p = 0 or 1 every conditional state is
-    pure, and it returns 0 without building a rule.  Node counts that are
-    not integers of at least 1, a rule above ``MAX_RULE_NODES`` nodes, and
-    a measurement squeezing ``t`` outside [0, 300] raise ``ValueError``,
-    there too.
+    Refuses with ``QuadratureError`` when the rule fails to reproduce the
+    vacuum component's mass on the disc within ``EPS_INT``.  The angular
+    count is rounded up to a multiple of 4.  At p = 0 or 1 every conditional
+    state is pure, and it returns 0 without building a rule.  Node counts
+    that are not integers of at least 1, a rule above ``MAX_RULE_NODES``
+    nodes, and a measurement squeezing ``t`` outside [0, 300] raise
+    ``ValueError``, there too.
     """
     _check_measurement(t)
-    rule = _checked_rule(p, lam, n_radial, n_angular, eps_int)
+    rule = _checked_rule(p, lam, n_radial, n_angular)
     return 0.0 if rule is None else _integrate(p, lam, t, rule)
 
 
@@ -388,13 +368,14 @@ class GaussianDiscordResult:
     evaluations: int
 
 
-def gaussian_discord(p: float, lam: float, eps_int: float = EPS_INT) -> GaussianDiscordResult:
+def gaussian_discord(p: float, lam: float) -> GaussianDiscordResult:
     """Discord restricted to Gaussian measurements, with its minimizer.
 
     Minimizes the conditional entropy over the measurement squeezing t, on
     the 9 points ``SCAN_T`` uniform in ``tanh t``, then refines t by golden
-    section between the best point's neighbours.  The inputs and the
-    quadrature rule's self-check are checked once, before the scan.
+    section between the best point's neighbours.  The inputs are checked
+    once, before the scan; the default rule checked its own mass when it
+    was built.
     When the best scan point is an end, 0 or ``HOMODYNE_T``, one probe at
     ``T_TOL`` inside that end comes first, and golden section runs only if
     the probe is lower; otherwise the end is returned, which golden section
@@ -410,7 +391,7 @@ def gaussian_discord(p: float, lam: float, eps_int: float = EPS_INT) -> Gaussian
     if p == 0.0 or p == 1.0:
         return GaussianDiscordResult(base, 0.0, 0.0, 0)
 
-    rule = _checked_rule(p, lam, N_RADIAL, N_ANGULAR, eps_int)
+    rule = _checked_rule(p, lam, N_RADIAL, N_ANGULAR)
     trace = []
 
     def objective(t):

@@ -99,18 +99,18 @@ class GapReport:
     gap_approx: float
 
 
-def discord_gap(p: float, lam: float, eps_int: float = gaussian.EPS_INT) -> GapReport:
+def discord_gap(p: float, lam: float) -> GapReport:
     """Gap between Gaussian and optimal discord with its scaling report.
 
-    The gap is the minimized Gaussian conditional entropy itself;
+    The gap is the minimized Gaussian conditional entropy itself, from
+    :func:`cvwerner.gaussian.gaussian_discord` on its default rule;
     ``gap_normalized`` rescales it by the quadratic-order ratio so that it
-    tracks the non-Gaussianity at low squeezing.  ``eps_int`` is the
-    quadrature tolerance of :func:`cvwerner.gaussian.gaussian_discord`.
+    tracks the non-Gaussianity at low squeezing.
     """
     if p == 0.0 or p == 1.0 or lam == 0.0:
         gap = 0.0
     else:
-        gap = gaussian.gaussian_discord(p, lam, eps_int=eps_int).conditional_entropy
+        gap = gaussian.gaussian_discord(p, lam).conditional_entropy
     ratio = low_squeezing_ratio(lam)
     return GapReport(
         p=p,

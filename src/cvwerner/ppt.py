@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import _count_table, _joint_photon_entropy, reduced_spectrum
-from .fock import _check_cutoff
+from .fock import _check_square_size
 from .states import _ppt_point, check_tolerance, check_unit, thermal_entropy
 
 
@@ -54,8 +54,9 @@ def norm_const(lam: float) -> float:
 
 
 def closed_form_spectrum(lam: float, n_max: int) -> np.ndarray:
-    """Descending eigenvalues {a_m} + {b_mn, m > n} for indices below n_max."""
-    _check_cutoff(n_max, 1)
+    """Descending eigenvalues {a_m} + {b_mn, m > n} for indices below n_max,
+    at most ``MAX_TWO_MODE_DIM``."""
+    _check_square_size(n_max)
     norm = norm_const(lam)
     powers = lam ** np.arange(n_max, dtype=float)
     a = 2.0 * norm * powers**2

@@ -23,7 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import OneModeState, TwoModeState, _check_cutoff, check_two_mode_cutoff
+from .fock import (
+    OneModeState,
+    TwoModeState,
+    _check_count,
+    _check_square_size,
+    check_two_mode_cutoff,
+)
 
 DEFAULT_EPS_TAIL = 1e-12
 
@@ -90,7 +96,7 @@ def choose_cutoff(params: WernerParams, eps_tail: float = DEFAULT_EPS_TAIL) -> i
 
 def tmsv_vector(lam: float, n_max: int) -> np.ndarray:
     """Schmidt coefficients sqrt(1 - lam^2) lam^n of the two-mode squeezed vacuum."""
-    _check_cutoff(n_max, 1)
+    _check_count(n_max, 1)
     check_unit("lam", lam, upper_open=True)
     return np.sqrt(1.0 - lam**2) * lam ** np.arange(n_max, dtype=float)
 
@@ -119,8 +125,9 @@ def tmsv(lam: float, n_max: int) -> TwoModeState:
 
 
 def thermal(mu: float, n_max: int) -> OneModeState:
-    """Thermal state diag((1 - mu^2) mu^(2n)); mean photon number mu^2/(1-mu^2)."""
-    _check_cutoff(n_max, 1)
+    """Thermal state diag((1 - mu^2) mu^(2n)); mean photon number mu^2/(1-mu^2).
+    ``n_max`` is at most ``MAX_TWO_MODE_DIM``."""
+    _check_square_size(n_max)
     check_unit("mu", mu, upper_open=True)
     diag = (1.0 - mu**2) * mu ** (2 * np.arange(n_max, dtype=float))
     return OneModeState(n_max, np.diag(diag))

@@ -20,9 +20,11 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from cvwerner import exact
-from cvwerner.bounds import _block_terms, _check_square_size, _count_table
+from cvwerner.bounds import _block_terms, _count_table
 from cvwerner.fock import (
     TwoModeState,
+    _check_count,
+    _check_square_size,
     eig_spectrum,
     partial_trace,
     shannon_entropy,
@@ -35,7 +37,6 @@ from cvwerner.gaussian import (
     N_RADIAL,
     T_TOL,
     _angular_fold,
-    _check_count,
     _check_measurement,
     _check_nodes,
     _conditional_entropy_terms,
@@ -257,7 +258,7 @@ def conditional_entropy_mc(
     the conditional entropy; returns (mean, standard error).  The standard
     error needs ``n_samples >= 2``.
     """
-    _check_count("n_samples", n_samples, 2)
+    _check_count(n_samples, 2, "n_samples")
     rng = np.random.default_rng(seed)
     ru_x, ru_y, rv = _frame_rates(lam, t)
     pick_u = rng.random(n_samples) < p

@@ -88,11 +88,70 @@ def test_unread_setting_exits_3(capsys, tmp_path):
                              "--cutoff", "10")
     assert (code, out) == (3, "")
     assert "does not take --cutoff" in err
-    code, _, err = run_cli(capsys, "figure", "fig-ppt", "--eps-int", "1e-6",
+    code, _, err = run_cli(capsys, "figure", "fig-ppt", "--cutoff", "10",
                            "--outdir", str(tmp_path / "figs"))
     assert code == 3
-    assert "measure 'ppt-bounds' does not take --eps-int" in err
+    assert "measure 'ppt-bounds' does not take --cutoff" in err
     assert not (tmp_path / "figs").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compute", "gaussian-discord", "--p", "0.5", "--lambda", "0.5"),
+        ("sweep", "gap", "--p", "0.5", "--lambda", "0.5"),
+        ("figure", "fig-gaussian"),
+    ],
+    ids=["compute", "sweep", "figure"],
+)
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_quadrature_tolerance_is_not_a_flag(capsys, tmp_path, argv, source):
+    # The rule checks itself against gaussian.EPS_INT; no flag tunes that.
+    if source == "flag":
+        extra, unrecognized = ["--eps-int", "1e-6"], "--eps-int 1e-6"
+    else:
+        extra, unrecognized = ["--config", _config(tmp_path, "eps-int = 1e-6\n")], "--eps-int=1e-6"
+    with pytest.raises(SystemExit) as err:
+        cli.main([*argv, *extra])
+    assert err.value.code == 2
+    assert f"unrecognized arguments: {unrecognized}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "measure, budget",
+    [("gaussian-discord", {"eps_int": 1e-07, "evaluations": 10}), ("gap", {"eps_int": 1e-07})],
+)
+def test_quadrature_error_budget_reports_the_fixed_tolerance(capsys, measure, budget):
+    code, out, _ = run_cli(capsys, "compute", measure, "--p", "0.5", "--lambda", "0.5")
+    assert code == 0
+    assert json.loads(out)["error_budget"] == budget
+
+
+GOLDEN = Path(__file__).with_name("cli_golden.json")
+
+
+def _assert_matches(found, expected, where):
+    if isinstance(expected, dict):
+        assert isinstance(found, dict) and sorted(found) == sorted(expected), where
+        for key in expected:
+            _assert_matches(found[key], expected[key], f"{where}.{key}")
+    elif isinstance(expected, float):
+        assert found == pytest.approx(expected, rel=1e-11, abs=0.0), where
+    else:
+        assert found == expected, where
+
+
+@pytest.mark.parametrize("measure", sorted(json.loads(GOLDEN.read_text())))
+def test_default_outputs_match_golden(capsys, measure):
+    # tests/cli_golden.json holds each measure's `compute` report at one
+    # interior point, without its wall_time_s; a change that must keep every
+    # default output regenerates it only on purpose.
+    case = json.loads(GOLDEN.read_text())[measure]
+    code, out, err = run_cli(capsys, *case["argv"])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    del doc["wall_time_s"]
+    _assert_matches(doc, case["output"], measure)
 
 
 @pytest.mark.parametrize(
@@ -129,10 +188,8 @@ def test_flag_of_another_subcommand_exits_2(capsys, argv):
         ("compute", "bounds", "--p", "0.5", "--lambda", "0.5", "--mu", "0.5", "--eps-tail", "0"),
         ("compute", "ppt-bounds", "--lambda", "0.5", "--eps-tail", "0"),
         ("compute", "ppt-bounds", "--lambda", "0.5", "--eps-tail", "-1"),
-        ("compute", "gaussian-discord", "--p", "0.5", "--lambda", "0.5", "--eps-int", "0"),
-        ("compute", "gap", "--p", "0.5", "--lambda", "0.5", "--eps-int", "nan"),
     ],
-    ids=["bounds-0", "ppt-bounds-0", "ppt-bounds-negative", "gaussian-discord-0", "gap-nan"],
+    ids=["bounds-0", "ppt-bounds-0", "ppt-bounds-negative"],
 )
 def test_bad_tolerance_reaches_library_exits_3(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -448,11 +505,10 @@ def test_gap_at_zero_squeezing_is_strict_json(capsys):
         ("compute", "bounds", "--p", "0.5", "--lambda", "0.5", "--mu", "0.5", "--cutoff", "30",
          "--eps-tail", "nan"),
         ("compute", "ppt-bounds", "--lambda", "0", "--eps-tail", "nan"),
-        ("compute", "gap", "--p", "0", "--lambda", "0.5", "--eps-int", "nan"),
         ("sweep", "ppt-bounds", "--lambda", "0", "--eps-tail", "nan", "--format", "json"),
         ("sweep", "discord0", "--p", "nan", "--lambda", "0.5", "--format", "json"),
     ],
-    ids=["bounds-cutoff", "ppt-bounds-lam0", "gap-p0", "sweep-ppt-bounds-lam0", "sweep-p"],
+    ids=["bounds-cutoff", "ppt-bounds-lam0", "sweep-ppt-bounds-lam0", "sweep-p"],
 )
 def test_nan_the_library_would_not_read_exits_3(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -163,6 +163,21 @@ def test_is_more_mixed_basics():
     assert not is_more_mixed([1.0, 0.0], [0.5, 0.5])
 
 
+@pytest.mark.parametrize(
+    "a, b, message",
+    [
+        # Before either spectrum was checked these returned False and True.
+        ([np.nan], [1.0], "spectrum entry nan at 0 is not finite"),
+        ([0.5, 0.5], [np.inf], "spectrum entry inf at 0 is not finite"),
+        ([1.0, -np.inf], [1.0], "spectrum entry -inf at 1 is not finite"),
+        ([1.0], [0.5, np.nan], "spectrum entry nan at 1 is not finite"),
+    ],
+)
+def test_is_more_mixed_rejects_non_finite_entries(a, b, message):
+    with pytest.raises(InvalidSpectrumError, match=re.escape(message)):
+        is_more_mixed(a, b)
+
+
 def test_is_more_mixed_reduced_vs_global():
     from cvwerner import bounds, exact
 

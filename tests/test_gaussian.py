@@ -17,7 +17,6 @@ from cvwerner.gaussian import (
     _small_eigenvalue,
     conditional_entropy,
     gaussian_discord,
-    outcome_norm,
 )
 from helpers_oracles import (
     angular_fold,
@@ -33,13 +32,12 @@ from helpers_oracles import (
 
 
 @pytest.mark.parametrize("t", [-0.1, 301, math.nan])
-@pytest.mark.parametrize("call", ["quadrature", "pure", "norm"])
+@pytest.mark.parametrize("call", ["quadrature", "pure"])
 def test_measurement_squeezing_range(call, t):
     # No rule is evaluated at p = 0, but t is still checked.
     calls = {
         "quadrature": lambda: conditional_entropy(0.5, 0.5, t),
         "pure": lambda: conditional_entropy(0.0, 0.5, t),
-        "norm": lambda: outcome_norm(0.5, 0.5, t),
     }
     with pytest.raises(ValueError, match=re.escape(f"t={t} outside [0, 300.0]")):
         calls[call]()
@@ -158,13 +156,13 @@ def test_conditional_entropy_pure_limits():
 @pytest.mark.parametrize(
     "call, kwargs, message",
     [
-        ("mc", {"n_samples": 1}, "n_samples=1 must be at least 2"),
-        ("mc", {"n_samples": 0}, "n_samples=0 must be at least 2"),
-        ("mc", {"n_samples": -1}, "n_samples=-1 must be at least 2"),
-        ("quadrature", {"n_radial": 0}, "n_radial=0 must be at least 1"),
-        ("quadrature", {"n_angular": -4}, "n_angular=-4 must be at least 1"),
+        ("mc", {"n_samples": 1}, "n_samples=1 outside [2, inf)"),
+        ("mc", {"n_samples": 0}, "n_samples=0 outside [2, inf)"),
+        ("mc", {"n_samples": -1}, "n_samples=-1 outside [2, inf)"),
+        ("quadrature", {"n_radial": 0}, "n_radial=0 outside [1, inf)"),
+        ("quadrature", {"n_angular": -4}, "n_angular=-4 outside [1, inf)"),
         # No rule is built at p = 1, but the counts are still checked.
-        ("pure", {"n_radial": 0}, "n_radial=0 must be at least 1"),
+        ("pure", {"n_radial": 0}, "n_radial=0 outside [1, inf)"),
         ("quadrature", {"n_angular": math.nan}, "n_angular=nan outside the integers"),
         ("quadrature", {"n_radial": math.inf}, "n_radial=inf outside the integers"),
         ("quadrature", {"n_radial": 80.5}, "n_radial=80.5 outside the integers"),
@@ -179,7 +177,7 @@ def test_sample_and_node_counts_name_their_limit(call, kwargs, message):
         "quadrature": lambda: conditional_entropy(0.5, 0.5, het, **kwargs),
         "pure": lambda: conditional_entropy(1.0, 0.5, het, **kwargs),
     }
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         calls[call]()
 
 
@@ -293,14 +291,6 @@ def test_integrand_keeps_relative_precision_at_weak_squeezing_and_in_tails():
     assert worst < 1e-12
 
 
-def test_outcome_norm_across_regimes():
-    for p in (0.0, 0.5, 1.0):
-        for lam in (0.05, 0.5, 0.9):
-            for t in (0.0, 2.0, gaussian.HOMODYNE_T):
-                norm = outcome_norm(p, lam, t)
-                assert abs(norm - 1.0) < 1e-7
-
-
 def test_disc_tail_bound():
     # (X + 2 + 1/e) exp(-X) bounds the entropy integrand beyond the disc
     assert (DISC_X + 2.0 + math.exp(-1.0)) * math.exp(-DISC_X) < 1.2e-16
@@ -377,9 +367,21 @@ def test_gaussian_discord_evaluates_each_t_once(monkeypatch):
     assert len(checked) == 1
 
 
-def test_gaussian_discord_keeps_the_rule_self_check():
-    with pytest.raises(QuadratureError, match="eps_int=1e-20"):
-        gaussian_discord(0.5, 0.5, eps_int=1e-20)
+def test_gaussian_discord_keeps_the_rule_self_check(monkeypatch):
+    monkeypatch.setattr(gaussian, "N_RADIAL", 4)
+    monkeypatch.setattr(gaussian, "N_ANGULAR", 4)
+    with pytest.raises(QuadratureError, match=r"> EPS_INT=1e-07\), nodes=4x4"):
+        gaussian_discord(0.5, 0.5)
+
+
+def test_failed_rule_raises_on_every_call():
+    # A rule that fails its self-check is never cached, so it cannot be
+    # returned unchecked on a later call.
+    cached = gaussian._disc_rule.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(QuadratureError, match=r"> EPS_INT=1e-07\), nodes=4x4"):
+            conditional_entropy(0.5, 0.5, 2.0, n_radial=4, n_angular=4)
+    assert gaussian._disc_rule.cache_info().currsize == cached
 
 
 def test_scan_is_uniform_in_tanh_t():

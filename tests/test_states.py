@@ -56,10 +56,6 @@ _ENTRY_POINTS = {
     "gaussian.conditional_entropy-lam": (
         lambda v: gaussian.conditional_entropy(0.5, v, gaussian.HETERODYNE), _BAD_FACTOR
     ),
-    # Without its own check outcome_norm returned 0.0 at p = nan, 2.0 at
-    # p = 2, NaN at lam = nan and a bare ZeroDivisionError at lam = 1.
-    "gaussian.outcome_norm-p": (lambda v: gaussian.outcome_norm(v, 0.5, 0.0), _BAD_P + (2.0,)),
-    "gaussian.outcome_norm-lam": (lambda v: gaussian.outcome_norm(0.5, v, 0.0), _BAD_FACTOR),
     "bounds.separability_region-p": (lambda v: bounds.separability_region(v, 0.5), _BAD_P),
     "bounds.separability_region-mu": (lambda v: bounds.separability_region(0.5, v), _BAD_FACTOR),
     "ppt.global_entropy": (ppt.global_entropy, _BAD_FACTOR),
@@ -158,10 +154,6 @@ def test_domain_check_rejects_nan_and_out_of_range(entry, value):
 
 _TOLERANCE_ENTRY_POINTS = {
     "choose_cutoff-eps_tail": lambda v: choose_cutoff(WernerParams(0.5, 0.5, 0.5), v),
-    # At this coarse rule the default eps_int raises QuadratureError (defect 8.9e-2).
-    "gaussian.conditional_entropy-eps_int": lambda v: gaussian.conditional_entropy(
-        0.5, 0.5, 2.0, n_radial=4, n_angular=4, eps_int=v
-    ),
     "ppt.reduced_entropy-tol": lambda v: ppt.reduced_entropy(0.5, v),
     "ppt.bounds-tol": lambda v: ppt.bounds(0.5, v),
 }
@@ -198,6 +190,26 @@ def test_dense_builders_raise_before_allocating(build):
     finally:
         tracemalloc.stop()
     assert peak < 20 * 2**20
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: thermal(0.5, MAX_TWO_MODE_DIM + 1),
+        lambda: ppt.closed_form_spectrum(0.5, MAX_TWO_MODE_DIM + 1),
+    ],
+    ids=["thermal", "ppt.closed_form_spectrum"],
+)
+def test_square_builders_raise_before_allocating(build):
+    # Each would build an n_max x n_max array of 2.3 GB.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"limit {MAX_TWO_MODE_DIM} on dense n_max x n_max"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_cutoff_checks_accept_numpy_integers():

@@ -25,7 +25,7 @@ CLASSES = {
     "acceptance": ("CheckResult",),
 }
 
-# Public functions and methods of each module, 69 in all.
+# Public functions and methods of each module, 68 in all.
 PUBLIC = {
     "fock": (
         "OneModeState.trace", "OneModeState.validate", "TwoModeState.trace",
@@ -42,7 +42,7 @@ PUBLIC = {
         "eigenvalue_pair", "global_entropy", "joint_photon_distribution", "quantumness_indicators",
         "reduced_entropy",
     ),
-    "gaussian": ("conditional_entropy", "gaussian_discord", "outcome_norm"),
+    "gaussian": ("conditional_entropy", "gaussian_discord"),
     "nongauss": (
         "discord_gap", "gap_approx", "gaussian_state_entropy", "low_squeezing_ratio",
         "nongaussianity", "nongaussianity_approx", "symplectic_eigenvalue",
@@ -65,7 +65,7 @@ PUBLIC = {
 }
 
 # Defaulted parameters of the public functions and methods, and defaulted
-# fields of the public dataclasses, 21 in all.
+# fields of the public dataclasses, 18 in all.
 SETTABLE = {
     "fock.partial_trace": ("mode",),
     "fock.partial_transpose": ("mode",),
@@ -76,9 +76,7 @@ SETTABLE = {
     "states.WernerParams": ("mu",),
     "exact.discord_numeric": ("n_max",),
     "exact.quantumness_indicators": ("n_max",),
-    "gaussian.conditional_entropy": ("n_radial", "n_angular", "eps_int"),
-    "gaussian.gaussian_discord": ("eps_int",),
-    "nongauss.discord_gap": ("eps_int",),
+    "gaussian.conditional_entropy": ("n_radial", "n_angular"),
     "bounds.bounds_report": ("n_max", "eps_tail"),
     "ppt.reduced_entropy": ("tol",),
     "ppt.bounds": ("tol",),
@@ -87,14 +85,11 @@ SETTABLE = {
     "acceptance.run_all": ("seed",),
 }
 
-# Flags of each CLI subcommand, 24 in all.
+# Flags of each CLI subcommand, 21 in all.
 FLAGS = {
-    "compute": ("--p", "--lambda", "--mu", "--cutoff", "--eps-tail", "--eps-int", "--out", "--config"),
-    "sweep": (
-        "--p", "--lambda", "--mu", "--cutoff", "--eps-tail", "--eps-int", "--format", "--out",
-        "--config",
-    ),
-    "figure": ("--cutoff", "--eps-tail", "--eps-int", "--outdir", "--config"),
+    "compute": ("--p", "--lambda", "--mu", "--cutoff", "--eps-tail", "--out", "--config"),
+    "sweep": ("--p", "--lambda", "--mu", "--cutoff", "--eps-tail", "--format", "--out", "--config"),
+    "figure": ("--cutoff", "--eps-tail", "--outdir", "--config"),
     "verify": ("--seed", "--config"),
 }
 
@@ -128,7 +123,7 @@ def test_public_functions_of_the_package():
         module = importlib.import_module(f"cvwerner.{mod_name}")
         found[mod_name] = tuple(sorted(name for name, _ in _public_functions(module)))
     assert found == PUBLIC
-    assert sum(map(len, found.values())) == 69
+    assert sum(map(len, found.values())) == 68
 
 
 def test_settable_values_of_the_package():
@@ -149,7 +144,7 @@ def test_settable_values_of_the_package():
             if defaulted:
                 found[f"{mod_name}.{name}"] = defaulted
     assert found == SETTABLE
-    assert sum(map(len, found.values())) == 21
+    assert sum(map(len, found.values())) == 18
 
 
 def test_settable_values_of_the_cli():
@@ -160,7 +155,7 @@ def test_settable_values_of_the_cli():
         for name, sub in subparsers.choices.items()
     }
     assert found == FLAGS
-    assert sum(map(len, found.values())) == 24
+    assert sum(map(len, found.values())) == 21
 
 
 ROOT = Path(__file__).resolve().parents[1]
