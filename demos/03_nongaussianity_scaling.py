@@ -9,9 +9,22 @@ the two quantities decouple: delta0 diverges while the gap closes.
 
 import numpy as np
 
-from cvwerner.nongauss import discord_gap, low_squeezing_ratio
+from cvwerner.exact import global_entropy
+from cvwerner.nongauss import (
+    discord_gap,
+    gaussian_state_entropy,
+    low_squeezing_ratio,
+    nongaussianity,
+    symplectic_eigenvalue,
+)
 
 print("p = 0.5 throughout\n")
+nu = symplectic_eigenvalue(0.5, 0.5)
+print(
+    f"at lam = 0.5: S(tau) = {gaussian_state_entropy(nu):.6f} from nu = {nu:.6f}, "
+    f"S(rho) = {global_entropy(0.5, 0.5):.6f},\n  delta0 = S(tau) - S(rho) = "
+    f"{nongaussianity(0.5, 0.5):.6f}\n"
+)
 print("   lam     delta0        gap       ratio   predicted")
 for lam in (0.3, 0.2, 0.1, 0.05):
     rep = discord_gap(0.5, lam)

@@ -103,7 +103,7 @@ def _m_delta0(p, lam):
     results = {
         "delta0": nongauss.nongaussianity(p, lam),
         "symplectic_eigenvalue": nu,
-        "gaussian_reference_entropy": nongauss.gaussian_state_entropy(nu),
+        "gaussian_reference_entropy": nongauss._reference_entropy(p, lam),
     }
     return results, None, {"closed_form": 0.0}
 

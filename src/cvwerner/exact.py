@@ -19,6 +19,7 @@ case of :func:`cvwerner.bounds.reduced_spectrum`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ from .fock import (
     partial_trace,
     shannon_entropy,
     von_neumann_entropy,
+    xlogx,
 )
 
 
@@ -47,15 +49,20 @@ class DiscordReport:
 
 
 def eigenvalue_pair(p: float, lam: float):
-    """The two nonzero global eigenvalues (1 +- sqrt(1 - 4p(1-p)lam^2))/2."""
+    """The two nonzero global eigenvalues (1 +- sqrt(1 - 4p(1-p)lam^2))/2,
+    the smaller formed as 2p(1-p)lam^2 / (1 + sqrt(...)) so that it keeps
+    its relative precision when 4p(1-p)lam^2 is small."""
     states.WernerParams(p, lam)
-    disc = float(np.sqrt(1.0 - 4.0 * p * (1.0 - p) * lam**2))
-    return (1.0 + disc) / 2.0, (1.0 - disc) / 2.0
+    pq_lam2 = p * (1.0 - p) * lam**2
+    disc = math.sqrt(1.0 - 4.0 * pq_lam2)
+    return (1.0 + disc) / 2.0, 2.0 * pq_lam2 / (1.0 + disc)
 
 
 def global_entropy(p: float, lam: float) -> float:
-    """Entropy of the full state: binary entropy of the eigenvalue pair."""
-    return von_neumann_entropy(eigenvalue_pair(p, lam))
+    """Entropy of the full state: binary entropy of the eigenvalue pair,
+    taken from the smaller eigenvalue with ``log1p``."""
+    small = eigenvalue_pair(p, lam)[1]
+    return 0.0 - float(xlogx(small)) - (1.0 - small) * math.log1p(-small)
 
 
 def reduced_entropy(p: float, lam: float) -> float:
@@ -65,7 +72,7 @@ def reduced_entropy(p: float, lam: float) -> float:
         return 0.0
     pl2 = p * lam**2
     return -float(
-        np.log(1.0 - pl2)
+        math.log1p(-pl2)
         + pl2 * np.log(p * (1.0 - lam**2) / (1.0 - pl2))
         + 2.0 * pl2 * np.log(lam) / (1.0 - lam**2)
     )

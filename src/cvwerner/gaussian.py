@@ -35,17 +35,20 @@ The conditional entropy does not depend on ``phi``: the Werner state is
 invariant under opposite phase rotations of its two modes, and such a
 rotation turns the measurement at phase ``phi`` into the one at phase 0
 without changing any conditional entropy.  So the measurement is its
-squeezing ``t``, and the optimizer scans ``t`` alone, at points uniform in
-``tanh t`` (``SCAN_T``).  The quadrature uses the same invariance: in the
-(x, y) frame the log-weights of both components and the log-overlap
-between them are linear in ``x^2`` and ``y^2``, with no trace of ``phi``,
-so the integrand is real, phase-free and even in x and in y.  The rule's
-angular count is a multiple of 4, and only one angular node of each
-reflection class is evaluated, weighted by the class size: n/4 + 1 of n.
+squeezing ``t``, and ``gaussian_discord`` scans ``t`` alone, at points
+uniform in ``tanh t`` (``SCAN_T``).  It takes the lower of the two ends,
+heterodyne and homodyne, where the paper finds the Gaussian optimum; the
+interior points only guard that finding.  The quadrature uses the same
+invariance: in the (x, y) frame the log-weights of both components and
+the log-overlap between them are linear in ``x^2`` and ``y^2``, with no
+trace of ``phi``, so the integrand is real, phase-free and even in x and
+in y.  The rule's angular count is a multiple of 4, and only one angular
+node of each reflection class is evaluated, weighted by the class size:
+n/4 + 1 of n.
 The complex outcome algebra, kept as the reference for this real
 integrand, a Monte-Carlo estimate of the conditional entropy, the earlier
 polar grid sized to each ``lam`` and ``t`` and the earlier 25-point scan
-of ``t`` live with the tests.
+of ``t`` refined by golden section live with the tests.
 """
 
 from __future__ import annotations
@@ -66,12 +69,10 @@ _T_CAP = 300.0  # exp(2t) must stay finite
 # The quadrature disc ends at r_v r^2 = DISC_X, where the bound
 # (X + 2 + 1/e) exp(-X) on the entropy beyond it falls to 1.1e-16.
 DISC_X = 40.5
-# Width to which golden section refines the optimal t.
-T_TOL = 1e-4
-# The scan of t that golden section then refines: 9 points uniform in
-# tanh t from heterodyne to HOMODYNE_T, so dense where h(t) varies (t < 1.4)
-# and sparse where it approaches its homodyne value like exp(-2t).  The last
-# point is HOMODYNE_T itself, since atanh(tanh 12) is 12 - 1.6e-7.
+# The scan of t: 9 points uniform in tanh t from heterodyne to HOMODYNE_T,
+# so dense where h(t) varies (t < 1.4) and sparse where it approaches its
+# homodyne value like exp(-2t).  The last point is HOMODYNE_T itself, since
+# atanh(tanh 12) is 12 - 1.6e-7.
 SCAN_T = tuple(math.atanh(k / 8.0 * math.tanh(HOMODYNE_T)) for k in range(8)) + (HOMODYNE_T,)
 # Tolerance on each rule's mass of the vacuum component on its disc.
 EPS_INT = 1e-7
@@ -307,60 +308,12 @@ def conditional_entropy(
     return 0.0 if rule is None else _integrate(p, lam, t, rule)
 
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
-
-
-def _golden_section(f, a, b, tol):
-    """Golden-section minimization of f on [a, b] to width tol; returns the
-    final point and its value."""
-    h = b - a
-    if h <= tol:
-        mid = (a + b) / 2.0
-        return mid, f(mid)
-    c = a + _INV_PHI_SQ * h
-    d = a + _INV_PHI * h
-    yc, yd = f(c), f(d)
-    steps = int(math.ceil(math.log(tol / h) / math.log(_INV_PHI)))
-    for _ in range(max(steps - 1, 0)):
-        if yc < yd:
-            b, d, yd = d, c, yc
-            h *= _INV_PHI
-            c = a + _INV_PHI_SQ * h
-            yc = f(c)
-        else:
-            a, c, yc = c, d, yd
-            h *= _INV_PHI
-            d = a + _INV_PHI * h
-            yd = f(d)
-    return (c, yc) if yc < yd else (d, yd)
-
-
-def _refine(f, scan, k, h_best):
-    """Refine the best point ``scan[k]`` of an increasing scan of f, whose
-    value there is ``h_best``; returns the final point and its value.
-
-    An interior point is refined by golden section on its two neighbouring
-    scan intervals.  At an end of the scan f is first probed ``T_TOL``
-    inside it: if the probe is not lower, the end is returned, since on a
-    unimodal bracket (which golden section assumes too) the minimizer then
-    lies within ``T_TOL`` of the end; if it is lower, golden section runs
-    on the end's scan interval.
-    """
-    t_best, last = scan[k], len(scan) - 1
-    if k in (0, last):
-        probe = t_best + T_TOL if k == 0 else t_best - T_TOL
-        if not f(probe) < h_best:
-            return t_best, h_best
-    lo, hi = scan[max(k - 1, 0)], scan[min(k + 1, last)]
-    return min([(t_best, h_best), _golden_section(f, lo, hi, T_TOL)], key=lambda c: c[1])
-
-
 @dataclass(frozen=True)
 class GaussianDiscordResult:
     """Gaussian discord ``value``, the least ``conditional_entropy`` over
     the scanned measurements, the measurement squeezing ``t`` that attains
-    it, and the number of conditional-entropy ``evaluations`` spent."""
+    it, always an end of the scan (0 or ``HOMODYNE_T``), and the number of
+    conditional-entropy ``evaluations`` spent."""
 
     value: float
     conditional_entropy: float
@@ -371,40 +324,33 @@ class GaussianDiscordResult:
 def gaussian_discord(p: float, lam: float) -> GaussianDiscordResult:
     """Discord restricted to Gaussian measurements, with its minimizer.
 
-    Minimizes the conditional entropy over the measurement squeezing t, on
-    the 9 points ``SCAN_T`` uniform in ``tanh t``, then refines t by golden
-    section between the best point's neighbours.  The inputs are checked
-    once, before the scan; the default rule checked its own mass when it
-    was built.
-    When the best scan point is an end, 0 or ``HOMODYNE_T``, one probe at
-    ``T_TOL`` inside that end comes first, and golden section runs only if
-    the probe is lower; otherwise the end is returned, which golden section
-    would have pinned within ``T_TOL`` on a unimodal bracket.
+    Evaluates the conditional entropy h(t) at the 9 points ``SCAN_T``
+    uniform in ``tanh t`` and returns the lower end of the scan: heterodyne
+    ``t = 0`` or the homodyne proxy ``HOMODYNE_T``, and ``t = 0`` on a tie.
+    The paper finds the Gaussian optimum at one of these two measurements.
+    The 7 interior points guard that finding: an interior value below the
+    lower end, a non-finite value or a minimum below -1e-12 raises
+    ``OptimizationError`` with the scan in its message.  The guard only
+    samples h, so it does not prove an end optimal; a dip narrower than the
+    scan spacing would pass it.  The inputs are checked once, before the
+    scan; the default rule checked its own mass when it was built.
     No phase is scanned: the state is invariant under opposite phase
     rotations of its two modes, so the conditional entropy of the
-    measurement ``xi = t exp(2i phi)`` does not depend on phi.  The upper end
-    ``HOMODYNE_T`` stands in for the homodyne limit.  At strong squeezing
-    (``lam`` above about 0.7) the scan finds heterodyne ``t = 0`` rather
-    than homodyne to be the Gaussian-optimal measurement.
+    measurement ``xi = t exp(2i phi)`` does not depend on phi.  At strong
+    squeezing (``lam`` above about 0.7) heterodyne rather than homodyne is
+    the Gaussian-optimal measurement.
     """
     base = exact.reduced_entropy(p, lam) - exact.global_entropy(p, lam)
     if p == 0.0 or p == 1.0:
         return GaussianDiscordResult(base, 0.0, 0.0, 0)
 
     rule = _checked_rule(p, lam, N_RADIAL, N_ANGULAR)
-    trace = []
-
-    def objective(t):
-        val = _integrate(p, lam, t, rule)
-        trace.append((t, val))
-        return val
-
-    scan_h = [objective(t) for t in SCAN_T]
-    k = min(range(len(SCAN_T)), key=scan_h.__getitem__)
-    t_opt, h_min = _refine(objective, SCAN_T, k, scan_h[k])
-    if not math.isfinite(h_min) or h_min < -1e-12:
+    scan_h = [_integrate(p, lam, t, rule) for t in SCAN_T]
+    k = 0 if scan_h[0] <= scan_h[-1] else len(SCAN_T) - 1
+    h_min = scan_h[k]
+    if not all(map(math.isfinite, scan_h)) or min(scan_h) < h_min or h_min < -1e-12:
         raise OptimizationError(
-            f"conditional-entropy minimization failed (min {h_min!r}); "
-            f"iterates: {trace[-20:]}"
+            "conditional entropy is not finite, non-negative and least at an "
+            f"end of the t scan; scan: {list(zip(SCAN_T, scan_h))}"
         )
-    return GaussianDiscordResult(base + h_min, h_min, t_opt, len(trace))
+    return GaussianDiscordResult(base + h_min, h_min, SCAN_T[k], len(SCAN_T))

@@ -20,16 +20,32 @@ import math
 from dataclasses import dataclass
 
 from . import exact, gaussian
+from .fock import xlogx
 from .states import WernerParams, check_unit
 
 EULER_GAMMA = 0.57721566490153286061
 
 
+def _symplectic_excess(p: float, lam: float):
+    """The symplectic eigenvalue nu and nu - 1, formed as
+    (nu^2 - 1) / (nu + 1) with nu^2 - 1 = 4p(1-p) lam^2 / (1 - lam^2), so
+    that it keeps its relative precision at weak squeezing."""
+    WernerParams(p, lam)
+    nu_sq_m1 = 4.0 * p * (1.0 - p) * lam**2 / (1.0 - lam**2)
+    nu = math.sqrt(1.0 + nu_sq_m1)
+    return nu, nu_sq_m1 / (nu + 1.0)
+
+
+def _entropy_from_excess(eps: float) -> float:
+    """Entropy 2[(1 + eps) ln(1 + eps) - eps ln eps] of a two-mode Gaussian
+    state with doubly degenerate symplectic eigenvalue 1 + 2 eps."""
+    return 2.0 * ((1.0 + eps) * math.log1p(eps) - float(xlogx(eps)))
+
+
 def symplectic_eigenvalue(p: float, lam: float) -> float:
     """Doubly degenerate symplectic eigenvalue of the covariance matrix,
     sqrt((1 - (1-2p)^2 lam^2) / (1 - lam^2)); equals 1 only at p in {0, 1}."""
-    WernerParams(p, lam)
-    return math.sqrt((1.0 - (1.0 - 2.0 * p) ** 2 * lam**2) / (1.0 - lam**2))
+    return _symplectic_excess(p, lam)[0]
 
 
 def gaussian_state_entropy(nu: float) -> float:
@@ -37,15 +53,19 @@ def gaussian_state_entropy(nu: float) -> float:
     symplectic eigenvalue nu, finite and at least 1 up to 1e-12."""
     if not 1.0 - 1e-12 <= nu < math.inf:
         raise ValueError(f"symplectic eigenvalue {nu} outside [1, inf)")
-    if nu - 1.0 < 1e-12:
-        return 0.0
-    return (nu + 1.0) * math.log((nu + 1.0) / 2.0) - (nu - 1.0) * math.log((nu - 1.0) / 2.0)
+    return _entropy_from_excess(max(nu - 1.0, 0.0) / 2.0)
+
+
+def _reference_entropy(p: float, lam: float) -> float:
+    """Entropy S(tau) of the state's Gaussian reference, from nu - 1 rather
+    than from nu, whose rounding would dominate at weak squeezing."""
+    return _entropy_from_excess(_symplectic_excess(p, lam)[1] / 2.0)
 
 
 def nongaussianity(p: float, lam: float) -> float:
     """Relative entropy between the state and its Gaussian reference,
     S(tau) - S(rho); zero exactly at p in {0, 1}."""
-    return gaussian_state_entropy(symplectic_eigenvalue(p, lam)) - exact.global_entropy(p, lam)
+    return _reference_entropy(p, lam) - exact.global_entropy(p, lam)
 
 
 def nongaussianity_approx(p: float, lam: float) -> float:

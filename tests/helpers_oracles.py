@@ -6,12 +6,13 @@ each ``lam`` and ``t``, the reflection classes of the angular grid and an
 optimizer that scans ``t`` in steps of 0.5 and always runs golden section
 for the Gaussian conditional entropy and discord, dense photon-count tables
 and matrices for the photon-counting bounds, the covariance matrix behind
-the symplectic eigenvalue, and truncated-matrix entropies of the vacuum
-Werner state.
+the symplectic eigenvalue, truncated-matrix entropies of the vacuum
+Werner state, and its closed forms in 50-digit decimal arithmetic.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from functools import cache
@@ -35,14 +36,12 @@ from cvwerner.gaussian import (
     HOMODYNE_T,
     N_ANGULAR,
     N_RADIAL,
-    T_TOL,
     _angular_fold,
     _check_measurement,
     _check_nodes,
     _conditional_entropy_terms,
     _conditional_squeezing,
     _frame_rates,
-    _golden_section,
     _log_density_forms,
     _sinh2r,
     conditional_entropy,
@@ -227,6 +226,35 @@ def angular_fold(n):
 # spacing COARSE_STEP in t over [0, HOMODYNE_T].
 COARSE_STEP = 0.5
 COARSE_T = tuple(float(t) for t in np.arange(0.0, HOMODYNE_T + COARSE_STEP / 2.0, COARSE_STEP))
+# Width to which golden section refines the optimal t.
+T_TOL = 1e-4
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
+
+
+def golden_section(f, a, b, tol):
+    """Golden-section minimization of f on [a, b] to width tol; returns the
+    final point and its value."""
+    h = b - a
+    if h <= tol:
+        mid = (a + b) / 2.0
+        return mid, f(mid)
+    c = a + _INV_PHI_SQ * h
+    d = a + _INV_PHI * h
+    yc, yd = f(c), f(d)
+    steps = int(math.ceil(math.log(tol / h) / math.log(_INV_PHI)))
+    for _ in range(max(steps - 1, 0)):
+        if yc < yd:
+            b, d, yd = d, c, yc
+            h *= _INV_PHI
+            c = a + _INV_PHI_SQ * h
+            yc = f(c)
+        else:
+            a, c, yc = c, d, yd
+            h *= _INV_PHI
+            d = a + _INV_PHI * h
+            yd = f(d)
+    return (c, yc) if yc < yd else (d, yd)
 
 
 def gaussian_discord_golden(p: float, lam: float):
@@ -240,7 +268,7 @@ def gaussian_discord_golden(p: float, lam: float):
     best = min(((t, objective(t)) for t in COARSE_T), key=lambda c: c[1])
     lo = max(0.0, best[0] - COARSE_STEP)
     hi = min(HOMODYNE_T, best[0] + COARSE_STEP)
-    t_opt, h_min = min([best, _golden_section(objective, lo, hi, T_TOL)], key=lambda c: c[1])
+    t_opt, h_min = min([best, golden_section(objective, lo, hi, T_TOL)], key=lambda c: c[1])
     base = exact.reduced_entropy(p, lam) - exact.global_entropy(p, lam)
     return base + h_min, h_min, t_opt
 
@@ -334,3 +362,51 @@ def reduced_entropy_numeric(p, lam, n_max=None) -> float:
     """Truncated-matrix oracle for :func:`reduced_entropy`."""
     rho = werner(WernerParams(p, lam, 0.0), n_max)
     return von_neumann_entropy(eig_spectrum(partial_trace(rho, "A")))
+
+
+# The weak-squeezing grid: p near both ends and at 1/2, lam from 1e-8 to
+# 0.5, where the closed forms once cancelled.
+WEAK_P = (1e-12, 1e-6, 0.5, 1.0 - 1e-6)
+WEAK_LAM = tuple(10.0**-k for k in range(8, 0, -1)) + (0.25, 0.5)
+# Relative error allowed against closed_forms_decimal, about 10 units in
+# the last place; the largest seen on this grid is 5.3e-16.
+WEAK_SQUEEZING_REL = 2e-15
+
+
+def closed_forms_decimal(p: float, lam: float) -> dict:
+    """The vacuum Werner state's closed forms in 50-digit ``decimal``
+    arithmetic, in their textbook shapes, which cancel at weak squeezing but
+    keep more than 20 digits there: eigenvalues (1 +- sqrt(1 - 4p(1-p)lam^2))/2
+    and the global entropy from both, the reduced entropy from the
+    geometric photon-number series summed in closed form, the symplectic
+    eigenvalue sqrt((1 - (1-2p)^2 lam^2) / (1 - lam^2)) and the Gaussian
+    reference entropy (nu+1) ln((nu+1)/2) - (nu-1) ln((nu-1)/2)."""
+    WernerParams(p, lam)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        one, two = decimal.Decimal(1), decimal.Decimal(2)
+        p, lam = decimal.Decimal(p), decimal.Decimal(lam)
+
+        def xlnx(x):
+            return x * x.ln() if x > 0 else decimal.Decimal(0)
+
+        disc = (one - 4 * p * (one - p) * lam**2).sqrt()
+        large, small = (one + disc) / two, (one - disc) / two
+        s_global = -xlnx(large) - xlnx(small)
+        pl2 = p * lam**2
+        s_reduced = -xlnx(one - pl2)
+        if pl2 > 0:
+            s_reduced -= pl2 * (p * (one - lam**2)).ln() + 2 * pl2 * lam.ln() / (one - lam**2)
+        nu = ((one - (one - 2 * p) ** 2 * lam**2) / (one - lam**2)).sqrt()
+        s_tau = xlnx(nu + one) - (nu + one) * two.ln() - xlnx(nu - one) + (nu - one) * two.ln()
+        values = {
+            "eig_large": large,
+            "eig_small": small,
+            "entropy_global": s_global,
+            "entropy_reduced": s_reduced,
+            "discord": s_reduced - s_global,
+            "symplectic_eigenvalue": nu,
+            "gaussian_reference_entropy": s_tau,
+            "delta0": s_tau - s_global,
+        }
+        return {k: float(v) for k, v in values.items()}

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from cvwerner import acceptance, bounds, cli
+from helpers_oracles import closed_forms_decimal
 
 
 def run_cli(capsys, *argv):
@@ -119,7 +120,7 @@ def test_quadrature_tolerance_is_not_a_flag(capsys, tmp_path, argv, source):
 
 @pytest.mark.parametrize(
     "measure, budget",
-    [("gaussian-discord", {"eps_int": 1e-07, "evaluations": 10}), ("gap", {"eps_int": 1e-07})],
+    [("gaussian-discord", {"eps_int": 1e-07, "evaluations": 9}), ("gap", {"eps_int": 1e-07})],
 )
 def test_quadrature_error_budget_reports_the_fixed_tolerance(capsys, measure, budget):
     code, out, _ = run_cli(capsys, "compute", measure, "--p", "0.5", "--lambda", "0.5")
@@ -432,11 +433,22 @@ def test_gaussian_discord_beyond_sized_grid_exits_0(capsys):
     assert json.loads(out)["results"]["gaussian_discord"] > 5.9
 
 
+def test_delta0_is_positive_at_weak_squeezing(capsys):
+    # It once printed -7.50497378234e-12 here, with exit 0.
+    code, out, _ = run_cli(capsys, "compute", "delta0", "--p", "0.5", "--lambda", "1e-6")
+    assert code == 0
+    results = json.loads(out)["results"]
+    ref = closed_forms_decimal(0.5, 1e-6)
+    for key in ("delta0", "gaussian_reference_entropy"):
+        # 12 significant digits
+        assert results[key] == pytest.approx(ref[key], rel=1e-11, abs=0.0), key
+
+
 def test_gaussian_discord_reports_its_evaluations_as_an_integer(capsys):
     code, out, _ = run_cli(capsys, "compute", "gaussian-discord", "--p", "0.5", "--lambda", "0.5")
     assert code == 0
     evaluations = json.loads(out)["error_budget"]["evaluations"]
-    assert type(evaluations) is int and evaluations == 10
+    assert type(evaluations) is int and evaluations == 9
 
 
 def test_verify_wiring(capsys, monkeypatch):

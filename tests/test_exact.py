@@ -4,7 +4,14 @@ import pytest
 from cvwerner import bounds, exact
 from cvwerner.fock import eig_spectrum, partial_trace, von_neumann_entropy
 from cvwerner.states import WernerParams, thermal_entropy, werner
-from helpers_oracles import global_entropy_numeric, reduced_entropy_numeric
+from helpers_oracles import (
+    WEAK_LAM,
+    WEAK_P,
+    WEAK_SQUEEZING_REL,
+    closed_forms_decimal,
+    global_entropy_numeric,
+    reduced_entropy_numeric,
+)
 
 # frozen oracle values at p = lam = 0.5 (direct series / eigensolver)
 S_GLOBAL_55 = 0.24577536666847116
@@ -120,3 +127,18 @@ def test_quantumness_indicators_coincide():
     assert req == pytest.approx(d, abs=1e-8)
     zero = exact.quantumness_indicators(0.0, 0.5)
     assert max(abs(v) for v in zero) < 1e-10
+
+
+@pytest.mark.parametrize("p", WEAK_P)
+def test_closed_forms_keep_relative_precision_at_weak_squeezing(p):
+    for lam in WEAK_LAM:
+        ref = closed_forms_decimal(p, lam)
+        rep = exact.discord_report(p, lam)
+        for key in ("eig_large", "eig_small", "entropy_global", "entropy_reduced"):
+            assert getattr(rep, key) == pytest.approx(ref[key], rel=WEAK_SQUEEZING_REL, abs=0.0), (key, lam)
+        # The discord is a difference of the two entropies, so its error
+        # bound is theirs: it keeps relative precision only where they
+        # do not cancel (at p = 1e-12 and lam = 1e-8 it keeps 4 digits).
+        scale = ref["entropy_reduced"] + ref["entropy_global"]
+        assert abs(rep.discord - ref["discord"]) <= WEAK_SQUEEZING_REL * scale, lam
+        assert rep.discord > 0.0, lam

@@ -12,7 +12,7 @@ from cvwerner.gaussian import (
     HOMODYNE_T,
     MAX_RULE_NODES,
     SCAN_T,
-    T_TOL,
+    OptimizationError,
     QuadratureError,
     _small_eigenvalue,
     conditional_entropy,
@@ -23,6 +23,7 @@ from helpers_oracles import (
     conditional_entropy_mc,
     conditional_params,
     disc_grid,
+    T_TOL,
     gaussian_discord_golden,
     grid_integrals,
     mixture_entropy,
@@ -361,8 +362,8 @@ def test_gaussian_discord_evaluates_each_t_once(monkeypatch):
     monkeypatch.setattr(gaussian, "_integrate", recording)
     monkeypatch.setattr(gaussian, "_checked_rule", checking)
     res = gaussian_discord(0.5, 0.5)
-    # 9 scan points and one probe inside the end t = HOMODYNE_T
-    assert len(seen) == len(set(seen)) == res.evaluations == 10
+    # the 9 scan points, each once
+    assert seen == list(SCAN_T) and res.evaluations == 9
     # the inputs and the rule are checked once, before the scan
     assert len(checked) == 1
 
@@ -391,52 +392,42 @@ def test_scan_is_uniform_in_tanh_t():
     assert np.diff(np.tanh(SCAN_T)) == pytest.approx(np.full(8, step), rel=1e-14, abs=0.0)
 
 
-class _Counted:
-    """A synthetic objective that records the points it is evaluated at."""
-
-    def __init__(self, f):
-        self.f, self.calls = f, []
-
-    def __call__(self, t):
-        self.calls.append(t)
-        return self.f(t)
+def _synthetic_scan(monkeypatch, h):
+    """Make the quadrature return ``h(t)`` at the measurement squeezing t."""
+    monkeypatch.setattr(gaussian, "_integrate", lambda p, lam, t, rule: h(t))
 
 
-@pytest.mark.parametrize("t_min", [0.6, 3.3])
-def test_refine_runs_golden_section_inside_the_scan(t_min):
-    f = _Counted(lambda t: (t - t_min) ** 2)
-    scan_h = [f(t) for t in SCAN_T]
-    k = scan_h.index(min(scan_h))
-    assert 0 < k < len(SCAN_T) - 1
-    t_opt, h_min = gaussian._refine(f, SCAN_T, k, scan_h[k])
-    assert abs(t_opt - t_min) < T_TOL
-    assert h_min == f.f(t_opt)
-    assert T_TOL not in f.calls and HOMODYNE_T - T_TOL not in f.calls
-    # golden section stays between the best point's neighbours
-    assert all(SCAN_T[k - 1] <= t <= SCAN_T[k + 1] for t in f.calls[len(SCAN_T):])
+@pytest.mark.parametrize("t_dip", [SCAN_T[1], SCAN_T[4], SCAN_T[7]])
+def test_interior_dip_below_both_ends_raises(monkeypatch, t_dip):
+    _synthetic_scan(monkeypatch, lambda t: 0.1 if t == t_dip else 0.2)
+    with pytest.raises(OptimizationError, match=r"least at an end of the t scan; scan: \[\(0\.0, 0\.2\)"):
+        gaussian_discord(0.5, 0.5)
 
 
-@pytest.mark.parametrize("k, f", [(0, lambda t: t), (-1, lambda t: -t)])
-def test_refine_returns_an_end_whose_probe_is_not_lower(k, f):
-    f = _Counted(f)
-    end = SCAN_T[k]
-    assert gaussian._refine(f, SCAN_T, k % len(SCAN_T), f(end)) == (end, f.f(end))
-    assert f.calls == [end, T_TOL if end == 0.0 else HOMODYNE_T - T_TOL]
+def test_non_finite_scan_value_raises(monkeypatch):
+    # NaN compares false with everything, so it must not pass for a minimum.
+    _synthetic_scan(monkeypatch, lambda t: math.nan if t == SCAN_T[3] else 0.2)
+    with pytest.raises(OptimizationError, match="nan"):
+        gaussian_discord(0.5, 0.5)
 
 
-@pytest.mark.parametrize("k, t_min", [(0, 0.1), (-1, HOMODYNE_T - 0.2)])
-def test_refine_falls_back_to_golden_section_when_the_probe_is_lower(k, t_min):
-    # the minimum lies inside the end's scan interval, closer to the end
-    end, neighbour = SCAN_T[k], SCAN_T[1 if k == 0 else -2]
-    assert min(end, neighbour) < t_min < max(end, neighbour)
-    f = _Counted(lambda t: (t - t_min) ** 2)
-    t_opt, _ = gaussian._refine(f, SCAN_T, k % len(SCAN_T), f(end))
-    assert abs(t_opt - t_min) < T_TOL
-    # the end, the probe and golden section's points on that interval: two,
-    # then one for each step that shrinks the bracket by 1/phi to T_TOL
-    phi = (1.0 + math.sqrt(5.0)) / 2.0
-    steps = math.ceil(math.log(abs(neighbour - end) / T_TOL) / math.log(phi))
-    assert len(f.calls) == 2 + 2 + (steps - 1)
+def test_negative_minimum_raises(monkeypatch):
+    _synthetic_scan(monkeypatch, lambda t: -1e-9)
+    with pytest.raises(OptimizationError):
+        gaussian_discord(0.5, 0.5)
+
+
+def test_tied_ends_return_heterodyne(monkeypatch):
+    _synthetic_scan(monkeypatch, lambda t: 0.2 if t in (0.0, HOMODYNE_T) else 0.3)
+    res = gaussian_discord(0.5, 0.5)
+    assert res.t == 0.0 and res.conditional_entropy == 0.2 and res.evaluations == 9
+
+
+def test_lower_homodyne_end_is_returned(monkeypatch):
+    # an interior value equal to the lower end is not below it
+    _synthetic_scan(monkeypatch, lambda t: 0.3 if t == 0.0 else 0.2)
+    res = gaussian_discord(0.5, 0.5)
+    assert res.t == HOMODYNE_T and res.conditional_entropy == 0.2
 
 
 # p near both ends and lam from weak squeezing to 1 - 1e-4, through the
@@ -446,8 +437,8 @@ AGREEMENT_LAM = (0.001, 0.01, 0.05, 0.3, 0.5, 0.7, 0.74, 0.78, 0.9, 0.98, 0.995,
 
 
 def test_gaussian_discord_agrees_with_golden_section_everywhere():
-    # the 9-point scan and its endpoint probe against the 25-point scan and
-    # an optimizer that always runs golden section
+    # the lower end of the 9-point scan against the 25-point scan and an
+    # optimizer that always runs golden section
     for p in AGREEMENT_P:
         for lam in AGREEMENT_LAM:
             res = gaussian_discord(p, lam)
@@ -462,7 +453,10 @@ def test_gaussian_optimum_is_an_end():
     # homodyne (t -> infinity, here HOMODYNE_T) or heterodyne (t = 0).
     for p in AGREEMENT_P:
         for lam in AGREEMENT_LAM:
-            assert gaussian_discord(p, lam).t in (0.0, HOMODYNE_T), (p, lam)
+            res = gaussian_discord(p, lam)
+            assert res.t in (0.0, HOMODYNE_T), (p, lam)
+            ends = (conditional_entropy(p, lam, 0.0), conditional_entropy(p, lam, HOMODYNE_T))
+            assert res.conditional_entropy == min(ends), (p, lam)
 
 
 def test_gaussian_discord_strictly_above_discord():
@@ -512,7 +506,7 @@ def test_gaussian_discord_beyond_the_sized_grid():
     for lam in (0.9994, 0.9999, 0.99999, 1.0 - 1e-8, 1.0 - 1e-12):
         res = gaussian_discord(0.5, lam)
         assert math.isfinite(res.value) and res.value > exact.discord(0.5, lam)
-        assert res.evaluations == 10
+        assert res.evaluations == 9
 
 
 def test_rule_above_node_limit_raises_before_allocating():

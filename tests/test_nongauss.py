@@ -14,7 +14,14 @@ from cvwerner.nongauss import (
     nongaussianity_approx,
     symplectic_eigenvalue,
 )
-from helpers_oracles import covariance_cs, covariance_matrix
+from helpers_oracles import (
+    WEAK_LAM,
+    WEAK_P,
+    WEAK_SQUEEZING_REL,
+    closed_forms_decimal,
+    covariance_cs,
+    covariance_matrix,
+)
 
 # frozen oracle values at p = lam = 0.5
 NU_55 = 1.1547005383792515  # sqrt(4/3)
@@ -130,3 +137,20 @@ def test_gap_closes_at_extreme_squeezing_while_nongaussianity_diverges():
 def test_euler_gamma_constant():
     assert EULER_GAMMA == pytest.approx(float(np.euler_gamma), abs=1e-16)
     assert gap_approx(0.5, 0.05) > 0.0
+
+
+@pytest.mark.parametrize("p", WEAK_P)
+def test_nongaussianity_keeps_relative_precision_at_weak_squeezing(p):
+    # S(tau) and S(rho) both shrink like lam^2 ln lam, S(tau) about twice
+    # as fast, so delta0 = S(tau) - S(rho) does not cancel; it once came
+    # out negative here, from nu - 1 formed by subtraction.
+    for lam in WEAK_LAM:
+        ref = closed_forms_decimal(p, lam)
+        got = {
+            "symplectic_eigenvalue": symplectic_eigenvalue(p, lam),
+            "gaussian_reference_entropy": nongauss._reference_entropy(p, lam),
+            "delta0": nongaussianity(p, lam),
+        }
+        for key, value in got.items():
+            assert value == pytest.approx(ref[key], rel=WEAK_SQUEEZING_REL, abs=0.0), (key, lam)
+        assert got["delta0"] > 0.0, lam
