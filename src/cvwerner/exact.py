@@ -62,7 +62,7 @@ def global_entropy(p: float, lam: float) -> float:
     """Entropy of the full state: binary entropy of the eigenvalue pair,
     taken from the smaller eigenvalue with ``log1p``."""
     small = eigenvalue_pair(p, lam)[1]
-    return 0.0 - float(xlogx(small)) - (1.0 - small) * math.log1p(-small)
+    return -float(xlogx(small)) - (1.0 - small) * math.log1p(-small)
 
 
 def reduced_entropy(p: float, lam: float) -> float:

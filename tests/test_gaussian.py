@@ -417,17 +417,13 @@ def test_negative_minimum_raises(monkeypatch):
         gaussian_discord(0.5, 0.5)
 
 
-def test_tied_ends_return_heterodyne(monkeypatch):
-    _synthetic_scan(monkeypatch, lambda t: 0.2 if t in (0.0, HOMODYNE_T) else 0.3)
+@pytest.mark.parametrize("h_0, t_end", [(0.2, 0.0), (0.3, HOMODYNE_T)], ids=["tie", "homodyne"])
+def test_lower_end_is_returned_and_a_tie_is_heterodyne(monkeypatch, h_0, t_end):
+    # h(HOMODYNE_T) and every interior value are 0.2; an interior value equal
+    # to the lower end is not below it
+    _synthetic_scan(monkeypatch, lambda t: h_0 if t == 0.0 else 0.2)
     res = gaussian_discord(0.5, 0.5)
-    assert res.t == 0.0 and res.conditional_entropy == 0.2 and res.evaluations == 9
-
-
-def test_lower_homodyne_end_is_returned(monkeypatch):
-    # an interior value equal to the lower end is not below it
-    _synthetic_scan(monkeypatch, lambda t: 0.3 if t == 0.0 else 0.2)
-    res = gaussian_discord(0.5, 0.5)
-    assert res.t == HOMODYNE_T and res.conditional_entropy == 0.2
+    assert (res.t, res.conditional_entropy, res.evaluations) == (t_end, 0.2, 9)
 
 
 # p near both ends and lam from weak squeezing to 1 - 1e-4, through the
