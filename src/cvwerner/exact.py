@@ -71,10 +71,12 @@ def reduced_entropy(p: float, lam: float) -> float:
     if lam == 0.0 or p == 0.0:
         return 0.0
     pl2 = p * lam**2
+    # 1 - lam^2 as a product, which keeps its relative precision near lam = 1
+    one_m_lam2 = (1.0 - lam) * (1.0 + lam)
     return -float(
         math.log1p(-pl2)
-        + pl2 * np.log(p * (1.0 - lam**2) / (1.0 - pl2))
-        + 2.0 * pl2 * np.log(lam) / (1.0 - lam**2)
+        + pl2 * np.log(p * one_m_lam2 / (1.0 - pl2))
+        + 2.0 * pl2 * np.log(lam) / one_m_lam2
     )
 
 

@@ -45,10 +45,19 @@ trace of ``phi``, so the integrand is real, phase-free and even in x and
 in y.  The rule's angular count is a multiple of 4, and only one angular
 node of each reflection class is evaluated, weighted by the class size:
 n/4 + 1 of n.
+
+Each evaluation is one kernel over the rule's nodes.  It builds the 4 x 3
+coefficients of the four linear forms, log(p u), log((1-p) v),
+log(z2 / z1) and the log-overlap, and multiplies them by the basis
+``[1, x^2, y^2]`` that the rule stores flat, so one product gives all four
+at every node.  Each elementwise step (exp, expm1, sqrt, log, log1p) then
+runs once, in place, and the integral is one dot of the weighted density
+with S, with 1/pi and the disc's scale in one scalar.
 The complex outcome algebra, kept as the reference for this real
-integrand, a Monte-Carlo estimate of the conditional entropy, the earlier
-polar grid sized to each ``lam`` and ``t`` and the earlier 25-point scan
-of ``t`` refined by golden section live with the tests.
+integrand, the same integrand formed quantity by quantity, a Monte-Carlo
+estimate of the conditional entropy, the earlier polar grid sized to each
+``lam`` and ``t`` and the earlier 25-point scan of ``t`` refined by golden
+section live with the tests.
 """
 
 from __future__ import annotations
@@ -60,7 +69,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import exact
-from .fock import _check_count, xlogx
+from .fock import _check_count
 from .states import WernerParams
 
 HETERODYNE = 0.0
@@ -138,36 +147,25 @@ def _log_density_forms(lam, t):
     return (logpref_u, ru_x, ru_y), (-log_cosh_t, rv, rv)
 
 
-def _small_eigenvalue(m):
-    """Smaller eigenvalue ``(1 - sqrt(1 - m)) / 2`` of the mixture
-    ``z1 |a><a| + (1 - z1) |b><b|``, with ``m = 4 z1 (1 - z1) (1 - |<a|b>|^2)``
-    in [0, 1], formed as ``m / (2 (1 + sqrt(1 - m)))`` so that it does not
-    cancel when ``m`` is small."""
-    return m / (2.0 * (1.0 + np.sqrt(np.maximum(1.0 - m, 0.0))))
-
-
-def _conditional_entropy_terms(p, lam, t, x2, y2, scale=1.0):
-    """Per-outcome conditional entropy S and outcome density q at
+def _linear_forms(p, lam, t, scale):
+    """The integrand's four linear forms ``c - a x^2 - b y^2`` at
     ``x^2 = scale x2``, ``y^2 = scale y2`` of the squeezed frame, for any
-    ``phi``.
+    ``phi``: the rows ``(c, -(scale a), -(scale b))`` of a 4 x 3 matrix, to
+    be multiplied by the basis ``[1, x2, y2]``.  Each rate takes ``scale``
+    first, in the order the integrand's reference arithmetic uses.
 
     In that frame ``beta = exp(-i phi) s2r (z_plus a - i z_minus b)`` with
     ``a = exp(t/2) x``, ``b = exp(-t/2) y``, so ``|beta|^2`` and
-    ``Re(exp(2i phi) beta^2)`` lose the phase, and log(p u), log((1-p) v),
-    their difference and the log-overlap of the two components are each
-    linear in (x^2, y^2); ``scale`` multiplies their rates.  The weights
-    enter S only through ``z1 z2 = E / (1 + E)^2`` with
-    ``E = (1-p) v / (p u)``, which is the same for ``E`` and ``1/E``.  At
-    p = 0 or 1 one weight is exactly zero and S is 0.
+    ``Re(exp(2i phi) beta^2)`` lose the phase, and the rows are log(p u),
+    log((1-p) v), log(z2 / z1) and the log-overlap of the two components.
+    At p = 0 or 1 one weight is exactly zero: its row and log(z2 / z1)
+    start at an infinite constant.
     """
     (cu, ux, uy), (cv, vx, _) = _log_density_forms(lam, t)
     log_p = math.log(p) if p > 0.0 else -math.inf
     log_1mp = math.log1p(-p) if p < 1.0 else -math.inf
-    lw1 = (log_p + cu) - (scale * ux) * x2 - (scale * uy) * y2
-    lw2 = (log_1mp + cv) - (scale * vx) * (x2 + y2)
-    q = (np.exp(lw1) + np.exp(lw2)) / math.pi
-    # log(z2 / z1) = lw2 - lw1: log cosh t cancels from the constant, and
-    # the rate differences use (1 -+ tanh t) = exp(-+t) sech t.
+    # log(z2 / z1) = log((1-p) v) - log(p u): log cosh t cancels from the
+    # constant, and the rate differences use (1 -+ tanh t) = exp(-+t) sech t.
     lam2, tau = lam**2, math.tanh(t)
     sech_sq = 1.0 / math.cosh(t) ** 2
     d0 = (
@@ -178,18 +176,67 @@ def _conditional_entropy_terms(p, lam, t, x2, y2, scale=1.0):
     )
     dx = scale * lam2 * sech_sq * math.exp(-t) / (1.0 - lam2 * tau)
     dy = scale * lam2 * sech_sq * math.exp(t) / (1.0 + lam2 * tau)
-    e = np.exp(-np.abs(d0 - dx * x2 - dy * y2))
     s, z_plus, z_minus = _conditional_squeezing(lam, t)
     s2r_sq = _sinh2r(lam) ** 2
     tanh_s = math.tanh(s)
     ox = scale * s2r_sq * (1.0 - tanh_s) * z_plus**2 * math.exp(t)
     oy = scale * s2r_sq * (1.0 + tanh_s) * z_minus**2 * math.exp(-t)
-    # m = 4 z1 z2 (1 - overlap^2), with 1 - overlap^2 from expm1.
     log_cosh_s = math.log1p(2.0 * math.sinh(s / 2.0) ** 2)
-    m = -4.0 * e / (1.0 + e) ** 2 * np.expm1(-log_cosh_s - ox * x2 - oy * y2)
-    nu = _small_eigenvalue(m)
-    entropy = -xlogx(nu) - (1.0 - nu) * np.log1p(-nu)
-    return entropy, q
+    return np.array(
+        [
+            [log_p + cu, -(scale * ux), -(scale * uy)],
+            [log_1mp + cv, -(scale * vx), -(scale * vx)],
+            [d0, -dx, -dy],
+            [-log_cosh_s, -ox, -oy],
+        ]
+    )
+
+
+def _conditional_entropy_terms(forms, basis):
+    """Per-outcome conditional entropy S and ``pi q``, the outcome density
+    times pi, at the nodes of ``basis`` (rows ``1, x2, y2``), from the
+    ``_linear_forms`` matrix ``forms``.
+
+    All four forms come from one product, and each elementwise step runs
+    once, in place.  The weights enter S only through
+    ``z1 z2 = E / (1 + E)^2`` with ``E = z2 / z1``, which is the same for
+    ``E`` and ``1/E``, so ``exp(-|log E|)`` serves and cannot overflow.
+    With ``m = 4 z1 z2 (1 - overlap^2)``, ``1 - overlap^2`` from expm1, the
+    small eigenvalue ``nu = (1 - sqrt(1 - m)) / 2`` is formed as
+    ``m / (2 (1 + sqrt(1 - m)))``, which keeps its relative precision when
+    ``m`` is small.  ``nu ln nu`` takes the log of ``max(nu, 5e-324)``,
+    which is ``nu`` itself wherever ``nu > 0``, so ``nu = 0`` gives 0.
+    """
+    f = forms @ basis
+    pu, v, e, m = f
+    np.abs(e, out=e)
+    np.negative(e, out=e)
+    np.exp(f[:3], out=f[:3])
+    pi_q = np.add(pu, v, out=pu)
+    # m = -4 e / (1 + e)^2 * expm1(log-overlap), with v as scratch from here
+    np.add(e, 1.0, out=v)
+    np.multiply(v, v, out=v)
+    np.multiply(e, -4.0, out=e)
+    np.divide(e, v, out=e)
+    np.expm1(m, out=m)
+    np.multiply(m, e, out=m)
+    np.subtract(1.0, m, out=v)
+    np.maximum(v, 0.0, out=v)
+    np.sqrt(v, out=v)
+    np.add(v, 1.0, out=v)
+    np.multiply(v, 2.0, out=v)
+    nu = np.divide(m, v, out=m)
+    # S = -nu ln nu - (1 - nu) log1p(-nu)
+    np.maximum(nu, 5e-324, out=e)
+    np.log(e, out=e)
+    np.multiply(e, nu, out=e)
+    np.negative(nu, out=v)
+    np.log1p(v, out=v)
+    np.subtract(1.0, nu, out=nu)
+    np.multiply(nu, v, out=v)
+    np.add(e, v, out=e)
+    entropy = np.negative(e, out=e)
+    return entropy, pi_q
 
 
 def _check_measurement(t):
@@ -227,13 +274,13 @@ def _angular_fold(n):
 
 @dataclass(frozen=True)
 class _DiscRule:
-    """Folded polar Gauss-Legendre rule on the unit disc: ``x^2`` and ``y^2``
-    at one angular node of each reflection class, the weights
-    ``r dr dtheta`` times the class sizes, and the rule's mass of the
-    vacuum component ``exp(-DISC_X r^2) DISC_X / pi``."""
+    """Folded polar Gauss-Legendre rule on the unit disc, flat: the basis
+    ``[1, x^2, y^2]`` of the integrand's linear forms at one angular node
+    of each reflection class, the weights ``r dr dtheta`` times the class
+    sizes, and the rule's mass of the vacuum component
+    ``exp(-DISC_X r^2) DISC_X / pi``."""
 
-    x2: np.ndarray
-    y2: np.ndarray
+    basis: np.ndarray
     weights: np.ndarray
     vacuum_mass: float
 
@@ -257,21 +304,24 @@ def _disc_rule(n_radial, n_angular):
             f"(defect {defect:.3e} > EPS_INT={EPS_INT:g}), "
             f"nodes={n_radial}x{n_angular}"
         )
+    basis = np.stack([np.ones(x2.size), x2.ravel(), y2.ravel()])
+    weights = weights.ravel()
     # Every caller shares the cached arrays.
-    for a in (x2, y2, weights):
+    for a in (basis, weights):
         a.flags.writeable = False
-    return _DiscRule(x2, y2, weights, vacuum_mass)
+    return _DiscRule(basis, weights, vacuum_mass)
 
 
 def _integrate(p, lam, t, rule):
     """Integral of q S over the disc ``r_v r^2 <= DISC_X``.
 
     The unit-disc rule is scaled to ``R^2 = DISC_X cosh t``: the integrand's
-    rates take the factor R^2, and the area element takes it once more.
+    rates take the factor R^2, and the area element takes it once more,
+    together with the 1/pi of q.
     """
     scale = DISC_X * math.cosh(t)
-    entropy, q = _conditional_entropy_terms(p, lam, t, rule.x2, rule.y2, scale)
-    return scale * float((rule.weights * q * entropy).sum())
+    entropy, pi_q = _conditional_entropy_terms(_linear_forms(p, lam, t, scale), rule.basis)
+    return scale / math.pi * float(np.dot(np.multiply(pi_q, rule.weights, out=pi_q), entropy))
 
 
 def _checked_rule(p, lam, n_radial, n_angular):

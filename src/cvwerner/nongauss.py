@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 from . import exact, gaussian
-from .fock import xlogx
 from .states import WernerParams, check_unit
 
 EULER_GAMMA = 0.57721566490153286061
@@ -28,18 +27,27 @@ EULER_GAMMA = 0.57721566490153286061
 
 def _symplectic_excess(p: float, lam: float):
     """The symplectic eigenvalue nu and nu - 1, formed as
-    (nu^2 - 1) / (nu + 1) with nu^2 - 1 = 4p(1-p) lam^2 / (1 - lam^2), so
-    that it keeps its relative precision at weak squeezing."""
+    (nu^2 - 1) / (nu + 1) with nu^2 - 1 = 4p(1-p) lam^2 / ((1 - lam)(1 + lam)),
+    so that it keeps its relative precision at weak squeezing and near
+    lam = 1."""
     WernerParams(p, lam)
-    nu_sq_m1 = 4.0 * p * (1.0 - p) * lam**2 / (1.0 - lam**2)
+    nu_sq_m1 = 4.0 * p * (1.0 - p) * lam**2 / ((1.0 - lam) * (1.0 + lam))
     nu = math.sqrt(1.0 + nu_sq_m1)
     return nu, nu_sq_m1 / (nu + 1.0)
 
 
 def _entropy_from_excess(eps: float) -> float:
     """Entropy 2[(1 + eps) ln(1 + eps) - eps ln eps] of a two-mode Gaussian
-    state with doubly degenerate symplectic eigenvalue 1 + 2 eps."""
-    return 2.0 * ((1.0 + eps) * math.log1p(eps) - float(xlogx(eps)))
+    state with doubly degenerate symplectic eigenvalue 1 + 2 eps, formed as
+    2[ln(1 + eps) + eps ln(1 + 1/eps)], whose two terms do not cancel at
+    large eps; 0 at eps = 0."""
+    if eps == 0.0:
+        return 0.0
+    # Below 1, ln(1 + 1/eps) = ln(1 + eps) - ln eps adds two positive terms
+    # and, unlike 1/eps, does not overflow at subnormal eps.
+    if eps < 1.0:
+        return 2.0 * (math.log1p(eps) + eps * (math.log1p(eps) - math.log(eps)))
+    return 2.0 * (math.log1p(eps) + eps * math.log1p(1.0 / eps))
 
 
 def symplectic_eigenvalue(p: float, lam: float) -> float:

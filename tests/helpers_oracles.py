@@ -1,7 +1,9 @@
 """Reference implementations that only the tests call.
 
 Each one is a second route to a quantity the package computes another way:
-the complex outcome algebra, a Monte-Carlo average, the polar grid sized to
+the complex outcome algebra, the real integrand of the Gaussian conditional
+entropy formed node by node in the package's earlier arithmetic, a
+Monte-Carlo average, the polar grid sized to
 each ``lam`` and ``t``, the reflection classes of the angular grid and an
 optimizer that scans ``t`` in steps of 0.5 and always runs golden section
 for the Gaussian conditional entropy and discord, dense photon-count tables
@@ -30,6 +32,7 @@ from cvwerner.fock import (
     partial_trace,
     shannon_entropy,
     von_neumann_entropy,
+    xlogx,
 )
 from cvwerner.gaussian import (
     DISC_X,
@@ -39,7 +42,6 @@ from cvwerner.gaussian import (
     _angular_fold,
     _check_measurement,
     _check_nodes,
-    _conditional_entropy_terms,
     _conditional_squeezing,
     _frame_rates,
     _log_density_forms,
@@ -117,6 +119,55 @@ def mixture_entropy(zeta1, zeta2, distinguishability):
     return small - nu_plus * np.log1p(-nu_minus)
 
 
+def small_eigenvalue(m):
+    """Smaller eigenvalue ``(1 - sqrt(1 - m)) / 2`` of the mixture
+    ``z1 |a><a| + (1 - z1) |b><b|``, with ``m = 4 z1 (1 - z1) (1 - |<a|b>|^2)``
+    in [0, 1], formed as ``m / (2 (1 + sqrt(1 - m)))`` so that it does not
+    cancel when ``m`` is small."""
+    return m / (2.0 * (1.0 + np.sqrt(np.maximum(1.0 - m, 0.0))))
+
+
+def conditional_entropy_terms(p, lam, t, x2, y2, scale=1.0):
+    """Per-outcome conditional entropy S and outcome density q at
+    ``x^2 = scale x2``, ``y^2 = scale y2`` of the squeezed frame, each
+    quantity formed in its own array: the package's integrand before its
+    linear forms came from one product.
+
+    log(p u), log((1-p) v), their difference and the log-overlap of the two
+    components are each linear in (x^2, y^2); ``scale`` multiplies their
+    rates.  The weights enter S only through ``z1 z2 = E / (1 + E)^2`` with
+    ``E = (1-p) v / (p u)``, which is the same for ``E`` and ``1/E``.  At
+    p = 0 or 1 one weight is exactly zero and S is 0.
+    """
+    (cu, ux, uy), (cv, vx, _) = _log_density_forms(lam, t)
+    log_p = math.log(p) if p > 0.0 else -math.inf
+    log_1mp = math.log1p(-p) if p < 1.0 else -math.inf
+    lw1 = (log_p + cu) - (scale * ux) * x2 - (scale * uy) * y2
+    lw2 = (log_1mp + cv) - (scale * vx) * (x2 + y2)
+    q = (np.exp(lw1) + np.exp(lw2)) / math.pi
+    lam2, tau = lam**2, math.tanh(t)
+    sech_sq = 1.0 / math.cosh(t) ** 2
+    d0 = (
+        log_1mp
+        - log_p
+        - math.log1p(-lam2)
+        + 0.5 * (math.log1p(-lam2 * tau) + math.log1p(lam2 * tau))
+    )
+    dx = scale * lam2 * sech_sq * math.exp(-t) / (1.0 - lam2 * tau)
+    dy = scale * lam2 * sech_sq * math.exp(t) / (1.0 + lam2 * tau)
+    e = np.exp(-np.abs(d0 - dx * x2 - dy * y2))
+    s, z_plus, z_minus = _conditional_squeezing(lam, t)
+    s2r_sq = _sinh2r(lam) ** 2
+    tanh_s = math.tanh(s)
+    ox = scale * s2r_sq * (1.0 - tanh_s) * z_plus**2 * math.exp(t)
+    oy = scale * s2r_sq * (1.0 + tanh_s) * z_minus**2 * math.exp(-t)
+    log_cosh_s = math.log1p(2.0 * math.sinh(s / 2.0) ** 2)
+    m = -4.0 * e / (1.0 + e) ** 2 * np.expm1(-log_cosh_s - ox * x2 - oy * y2)
+    nu = small_eigenvalue(m)
+    entropy = -xlogx(nu) - (1.0 - nu) * np.log1p(-nu)
+    return entropy, q
+
+
 # Envelope mass the sized grid may leave outside its radius.
 TAIL_EPS = 1e-10
 # Largest sized grid, in nodes: the grid at HOMODYNE_T fits up to
@@ -189,7 +240,7 @@ def grid_integrals(p, lam, t, grid):
     size = _angular_fold(grid.angular_nodes.size)
     theta = grid.angular_nodes[: size.size]
     r = grid.radial_nodes[:, None]
-    entropy, q = _conditional_entropy_terms(
+    entropy, q = conditional_entropy_terms(
         p, lam, t, (r * np.cos(theta)) ** 2, (r * np.sin(theta)) ** 2
     )
     angular_weights = grid.angular_weights[: size.size] * size
@@ -300,7 +351,7 @@ def conditional_entropy_mc(
         rng.normal(0.0, 1.0 / math.sqrt(2.0 * ru_y), n_samples),
         rng.normal(0.0, 1.0 / math.sqrt(2.0 * rv), n_samples),
     )
-    entropy, _ = _conditional_entropy_terms(p, lam, t, x**2, y**2)
+    entropy, _ = conditional_entropy_terms(p, lam, t, x**2, y**2)
     return float(entropy.mean()), float(entropy.std(ddof=1) / math.sqrt(n_samples))
 
 
@@ -364,12 +415,14 @@ def reduced_entropy_numeric(p, lam, n_max=None) -> float:
     return von_neumann_entropy(eig_spectrum(partial_trace(rho, "A")))
 
 
-# The weak-squeezing grid: p near both ends and at 1/2, lam from 1e-8 to
-# 0.5, where the closed forms once cancelled.
-WEAK_P = (1e-12, 1e-6, 0.5, 1.0 - 1e-6)
+# The weak-squeezing grid: p near both ends, at 0.3 and at 1/2, lam from
+# 1e-8 to 0.5, where the closed forms once cancelled.
+WEAK_P = (1e-12, 1e-6, 0.3, 0.5, 1.0 - 1e-6)
 WEAK_LAM = tuple(10.0**-k for k in range(8, 0, -1)) + (0.25, 0.5)
+# lam toward 1, where 1 - lam^2 once cancelled.
+STRONG_LAM = (0.9, 0.99, 0.999, 0.999999, 1.0 - 1e-9, 1.0 - 1e-12)
 # Relative error allowed against closed_forms_decimal, about 10 units in
-# the last place; the largest seen on this grid is 5.3e-16.
+# the last place; the largest seen on these grids is 6.7e-16.
 WEAK_SQUEEZING_REL = 2e-15
 
 

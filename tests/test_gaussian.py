@@ -14,13 +14,13 @@ from cvwerner.gaussian import (
     SCAN_T,
     OptimizationError,
     QuadratureError,
-    _small_eigenvalue,
     conditional_entropy,
     gaussian_discord,
 )
 from helpers_oracles import (
     angular_fold,
     conditional_entropy_mc,
+    conditional_entropy_terms,
     conditional_params,
     disc_grid,
     T_TOL,
@@ -28,6 +28,7 @@ from helpers_oracles import (
     grid_integrals,
     mixture_entropy,
     quadrature_grid,
+    small_eigenvalue,
     weight_densities,
 )
 
@@ -51,13 +52,13 @@ def _m(z1, ov):
 
 def test_small_eigenvalue_trivial_cases():
     # a pure mixture (one weight, or equal states) and the maximally mixed one
-    assert _small_eigenvalue(_m(1.0, 0.3)) == 0.0
-    assert _small_eigenvalue(_m(0.5, 1.0)) == 0.0
-    assert _small_eigenvalue(_m(0.5, 0.0)) == 0.5
+    assert small_eigenvalue(_m(1.0, 0.3)) == 0.0
+    assert small_eigenvalue(_m(0.5, 1.0)) == 0.0
+    assert small_eigenvalue(_m(0.5, 0.0)) == 0.5
 
 
 def test_small_eigenvalue_worked_example():
-    assert _small_eigenvalue(_m(0.5, 0.25)) == pytest.approx(0.25, abs=1e-15)
+    assert small_eigenvalue(_m(0.5, 0.25)) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_small_eigenvalue_matches_gram_construction():
@@ -70,7 +71,15 @@ def test_small_eigenvalue_matches_gram_construction():
         phi2 = np.array([c, np.sqrt(1 - ov)])
         sigma = z1 * np.outer(phi1, phi1) + (1 - z1) * np.outer(phi2, phi2)
         direct = np.linalg.eigvalsh(sigma)[0]
-        assert abs(direct - _small_eigenvalue(_m(z1, ov))) < 1e-12
+        assert abs(direct - small_eigenvalue(_m(z1, ov))) < 1e-12
+
+
+def _kernel_terms(p, lam, t, x2, y2, scale=1.0):
+    """The package's per-node S and q at ``x^2 = scale x2``, ``y^2 = scale
+    y2``, shaped like ``x2``."""
+    basis = np.stack([np.ones(x2.size), x2.ravel(), y2.ravel()])
+    entropy, pi_q = gaussian._conditional_entropy_terms(gaussian._linear_forms(p, lam, t, scale), basis)
+    return entropy.reshape(x2.shape), (pi_q / math.pi).reshape(x2.shape)
 
 
 def test_conditional_params_trivial():
@@ -192,9 +201,7 @@ def test_conditional_entropy_integrand_matches_fock_oracle():
         for _ in range(6):
             x, y = rng.normal(0, 1.2), rng.normal(0, 1.2)
             alpha = complex(np.exp(g) * x, np.exp(-g) * y) * np.exp(1j * phi)
-            entropy, q = gaussian._conditional_entropy_terms(
-                p, lam, t, np.array([x**2]), np.array([y**2])
-            )
+            entropy, q = _kernel_terms(p, lam, t, np.array([x**2]), np.array([y**2]))
             sigma, q_ref = oracle.conditional_state(p, lam, alpha, t, phi, n)
             assert q[0] == pytest.approx(q_ref, rel=1e-9)
             assert entropy[0] == pytest.approx(oracle.entropy(sigma), abs=1e-9)
@@ -256,14 +263,14 @@ def test_folded_integral_matches_unfolded_complex_sum(p, n_angular):
     # complex algebra, at a phase phi != 0
     n_ang = {64: 64, 65: 68, 66: 68}[n_angular]
     rule = gaussian._disc_rule(80, n_ang)
-    assert rule.x2.shape == (80, n_ang // 4 + 1)
+    assert rule.basis.shape == (3, 80 * (n_ang // 4 + 1))
     for lam in (0.0, 0.5, 0.98):
         for t in (0.0, 2.0, HOMODYNE_T):
             grid = disc_grid(t, n_angular=n_angular)
             assert grid.angular_nodes.size == n_ang
             scale = DISC_X * math.cosh(t)
             value = gaussian._integrate(p, lam, t, rule)
-            _, q = gaussian._conditional_entropy_terms(p, lam, t, rule.x2, rule.y2, scale)
+            _, q = _kernel_terms(p, lam, t, rule.basis[1], rule.basis[2], scale)
             norm = scale * float((rule.weights * q).sum())
             ref_value, ref_norm = _unfolded_complex_integrals(p, lam, t, 0.9, grid)
             assert norm == pytest.approx(ref_norm, rel=1e-13, abs=0.0), (lam, t)
@@ -283,13 +290,52 @@ def test_integrand_keeps_relative_precision_at_weak_squeezing_and_in_tails():
                 for grid in (disc_grid(t), quadrature_grid(lam, t)):
                     r = grid.radial_nodes[:, None]
                     theta = grid.angular_nodes[None, :]
-                    entropy, _ = gaussian._conditional_entropy_terms(
+                    entropy, _ = _kernel_terms(
                         p, lam, t, (r * np.cos(theta)) ** 2, (r * np.sin(theta)) ** 2
                     )
                     ref, _ = _complex_terms(p, lam, t, 0.0, grid)
                     kept = ref > 1e-290
                     worst = max(worst, float(np.max(np.abs(entropy[kept] / ref[kept] - 1.0))))
     assert worst < 1e-12
+
+
+# The kernel-oracle grid: p near both ends and at 1/2, lam from weak
+# squeezing to 1 - 1e-4, through the heterodyne-homodyne switch.
+KERNEL_P = (1e-12, 0.01, 0.5, 1.0 - 1e-6)
+KERNEL_LAM = (1e-6, 0.01, 0.3, 0.72, 0.9, 0.9999)
+KERNEL_RULES = ((80, 64), (160, 128))
+
+
+@pytest.mark.parametrize("n_radial, n_angular", KERNEL_RULES)
+def test_kernel_matches_reference_arithmetic(n_radial, n_angular):
+    # The linear forms from one product and the in-place steps against the
+    # same integrand formed quantity by quantity: per node within 1e-12
+    # relative wherever S > 1e-290, and per integral within 2e-15 relative.
+    rule = gaussian._disc_rule(n_radial, n_angular)
+    x2, y2 = rule.basis[1], rule.basis[2]
+    for p in KERNEL_P:
+        for lam in KERNEL_LAM:
+            for t in SCAN_T:
+                scale = DISC_X * math.cosh(t)
+                entropy, q = _kernel_terms(p, lam, t, x2, y2, scale)
+                ref_entropy, ref_q = conditional_entropy_terms(p, lam, t, x2, y2, scale)
+                kept = ref_entropy > 1e-290
+                assert np.max(np.abs(entropy[kept] / ref_entropy[kept] - 1.0)) < 1e-12, (p, lam, t)
+                assert np.max(np.abs(q / ref_q - 1.0)) < 1e-12, (p, lam, t)
+                ref = scale * float((rule.weights * ref_q * ref_entropy).sum())
+                value = gaussian._integrate(p, lam, t, rule)
+                assert value == pytest.approx(ref, rel=2e-15, abs=0.0), (p, lam, t)
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_integrate_is_zero_at_pure_points(p):
+    # One weight is exactly zero, so every conditional state is pure; the
+    # infinite constants of its forms give no NaN and no RuntimeWarning.
+    for n_radial, n_angular in KERNEL_RULES:
+        rule = gaussian._disc_rule(n_radial, n_angular)
+        for lam in (0.0,) + KERNEL_LAM:
+            for t in SCAN_T:
+                assert gaussian._integrate(p, lam, t, rule) == 0.0, (lam, t)
 
 
 def test_disc_tail_bound():

@@ -15,6 +15,7 @@ from cvwerner.nongauss import (
     symplectic_eigenvalue,
 )
 from helpers_oracles import (
+    STRONG_LAM,
     WEAK_LAM,
     WEAK_P,
     WEAK_SQUEEZING_REL,
@@ -64,6 +65,12 @@ def test_gaussian_state_entropy():
     for nu in (0.8, math.nan, math.inf):
         with pytest.raises(ValueError, match=rf"symplectic eigenvalue {nu} outside \[1, inf\)"):
             gaussian_state_entropy(nu)
+
+
+def test_reference_entropy_is_finite_at_subnormal_excess():
+    # nu - 1 ~ lam^2 is subnormal here, where 1/eps overflows to inf
+    for lam in (1e-155, 1e-161):
+        assert 0.0 < nongauss._reference_entropy(0.5, lam) < 1e-300, lam
 
 
 def test_nongaussianity_values():
@@ -143,8 +150,10 @@ def test_euler_gamma_constant():
 def test_nongaussianity_keeps_relative_precision_at_weak_squeezing(p):
     # S(tau) and S(rho) both shrink like lam^2 ln lam, S(tau) about twice
     # as fast, so delta0 = S(tau) - S(rho) does not cancel; it once came
-    # out negative here, from nu - 1 formed by subtraction.
-    for lam in WEAK_LAM:
+    # out negative here, from nu - 1 formed by subtraction.  Toward lam = 1
+    # they keep it too, through 1 - lam^2 = (1 - lam)(1 + lam) and an S(tau)
+    # whose terms do not cancel at large nu.
+    for lam in WEAK_LAM + STRONG_LAM:
         ref = closed_forms_decimal(p, lam)
         got = {
             "symplectic_eigenvalue": symplectic_eigenvalue(p, lam),
