@@ -2,10 +2,10 @@
 
 Submodules
 ----------
-fock      truncated Fock-basis state types and linear algebra
+fock      the truncated Fock-basis two-mode state type and linear algebra
           (entropies, partial trace and transpose, majorization, spectra)
-states    constructors for the Werner, TMSV, thermal and PPT states, and
-          cutoff selection
+states    constructors for the Werner (the TMSV at p = 1), thermal and PPT
+          states, and cutoff selection
 exact     closed-form discord and related indicators for the vacuum
           Werner state (squeezed vacuum mixed with the vacuum)
 gaussian  Gaussian measurements: conditional entropy quadrature and
@@ -18,7 +18,6 @@ ppt       analytic results for the positive partial-transpose state
 
 from . import bounds, exact, fock, gaussian, nongauss, ppt, states
 from .fock import (
-    OneModeState,
     TwoModeState,
     eig_spectrum,
     is_more_mixed,
@@ -34,12 +33,10 @@ from .states import (
     choose_cutoff,
     ppt_werner,
     thermal,
-    tmsv,
     werner,
 )
 
 __all__ = [
-    "OneModeState",
     "TwoModeState",
     "WernerParams",
     "bounds",
@@ -60,7 +57,6 @@ __all__ = [
     "shannon_entropy",
     "states",
     "thermal",
-    "tmsv",
     "von_neumann_entropy",
     "werner",
 ]

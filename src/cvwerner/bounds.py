@@ -327,7 +327,7 @@ def bounds_report(
 
 
 def _diagonal_marginal(state: TwoModeState, tol=1e-10):
-    reduced = partial_trace(state, "A").matrix
+    reduced = partial_trace(state, "A")
     off = reduced - np.diag(np.diag(reduced))
     if np.max(np.abs(off)) > tol:
         raise ValueError(

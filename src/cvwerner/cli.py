@@ -93,7 +93,7 @@ def _m_gaussian_discord(p, lam):
         "t_opt": res.t,
         "phi_opt": 0.0,  # no conditional entropy depends on the measurement phase
         "discord": d,
-        "gap": res.value - d,
+        "gap": res.conditional_entropy,
     }
     return results, None, {"eps_int": gaussian.EPS_INT, "evaluations": res.evaluations}
 

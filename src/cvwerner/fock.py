@@ -9,14 +9,15 @@ A ``TwoModeState`` is held as its nonzero entries, exact zeros dropped,
 so that a state of dimension ``n_max^2`` costs memory in proportion to
 its entries, not ``n_max^4``.  Its dense matrix is formed only when
 ``matrix`` is read, which nothing in this package does.  Partial traces
-and partial transposes work on the entries.
+and partial transposes work on the entries.  A one-mode state is a plain
+read-only ``n_max x n_max`` array, such as ``partial_trace`` returns.
 
 Spectra come from ``eig_spectrum``, which diagonalizes a matrix block by
 block: it finds the connected components of the nonzero pattern of the
 entries, which for the states here are its photon-number sectors, and
 checks every block's decomposition against its rows of one seeded probe
-matrix.  A dense matrix passed in is first converted to its entries, with
-the checks a state's entries pass.
+matrix.  A dense matrix passed in, one-mode or two-mode, is first converted
+to its entries, with the checks a state's entries pass.
 
 All entropies are in nats.
 """
@@ -28,8 +29,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 HERMITICITY_TOL = 1e-12
-# ``validate`` accepts a trace this close to 1.
-TRACE_TOL = 1e-10
 # Slack of each partial-sum comparison in ``is_more_mixed``.
 MAJORIZATION_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
@@ -134,30 +133,6 @@ def check_two_mode_cutoff(n_max: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class OneModeState:
-    """Single-mode density matrix on the first ``n_max`` Fock states."""
-
-    n_max: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        _check_count(self.n_max, 1)
-        entries = _dense_entries(self.matrix, self.n_max)
-        object.__setattr__(self, "matrix", _dense(self.n_max, *entries))
-
-    @property
-    def dim(self) -> int:
-        return self.n_max
-
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.matrix)))
-
-    def validate(self):
-        _validate_state(self)
-        return self
-
-
 @dataclass(frozen=True, init=False, eq=False)
 class TwoModeState:
     """Two-mode density matrix on the |m, n>, m, n < n_max basis, held as
@@ -211,19 +186,6 @@ class TwoModeState:
     def trace(self) -> float:
         return float(np.real(self._diagonal().sum()))
 
-    def validate(self):
-        _validate_state(self)
-        return self
-
-
-def _validate_state(state):
-    tr = state.trace()
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"trace {tr!r} deviates from 1 by more than {TRACE_TOL:g}")
-    w = eig_spectrum(state)
-    if w[-1] < EIGENVALUE_FLOOR:
-        raise InvalidSpectrumError(f"eigenvalue {w[-1]:.3e} below {EIGENVALUE_FLOOR:g}")
-
 
 def xlogx(x) -> np.ndarray:
     """Elementwise ``x ln x`` with ``0 ln 0 = 0``; entries ``<= 0`` give 0
@@ -233,13 +195,19 @@ def xlogx(x) -> np.ndarray:
         return np.where(x <= 0.0, 0.0, x * np.log(np.where(x > 0.0, x, 1.0)))
 
 
-def _finite_entries(values, name):
-    """``values`` as a flat float array; a NaN or infinite entry raises
-    ``InvalidSpectrumError``."""
+def _finite_entries(values, name, floor=None):
+    """``values`` as a flat float array; a NaN or infinite entry, or with a
+    ``floor`` an entry below it, raises ``InvalidSpectrumError``."""
     v = np.asarray(values, dtype=float).ravel()
     bad = np.flatnonzero(~np.isfinite(v))
     if bad.size:
         raise InvalidSpectrumError(f"{name} entry {v[bad[0]]} at {bad[0]} is not finite")
+    if floor is not None and v.size and float(v.min()) < floor:
+        raise InvalidSpectrumError(
+            f"negative probability {v.min():.6e}"
+            if name == "probability"
+            else f"{name} entry {v.min():.6e} below the tolerated floor {floor:g}"
+        )
     return v
 
 
@@ -250,11 +218,7 @@ def von_neumann_entropy(spectrum) -> float:
     clipped to zero; anything below, and any NaN or infinite entry, raises
     ``InvalidSpectrumError``.
     """
-    v = _finite_entries(spectrum, "spectrum")
-    if v.size and float(v.min()) < EIGENVALUE_FLOOR:
-        raise InvalidSpectrumError(
-            f"spectrum entry {v.min():.6e} below the tolerated floor {EIGENVALUE_FLOOR:g}"
-        )
+    v = _finite_entries(spectrum, "spectrum", EIGENVALUE_FLOOR)
     # Summing positive entries only makes the result, to the last bit,
     # independent of how many zeros the spectrum holds and where.
     return float(-xlogx(v[v > 0.0]).sum()) + 0.0
@@ -265,9 +229,7 @@ def shannon_entropy(probabilities) -> float:
 
     Entries in ``[PROBABILITY_FLOOR, 0)`` count as zero; anything below,
     and any NaN or infinite entry, raises ``InvalidSpectrumError``."""
-    p = _finite_entries(probabilities, "probability")
-    if p.size and float(p.min()) < PROBABILITY_FLOOR:
-        raise InvalidSpectrumError(f"negative probability {p.min():.6e}")
+    p = _finite_entries(probabilities, "probability", PROBABILITY_FLOOR)
     return float(-xlogx(p[p > 0.0]).sum()) + 0.0
 
 
@@ -279,10 +241,11 @@ def antidiagonal_entropy(entry, diag) -> float:
     anti-diagonal ``s = m + n`` (length ``2n - 1``), and ``diag[m]`` is the
     entry at ``(m, m)`` (length ``n``).  Anti-diagonal ``s`` holds
     ``min(s, 2(n-1) - s) + 1`` entries, one of which is diagonal when ``s``
-    is even, so the sum takes O(n) time and memory.  A NaN or infinite
-    entry raises ``InvalidSpectrumError``."""
-    entry = _finite_entries(entry, "probability")
-    diag = _finite_entries(diag, "probability")
+    is even, so the sum takes O(n) time and memory.  Entries in
+    ``[PROBABILITY_FLOOR, 0)`` count as zero; anything below, and any NaN or
+    infinite entry, raises ``InvalidSpectrumError``."""
+    entry = _finite_entries(entry, "probability", PROBABILITY_FLOOR)
+    diag = _finite_entries(diag, "probability", PROBABILITY_FLOOR)
     n = len(diag)
     s = np.arange(2 * n - 1, dtype=float)
     even = 1.0 - s % 2.0
@@ -292,8 +255,10 @@ def antidiagonal_entropy(entry, diag) -> float:
     return float(-(off * xlogx(entry) + on).sum())
 
 
-def partial_trace(state: TwoModeState, mode: str = "A") -> OneModeState:
-    """Trace out the named mode, returning the state of the other one."""
+def partial_trace(state: TwoModeState, mode: str = "A") -> np.ndarray:
+    """Trace out the named mode, returning the density matrix of the other
+    one: a read-only ``n_max x n_max`` array with the dtype of the state's
+    entries."""
     if mode not in ("A", "B"):
         raise ValueError("mode must be 'A' or 'B'")
     m, n, m2, n2 = state._mode_indices()
@@ -303,7 +268,8 @@ def partial_trace(state: TwoModeState, mode: str = "A") -> OneModeState:
         on, row, col = n == n2, m, m2
     reduced = np.zeros((state.n_max, state.n_max), dtype=state._values.dtype)
     np.add.at(reduced, (row[on], col[on]), state._values[on])
-    return OneModeState(state.n_max, reduced)
+    reduced.flags.writeable = False
+    return reduced
 
 
 def partial_transpose(state: TwoModeState, mode: str = "A") -> TwoModeState:
@@ -385,7 +351,7 @@ def eig_spectrum(rho) -> np.ndarray:
     components of its own nonzero pattern, so nothing about the state family
     is assumed; for the states here they are the photon-number sectors, and
     a dense matrix is one block.  A ``TwoModeState`` gives its entries
-    directly; any other matrix is first converted to its checked entries.
+    directly; an array is first converted to its checked entries.
     Blocks of equal size go to one stacked
     ``numpy.linalg.eigh`` call (LAPACK's divide-and-conquer driver, which
     does not stall on the large eigenvalue clusters of these states).  Each
@@ -397,9 +363,8 @@ def eig_spectrum(rho) -> np.ndarray:
     if isinstance(rho, TwoModeState):
         dim, entries = rho.dim, (rho._rows, rho._cols, rho._values)
     else:
-        m = getattr(rho, "matrix", rho)
-        dim = np.shape(m)[0]
-        entries = _dense_entries(m, dim)
+        dim = np.shape(rho)[0]
+        entries = _dense_entries(rho, dim)
     if dim == 0:
         return np.zeros(0)
     x = np.random.default_rng(RESIDUAL_SEED).standard_normal((dim, RESIDUAL_PROBES))

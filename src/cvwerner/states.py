@@ -9,11 +9,12 @@ product of thermal states.  Cutoffs are picked from closed-form geometric
 tail bounds rather than trial and error.
 
 The two-mode builders write only the nonzero entries of a state:
-``tmsv`` and ``werner`` those of the squeezed-vacuum projector, on the
-``|k, k>`` indices, and the diagonal; ``ppt_werner`` the diagonal and the
-entries at ``(|n, m>, |m, n>)``.  Each entry comes from the same
-arithmetic as in the dense matrix, and no ``n_max^2 x n_max^2`` array is
-formed.
+``werner`` those of the squeezed-vacuum projector, on the ``|k, k>``
+indices, and the diagonal; ``ppt_werner`` the diagonal and the entries at
+``(|n, m>, |m, n>)``.  Each entry comes from the same arithmetic as in the
+dense matrix, and no ``n_max^2 x n_max^2`` array is formed.  The two-mode
+squeezed vacuum is ``werner`` at ``p = 1``.  ``thermal`` returns its
+one-mode state as a read-only array.
 """
 
 from __future__ import annotations
@@ -23,13 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (
-    OneModeState,
-    TwoModeState,
-    _check_count,
-    _check_square_size,
-    check_two_mode_cutoff,
-)
+from .fock import TwoModeState, _check_count, _check_square_size, check_two_mode_cutoff
 
 DEFAULT_EPS_TAIL = 1e-12
 
@@ -118,19 +113,16 @@ def _with_diagonal(n_max, diag, rows, cols, values):
     )
 
 
-def tmsv(lam: float, n_max: int) -> TwoModeState:
-    """Projector onto the two-mode squeezed vacuum, truncated at ``n_max``."""
-    check_two_mode_cutoff(n_max)
-    return TwoModeState._from_entries(n_max, *_projector_entries(lam, n_max))
-
-
-def thermal(mu: float, n_max: int) -> OneModeState:
-    """Thermal state diag((1 - mu^2) mu^(2n)); mean photon number mu^2/(1-mu^2).
-    ``n_max`` is at most ``MAX_TWO_MODE_DIM``."""
+def thermal(mu: float, n_max: int) -> np.ndarray:
+    """Thermal state diag((1 - mu^2) mu^(2n)) as a read-only ``n_max x n_max``
+    array; mean photon number mu^2/(1-mu^2).  ``n_max`` is at most
+    ``MAX_TWO_MODE_DIM``."""
     _check_square_size(n_max)
     check_unit("mu", mu, upper_open=True)
     diag = (1.0 - mu**2) * mu ** (2 * np.arange(n_max, dtype=float))
-    return OneModeState(n_max, np.diag(diag))
+    matrix = np.diag(diag)
+    matrix.flags.writeable = False
+    return matrix
 
 
 def thermal_entropy(mu: float) -> float:
@@ -154,7 +146,7 @@ def werner(params: WernerParams, n_max: int | None = None) -> TwoModeState:
     proj *= params.p
     # The thermal product is diagonal; the projector's own diagonal entries
     # are added to it, and its other entries stay as they are.
-    th = np.diag(thermal(params.mu, n_max).matrix)
+    th = np.diag(thermal(params.mu, n_max))
     diag = (1.0 - params.p) * np.kron(th, th)
     on = rows == cols
     diag[rows[on]] += proj[on]

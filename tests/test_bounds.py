@@ -30,7 +30,7 @@ def _report(p, lam, mu, n):
 def test_reduced_spectrum_examples():
     # consistency with the built vacuum Werner state at mu = 0
     g = bounds.reduced_spectrum(0.5, 0.5, 0.0, 30)
-    dense = np.diag(partial_trace(werner(WernerParams(0.5, 0.5, 0.0), 30), "A").matrix)
+    dense = np.diag(partial_trace(werner(WernerParams(0.5, 0.5, 0.0), 30), "A"))
     assert np.max(np.abs(g - dense)) < 1e-15
     # lam = mu collapses to a plain thermal spectrum
     g = bounds.reduced_spectrum(0.4, 0.6, 0.6, 30)

@@ -273,6 +273,50 @@ def test_sweep_json_format(capsys):
     assert docs[1]["inputs"]["p"] == 0.5
 
 
+def test_sweep_bounds_json_rows_have_the_compute_report_shape(capsys):
+    # Each row holds only its inputs, results and cutoff, and its error if
+    # it failed; its results have the keys of the `compute bounds` report.
+    _, out, _ = run_cli(capsys, "compute", "bounds", "--p", "0.5", "--lambda", "0.5", "--mu", "0.5")
+    report_keys = set(json.loads(out)["results"])
+    code, out, _ = run_cli(
+        capsys, "sweep", "bounds", "--p", "0:1:0.5", "--lambda", "0.5", "--mu", "0.5:1.0:0.25",
+        "--format", "json",
+    )
+    assert code == 4
+    docs = json.loads(out)
+    assert len(docs) == 9
+    failed = [doc for doc in docs if doc["inputs"]["mu"] == 1.0]
+    assert len(failed) == 3
+    for doc in docs:
+        if doc in failed:
+            assert set(doc) == {"inputs", "results", "cutoff", "error"}
+            assert doc["results"] == {}
+        else:
+            assert set(doc) == {"inputs", "results", "cutoff"}
+            assert set(doc["results"]) == report_keys
+
+
+_GAP_P = (1e-6, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999999)
+_GAP_LAM = (1e-4, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99)
+
+
+def test_gaussian_discord_and_gap_print_the_same_gap(capsys):
+    # `gaussian-discord` once printed its gap as D_G - D, which cancels: at
+    # p = 0.999999, lam = 0.5 it read 2.96969449054e-06 against 2.96969449049e-06.
+    differ = []
+    for p in _GAP_P:
+        for lam in _GAP_LAM:
+            point = ("--p", repr(p), "--lambda", repr(lam))
+            gaps = []
+            for measure in ("gaussian-discord", "gap"):
+                code, out, _ = run_cli(capsys, "compute", measure, *point)
+                assert code == 0
+                gaps.append(json.loads(out)["results"]["gap"])
+            if gaps[0] != gaps[1]:
+                differ.append((p, lam, *gaps))
+    assert differ == []
+
+
 def test_figure_ppt(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "figure", "fig-ppt", "--outdir", str(tmp_path))
     assert code == 0

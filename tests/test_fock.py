@@ -11,7 +11,6 @@ from cvwerner import fock, states
 from cvwerner.fock import (
     InvalidSpectrumError,
     NonHermitianError,
-    OneModeState,
     TwoModeState,
     eig_spectrum,
     is_more_mixed,
@@ -75,6 +74,29 @@ def test_entropies_reject_non_finite_entries(entropy, values, message):
         entropy(values)
 
 
+@pytest.mark.parametrize(
+    "entropy, message",
+    [
+        (lambda: von_neumann_entropy([1.0, -1e-6]), "spectrum entry -1.000000e-06 below the tolerated floor -1e-10"),
+        (lambda: shannon_entropy([0.5, 0.5, -1e-3]), "negative probability -1.000000e-03"),
+        # xlogx sends a negative entry to 0, so these two returned 0.5521
+        # and 0.8071 before the floor check.
+        (lambda: fock.antidiagonal_entropy([0.5, -0.1, 0.3], [0.2, 0.1]), "negative probability -1.000000e-01"),
+        (lambda: fock.antidiagonal_entropy([0.1, 0.1, 0.1], [0.5, -0.1]), "negative probability -1.000000e-01"),
+    ],
+    ids=["von_neumann", "shannon", "antidiagonal-entry", "antidiagonal-diag"],
+)
+def test_entropies_reject_entries_below_their_floor(entropy, message):
+    with pytest.raises(InvalidSpectrumError, match=re.escape(message)):
+        entropy()
+
+
+def test_antidiagonal_entropy_counts_entries_above_the_floor_as_zero():
+    noise = fock.PROBABILITY_FLOOR / 2
+    clean = fock.antidiagonal_entropy([0.5, 0.0, 0.3], [0.2, 0.0])
+    assert fock.antidiagonal_entropy([0.5, noise, 0.3], [0.2, noise]) == clean
+
+
 def test_xlogx_keeps_nan_and_no_other_bit():
     x = np.array([np.nan, -np.inf, -1.0, -0.0, 0.0, 5e-324, 1e-300, 0.5, 1.0, 7.0, np.inf])
     got = fock.xlogx(x)
@@ -112,31 +134,46 @@ def test_partial_trace_vacuum():
     rho = TwoModeState(3, np.diag([1.0] + [0.0] * 8))
     for mode in ("A", "B"):
         red = partial_trace(rho, mode)
-        assert red.matrix[0, 0] == pytest.approx(1.0)
-        assert red.trace() == pytest.approx(1.0, abs=1e-14)
+        assert red[0, 0] == pytest.approx(1.0)
+        assert np.trace(red) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_partial_trace_tmsv_gives_thermal():
     lam, n = 0.5, 30
-    red = partial_trace(states.tmsv(lam, n), "A")
-    expected = states.thermal(lam, n).matrix
-    assert np.max(np.abs(red.matrix - expected)) < 1e-12
-    mean_photons = float(np.arange(n) @ np.real(np.diag(red.matrix)))
+    red = partial_trace(states.werner(states.WernerParams(1.0, lam), n), "A")
+    expected = states.thermal(lam, n)
+    assert np.max(np.abs(red - expected)) < 1e-12
+    mean_photons = float(np.arange(n) @ np.real(np.diag(red)))
     assert mean_photons == pytest.approx(lam**2 / (1 - lam**2), abs=1e-9)
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_partial_trace_is_a_read_only_array_of_the_entries_dtype(complex_entries):
+    # The reduced matrix has the dtype of the state's entries.
+    rho = states.werner(states.WernerParams(0.4, 0.5, 0.3), 6)
+    if complex_entries:
+        phase = np.exp(0.3j * np.arange(rho.dim))
+        rho = TwoModeState(rho.n_max, phase[:, None] * rho.matrix * phase.conj())
+    for mode in ("A", "B"):
+        red = partial_trace(rho, mode)
+        assert type(red) is np.ndarray and red.shape == (6, 6)
+        assert red.dtype == (np.complex128 if complex_entries else np.float64)
+        with pytest.raises(ValueError, match="read-only"):
+            red[0, 0] = 2.0
 
 
 def test_partial_trace_werner_mixture_of_thermals():
     params = states.WernerParams(0.3, 0.4, 0.6)
     rho = states.werner(params)
     n = rho.n_max
-    red = partial_trace(rho, "A").matrix
-    expected = 0.3 * states.thermal(0.4, n).matrix + 0.7 * states.thermal(0.6, n).matrix
+    red = partial_trace(rho, "A")
+    expected = 0.3 * states.thermal(0.4, n) + 0.7 * states.thermal(0.6, n)
     assert np.max(np.abs(red - expected)) < 1e-12
 
 
 def test_partial_trace_preserves_trace():
     rho = states.werner(states.WernerParams(0.7, 0.5, 0.2))
-    assert partial_trace(rho, "B").trace() == pytest.approx(rho.trace(), abs=1e-12)
+    assert np.trace(partial_trace(rho, "B")) == pytest.approx(rho.trace(), abs=1e-12)
 
 
 def test_partial_transpose_involution_and_product_spectrum():
@@ -228,7 +265,6 @@ def test_two_mode_state_validation():
     with pytest.raises(NonHermitianError):
         TwoModeState(2, np.arange(16.0).reshape(4, 4))
     rho = states.werner(states.WernerParams(0.5, 0.5, 0.0))
-    rho.validate()
     with pytest.raises(ValueError):
         rho.matrix[0, 0] = 2.0  # frozen storage
 
@@ -316,7 +352,7 @@ def test_states_reject_non_finite_entries(bad):
     one = np.diag([0.5, 0.5])
     one[1, 1] = bad
     with pytest.raises(ValueError, match="non-finite entries, the first"):
-        OneModeState(2, one)
+        eig_spectrum(one)
     two = np.eye(4) / 4
     two[2, 3] = bad
     with pytest.raises(ValueError, match=r"1 non-finite entries, the first \S+ at \(2, 3\)"):
@@ -360,12 +396,12 @@ def test_entry_checks_find_a_defect_or_nan_anywhere(n, data, dev, dtype, full):
         assert expected == 0.0  # a real diagonal entry is always Hermitian
         TwoModeState(n, m)
     else:
-        for build in (lambda: TwoModeState(n, m), lambda: OneModeState(dim, m), lambda: eig_spectrum(m)):
+        for build in (lambda: TwoModeState(n, m), lambda: eig_spectrum(m)):
             with pytest.raises(NonHermitianError, match=re.escape(f"deviates from Hermiticity by {expected:.3e}")):
                 build()
     m = _hermitian_background(dim, dtype, full)
     m[i, j] = np.nan
-    for build in (lambda: TwoModeState(n, m), lambda: OneModeState(dim, m), lambda: eig_spectrum(m)):
+    for build in (lambda: TwoModeState(n, m), lambda: eig_spectrum(m)):
         with pytest.raises(ValueError, match=rf"1 non-finite entries, the first \S+ at \({i}, {j}\)"):
             build()
 

@@ -6,8 +6,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 # Imports the package, then each of its modules, then takes the spectrum of
-# a two-mode state, a one-mode state and a plain array.  Prints the first
-# step after which scipy is loaded, or "clean" and the number of modules.
+# a two-mode state, its reduced one-mode array and a plain array.  Prints
+# the first step after which scipy is loaded, or "clean" and the number of
+# modules.
 PROBE = """
 import importlib, pkgutil, sys
 import numpy as np

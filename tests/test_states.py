@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from cvwerner import bounds, exact, gaussian, nongauss, ppt
 from cvwerner.fock import (
     MAX_TWO_MODE_DIM,
-    OneModeState,
     eig_spectrum,
     partial_trace,
     partial_transpose,
@@ -20,7 +19,6 @@ from cvwerner.states import (
     ppt_werner,
     thermal,
     thermal_entropy,
-    tmsv,
     tmsv_vector,
     werner,
 )
@@ -114,8 +112,6 @@ _ENTRY_POINTS["bounds.bounds_report-n_max"] = (
 )
 _ENTRY_POINTS["werner-n_max"] = (lambda v: werner(WernerParams(0.5, 0.5, 0.5), v), _BAD_CUTOFF)
 _ENTRY_POINTS["ppt_werner-n_max"] = (lambda v: ppt_werner(0.5, v), _BAD_CUTOFF)
-_ENTRY_POINTS["tmsv-n_max"] = (lambda v: tmsv(0.5, v), _BAD_CUTOFF)
-_ENTRY_POINTS["OneModeState-n_max"] = (lambda v: OneModeState(v, np.eye(1)), _BAD_CUTOFF)
 # These check the cutoff before np.arange would round or drop it.
 _ENTRY_POINTS["thermal-n_max"] = (lambda v: thermal(0.5, v), _BAD_CUTOFF)
 _ENTRY_POINTS["tmsv_vector-n_max"] = (lambda v: tmsv_vector(0.5, v), _BAD_CUTOFF)
@@ -173,12 +169,11 @@ def test_tolerance_check_rejects_non_positive_and_non_finite(entry, value):
     [
         lambda: ppt_werner(0.5, 131),
         lambda: werner(WernerParams(0.5, 0.5, 0.5), 131),
-        lambda: tmsv(0.5, 131),
         # lam = 0.9 picks cutoff 132, dimension 17424.
         lambda: exact.discord_numeric(0.5, 0.9),
         lambda: exact.quantumness_indicators(0.5, 0.9),
     ],
-    ids=["ppt_werner", "werner", "tmsv", "discord_numeric", "quantumness_indicators"],
+    ids=["ppt_werner", "werner", "discord_numeric", "quantumness_indicators"],
 )
 def test_dense_builders_raise_before_allocating(build):
     # One dense matrix of dimension 17161 would take 2.4 GB.
@@ -217,7 +212,7 @@ def test_cutoff_checks_accept_numpy_integers():
     for n in (np.int32(20), np.int64(20)):
         assert bounds.bounds_report(params, n) == bounds.bounds_report(params, 20)
         assert np.array_equal(werner(params, n).matrix, werner(params, 20).matrix)
-        assert np.array_equal(thermal(0.5, n).matrix, thermal(0.5, 20).matrix)
+        assert np.array_equal(thermal(0.5, n), thermal(0.5, 20))
 
 
 def test_choose_cutoff_vacuum_only():
@@ -239,7 +234,7 @@ def test_choose_cutoff_controls_trace():
 
 
 def test_tmsv_vacuum_limit():
-    rho = tmsv(0.0, 4)
+    rho = werner(WernerParams(1.0, 0.0), 4)
     assert rho.matrix[0, 0] == pytest.approx(1.0)
     assert np.sum(np.abs(rho.matrix)) == pytest.approx(1.0)
 
@@ -252,7 +247,8 @@ def test_tmsv_amplitudes():
 
 def test_thermal_weights_and_entropy():
     th = thermal(0.5, 40)
-    diag = np.real(np.diag(th.matrix))
+    assert not th.flags.writeable
+    diag = np.diag(th)
     assert diag[0] == pytest.approx(0.75, abs=1e-15)
     assert diag[1] == pytest.approx(0.1875, abs=1e-15)
     # closed-form entropy against the direct series
@@ -265,7 +261,7 @@ def test_thermal_weights_and_entropy():
 def test_werner_product_and_pure_limits():
     prod = werner(WernerParams(0.0, 0.3, 0.5))
     n = prod.n_max
-    expected = np.kron(thermal(0.5, n).matrix, thermal(0.5, n).matrix)
+    expected = np.kron(thermal(0.5, n), thermal(0.5, n))
     assert np.max(np.abs(prod.matrix - expected)) < 1e-14
 
     pure = werner(WernerParams(1.0, 0.5, 0.5))
@@ -321,7 +317,7 @@ def test_ppt_werner_counts_are_the_werner_table_at_the_mapped_point(lam, n):
 
 def test_ppt_werner_reduced_weights():
     lam, n = 0.6, 60
-    red = np.real(np.diag(partial_trace(ppt_werner(lam, n), "A").matrix))
+    red = np.diag(partial_trace(ppt_werner(lam, n), "A"))
     expected = bounds.reduced_spectrum((1 - lam) / 2, lam, np.sqrt(lam), n)
     # the truncated marginal misses one geometric tail per row
     assert np.max(np.abs(red - expected)) < 1e-9
@@ -361,6 +357,14 @@ def _dense_partial_transpose(matrix, n, mode):
     return matrix.reshape(n, n, n, n).transpose(axes).reshape(n * n, n * n)
 
 
+@pytest.mark.parametrize("lam", [0.0, 0.3, 0.5, 0.9])
+@pytest.mark.parametrize("n", [2, 5, 30])
+def test_werner_at_p_one_is_the_tmsv_projector(lam, n):
+    # The two-mode squeezed vacuum has no builder of its own.
+    ket = _dense_tmsv_ket(lam, n)
+    assert np.array_equal(werner(WernerParams(1.0, lam), n).matrix, np.outer(ket, ket))
+
+
 _unit = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 _factor = st.one_of(st.just(0.0), st.floats(0.0, 0.95))
 
@@ -370,7 +374,6 @@ _factor = st.one_of(st.just(0.0), st.floats(0.0, 0.95))
 def test_entry_built_states_match_dense_references(p, lam, mu, n):
     built = [
         (werner(WernerParams(p, lam, mu), n), _dense_werner(p, lam, mu, n)),
-        (tmsv(lam, n), np.outer(_dense_tmsv_ket(lam, n), _dense_tmsv_ket(lam, n))),
         (ppt_werner(lam, n), _dense_ppt_werner(lam, n)),
     ]
     for state, dense in built:

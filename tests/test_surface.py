@@ -13,9 +13,9 @@ from cvwerner import cli
 
 MODULES = ("fock", "states", "exact", "gaussian", "nongauss", "bounds", "ppt", "acceptance")
 
-# Public classes of each module, 15 in all.
+# Public classes of each module, 14 in all.
 CLASSES = {
-    "fock": ("InvalidSpectrumError", "NonHermitianError", "OneModeState", "TwoModeState"),
+    "fock": ("InvalidSpectrumError", "NonHermitianError", "TwoModeState"),
     "states": ("WernerParams",),
     "exact": ("DiscordReport",),
     "gaussian": ("GaussianDiscordResult", "OptimizationError", "QuadratureError"),
@@ -25,17 +25,16 @@ CLASSES = {
     "acceptance": ("CheckResult",),
 }
 
-# Public functions and methods of each module, 68 in all.
+# Public functions and methods of each module, 64 in all.
 PUBLIC = {
     "fock": (
-        "OneModeState.trace", "OneModeState.validate", "TwoModeState.trace",
-        "TwoModeState.validate", "antidiagonal_entropy", "check_two_mode_cutoff", "eig_spectrum",
+        "TwoModeState.trace", "antidiagonal_entropy", "check_two_mode_cutoff", "eig_spectrum",
         "is_more_mixed", "partial_trace", "partial_transpose", "shannon_entropy",
         "von_neumann_entropy", "xlogx",
     ),
     "states": (
         "check_tolerance", "check_unit", "choose_cutoff", "ppt_werner", "thermal",
-        "thermal_entropy", "tmsv", "tmsv_vector", "werner",
+        "thermal_entropy", "tmsv_vector", "werner",
     ),
     "exact": (
         "classical_mutual_information", "discord", "discord_numeric", "discord_report",
@@ -114,7 +113,7 @@ def test_public_classes_of_the_package():
         module = importlib.import_module(f"cvwerner.{mod_name}")
         found[mod_name] = tuple(sorted(name for name, _ in _public_objects(module, inspect.isclass)))
     assert found == CLASSES
-    assert sum(map(len, found.values())) == 15
+    assert sum(map(len, found.values())) == 14
 
 
 def test_public_functions_of_the_package():
@@ -123,7 +122,7 @@ def test_public_functions_of_the_package():
         module = importlib.import_module(f"cvwerner.{mod_name}")
         found[mod_name] = tuple(sorted(name for name, _ in _public_functions(module)))
     assert found == PUBLIC
-    assert sum(map(len, found.values())) == 68
+    assert sum(map(len, found.values())) == 64
 
 
 def test_settable_values_of_the_package():
