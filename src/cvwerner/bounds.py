@@ -79,7 +79,9 @@ def marginal_entropy(p: float, lam: float, mu: float, n_max: int) -> float:
 
 def _conditional_entropy_direct(p, lam, mu, n_max):
     # Raw conditional spectra p(m, n) / g_m, from the rows of the
-    # photon-count table, ROW_BLOCK rows at a time.
+    # photon-count table, ROW_BLOCK rows at a time.  The entries are
+    # non-negative, so x ln x is x ln max(x, 5e-324): the log of x itself
+    # wherever x > 0, and 0 at x = 0.
     g = reduced_spectrum(p, lam, mu, n_max)
     _check_square_size(n_max)
     entry, diag = _count_table(p, lam, mu, n_max)
@@ -89,7 +91,11 @@ def _conditional_entropy_direct(p, lam, mu, n_max):
         r = rows[start : start + ROW_BLOCK]
         block = sliding_window_view(entry, n_max)[r]
         block[np.arange(r.size), r] += diag[r]
-        per_row[start : start + ROW_BLOCK] = -(xlogx(block / g[r, None]).sum(axis=1))
+        np.divide(block, g[r, None], out=block)
+        x_log_x = np.maximum(block, 5e-324)
+        np.log(x_log_x, out=x_log_x)
+        np.multiply(x_log_x, block, out=x_log_x)
+        per_row[start : start + ROW_BLOCK] = -(x_log_x.sum(axis=1))
     return float((g[rows] * per_row).sum())
 
 

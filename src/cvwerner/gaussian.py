@@ -46,13 +46,17 @@ in y.  The rule's angular count is a multiple of 4, and only one angular
 node of each reflection class is evaluated, weighted by the class size:
 n/4 + 1 of n.
 
-Each evaluation is one kernel over the rule's nodes.  It builds the 4 x 3
-coefficients of the four linear forms, log(p u), log((1-p) v),
-log(z2 / z1) and the log-overlap, and multiplies them by the basis
-``[1, x^2, y^2]`` that the rule stores flat, so one product gives all four
-at every node.  Each elementwise step (exp, expm1, sqrt, log, log1p) then
-runs once, in place, and the integral is one dot of the weighted density
-with S, with 1/pi and the disc's scale in one scalar.
+The whole scan is one kernel pass over the rule's nodes.  For each ``t``
+it builds the 4 x 3 coefficients of the four linear forms, log(p u),
+log((1-p) v), log(z2 / z1) and the log-overlap; the scan stacks them form
+by form and multiplies them by the basis ``[1, x^2, y^2]`` that the rule
+stores flat, so one product gives all four forms at every node for every
+``t``.  Each elementwise step (exp, expm1, sqrt, log, log1p) then runs
+once over the whole scan, in place, and each ``t``'s integral is one dot
+of its weighted density with its S, with 1/pi and the disc's scale in one
+scalar.  Every node sees the arithmetic a single ``t`` would give it, and
+each dot sums in the same order, so the values do not depend on which
+other ``t`` share the pass.
 The complex outcome algebra, kept as the reference for this real
 integrand, the same integrand formed quantity by quantity, a Monte-Carlo
 estimate of the conditional entropy, the earlier polar grid sized to each
@@ -195,19 +199,23 @@ def _linear_forms(p, lam, t, scale):
 def _conditional_entropy_terms(forms, basis):
     """Per-outcome conditional entropy S and ``pi q``, the outcome density
     times pi, at the nodes of ``basis`` (rows ``1, x2, y2``), from the
-    ``_linear_forms`` matrix ``forms``.
+    ``_linear_forms`` matrices ``forms``: one 4 x 3 matrix, or k of them
+    stacked form by form into 4k x 3 (the k rows of each form together).
+    With n nodes both results are flat, k n long, in blocks of n, one block
+    per matrix in stacking order.
 
-    All four forms come from one product, and each elementwise step runs
-    once, in place.  The weights enter S only through
-    ``z1 z2 = E / (1 + E)^2`` with ``E = z2 / z1``, which is the same for
-    ``E`` and ``1/E``, so ``exp(-|log E|)`` serves and cannot overflow.
+    All four forms at every node of every block come from one product, and
+    each elementwise step runs once over all of them, in place.  The
+    weights enter S only through ``z1 z2 = E / (1 + E)^2`` with
+    ``E = z2 / z1``, which is the same for ``E`` and ``1/E``, so
+    ``exp(-|log E|)`` serves and cannot overflow.
     With ``m = 4 z1 z2 (1 - overlap^2)``, ``1 - overlap^2`` from expm1, the
     small eigenvalue ``nu = (1 - sqrt(1 - m)) / 2`` is formed as
     ``m / (2 (1 + sqrt(1 - m)))``, which keeps its relative precision when
     ``m`` is small.  ``nu ln nu`` takes the log of ``max(nu, 5e-324)``,
     which is ``nu`` itself wherever ``nu > 0``, so ``nu = 0`` gives 0.
     """
-    f = forms @ basis
+    f = (forms @ basis).reshape(4, -1)
     pu, v, e, m = f
     np.abs(e, out=e)
     np.negative(e, out=e)
@@ -312,16 +320,25 @@ def _disc_rule(n_radial, n_angular):
     return _DiscRule(basis, weights, vacuum_mass)
 
 
-def _integrate(p, lam, t, rule):
-    """Integral of q S over the disc ``r_v r^2 <= DISC_X``.
+def _integrate(p, lam, ts, rule):
+    """Integrals of q S over the discs ``r_v r^2 <= DISC_X``, one for each
+    measurement squeezing in ``ts``, as a list of floats.
 
     The unit-disc rule is scaled to ``R^2 = DISC_X cosh t``: the integrand's
     rates take the factor R^2, and the area element takes it once more,
-    together with the 1/pi of q.
+    together with the 1/pi of q.  All of ``ts`` share one kernel pass: the
+    ``_linear_forms`` matrices are stacked form by form into one (4k, 3)
+    matrix, whose product with the basis is the (4, k n) array of the four
+    forms at every node and every t.  Each integral is then one dot over its
+    own n nodes, in the order a single t would take.
     """
-    scale = DISC_X * math.cosh(t)
-    entropy, pi_q = _conditional_entropy_terms(_linear_forms(p, lam, t, scale), rule.basis)
-    return scale / math.pi * float(np.dot(np.multiply(pi_q, rule.weights, out=pi_q), entropy))
+    scales = [DISC_X * math.cosh(t) for t in ts]
+    forms = np.stack([_linear_forms(p, lam, t, s) for t, s in zip(ts, scales)], axis=1)
+    entropy, pi_q = _conditional_entropy_terms(forms.reshape(-1, 3), rule.basis)
+    n = rule.weights.size
+    entropy, pi_q = entropy.reshape(-1, n), pi_q.reshape(-1, n)
+    np.multiply(pi_q, rule.weights, out=pi_q)
+    return [s / math.pi * float(np.dot(w, e)) for s, w, e in zip(scales, pi_q, entropy)]
 
 
 def _checked_rule(p, lam, n_radial, n_angular):
@@ -355,7 +372,7 @@ def conditional_entropy(
     """
     _check_measurement(t)
     rule = _checked_rule(p, lam, n_radial, n_angular)
-    return 0.0 if rule is None else _integrate(p, lam, t, rule)
+    return 0.0 if rule is None else _integrate(p, lam, (t,), rule)[0]
 
 
 @dataclass(frozen=True)
@@ -375,8 +392,10 @@ def gaussian_discord(p: float, lam: float) -> GaussianDiscordResult:
     """Discord restricted to Gaussian measurements, with its minimizer.
 
     Evaluates the conditional entropy h(t) at the 9 points ``SCAN_T``
-    uniform in ``tanh t`` and returns the lower end of the scan: heterodyne
-    ``t = 0`` or the homodyne proxy ``HOMODYNE_T``, and ``t = 0`` on a tie.
+    uniform in ``tanh t``, in one kernel pass over the rule's nodes, each
+    value the one ``conditional_entropy`` gives at its t.  It returns the
+    lower end of the scan: heterodyne ``t = 0`` or the homodyne proxy
+    ``HOMODYNE_T``, and ``t = 0`` on a tie.
     The paper finds the Gaussian optimum at one of these two measurements.
     The 7 interior points guard that finding: an interior value below the
     lower end, a non-finite value or a minimum below -1e-12 raises
@@ -395,7 +414,7 @@ def gaussian_discord(p: float, lam: float) -> GaussianDiscordResult:
         return GaussianDiscordResult(base, 0.0, 0.0, 0)
 
     rule = _checked_rule(p, lam, N_RADIAL, N_ANGULAR)
-    scan_h = [_integrate(p, lam, t, rule) for t in SCAN_T]
+    scan_h = _integrate(p, lam, SCAN_T, rule)
     k = 0 if scan_h[0] <= scan_h[-1] else len(SCAN_T) - 1
     h_min = scan_h[k]
     if not all(map(math.isfinite, scan_h)) or min(scan_h) < h_min or h_min < -1e-12:

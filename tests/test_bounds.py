@@ -305,9 +305,10 @@ def test_bounds_report_runs_in_bounded_memory():
     assert rep.mid == pytest.approx(rep.upper, abs=1e-8)
 
 
-def test_row_blocked_direct_matches_full_table():
-    p, lam, mu = 0.2, 0.3, 0.9
-    n = _cutoff(p, lam, mu)
+# The second point's table underflows to 0 in its last rows and columns.
+@pytest.mark.parametrize("p, lam, mu, n", [(0.2, 0.3, 0.9, None), (0.5, 0.1, 0.1, 200)])
+def test_row_blocked_direct_matches_full_table(p, lam, mu, n):
+    n = n or _cutoff(p, lam, mu)
     assert n > 2 * bounds.ROW_BLOCK
     g = bounds.reduced_spectrum(p, lam, mu, n)
     keep = g > bounds.WEIGHT_FLOOR

@@ -11,6 +11,8 @@ from cvwerner.gaussian import (
     DISC_X,
     HOMODYNE_T,
     MAX_RULE_NODES,
+    N_ANGULAR,
+    N_RADIAL,
     SCAN_T,
     OptimizationError,
     QuadratureError,
@@ -269,7 +271,7 @@ def test_folded_integral_matches_unfolded_complex_sum(p, n_angular):
             grid = disc_grid(t, n_angular=n_angular)
             assert grid.angular_nodes.size == n_ang
             scale = DISC_X * math.cosh(t)
-            value = gaussian._integrate(p, lam, t, rule)
+            (value,) = gaussian._integrate(p, lam, (t,), rule)
             _, q = _kernel_terms(p, lam, t, rule.basis[1], rule.basis[2], scale)
             norm = scale * float((rule.weights * q).sum())
             ref_value, ref_norm = _unfolded_complex_integrals(p, lam, t, 0.9, grid)
@@ -323,7 +325,7 @@ def test_kernel_matches_reference_arithmetic(n_radial, n_angular):
                 assert np.max(np.abs(entropy[kept] / ref_entropy[kept] - 1.0)) < 1e-12, (p, lam, t)
                 assert np.max(np.abs(q / ref_q - 1.0)) < 1e-12, (p, lam, t)
                 ref = scale * float((rule.weights * ref_q * ref_entropy).sum())
-                value = gaussian._integrate(p, lam, t, rule)
+                (value,) = gaussian._integrate(p, lam, (t,), rule)
                 assert value == pytest.approx(ref, rel=2e-15, abs=0.0), (p, lam, t)
 
 
@@ -334,8 +336,19 @@ def test_integrate_is_zero_at_pure_points(p):
     for n_radial, n_angular in KERNEL_RULES:
         rule = gaussian._disc_rule(n_radial, n_angular)
         for lam in (0.0,) + KERNEL_LAM:
-            for t in SCAN_T:
-                assert gaussian._integrate(p, lam, t, rule) == 0.0, (lam, t)
+            assert gaussian._integrate(p, lam, SCAN_T, rule) == [0.0] * len(SCAN_T), lam
+
+
+@pytest.mark.parametrize("p", [1e-12, 0.5, 1.0 - 1e-6])
+def test_batched_scan_equals_each_t_alone(p):
+    # One kernel pass over the whole scan gives, bit for bit, the value each
+    # t gives alone: the stacked product, the elementwise steps and the
+    # per-t dot keep every node's arithmetic and the summation order.
+    rule = gaussian._disc_rule(N_RADIAL, N_ANGULAR)
+    for lam in KERNEL_LAM + (0.98, 1.0 - 1e-8, 1.0 - 1e-12):
+        batched = gaussian._integrate(p, lam, SCAN_T, rule)
+        alone = [gaussian._integrate(p, lam, (t,), rule)[0] for t in SCAN_T]
+        assert [v.hex() for v in batched] == [v.hex() for v in alone], lam
 
 
 def test_disc_tail_bound():
@@ -397,9 +410,9 @@ def test_gaussian_discord_evaluates_each_t_once(monkeypatch):
     seen, checked = [], []
     real_integrate, real_checked_rule = gaussian._integrate, gaussian._checked_rule
 
-    def recording(p, lam, t, rule):
-        seen.append(t)
-        return real_integrate(p, lam, t, rule)
+    def recording(p, lam, ts, rule):
+        seen.append(list(ts))
+        return real_integrate(p, lam, ts, rule)
 
     def checking(*args):
         checked.append(args)
@@ -408,8 +421,8 @@ def test_gaussian_discord_evaluates_each_t_once(monkeypatch):
     monkeypatch.setattr(gaussian, "_integrate", recording)
     monkeypatch.setattr(gaussian, "_checked_rule", checking)
     res = gaussian_discord(0.5, 0.5)
-    # the 9 scan points, each once
-    assert seen == list(SCAN_T) and res.evaluations == 9
+    # the 9 scan points, each once, in one batched call
+    assert seen == [list(SCAN_T)] and res.evaluations == 9
     # the inputs and the rule are checked once, before the scan
     assert len(checked) == 1
 
@@ -439,8 +452,8 @@ def test_scan_is_uniform_in_tanh_t():
 
 
 def _synthetic_scan(monkeypatch, h):
-    """Make the quadrature return ``h(t)`` at the measurement squeezing t."""
-    monkeypatch.setattr(gaussian, "_integrate", lambda p, lam, t, rule: h(t))
+    """Make the quadrature return ``h(t)`` at each measurement squeezing t."""
+    monkeypatch.setattr(gaussian, "_integrate", lambda p, lam, ts, rule: [h(t) for t in ts])
 
 
 @pytest.mark.parametrize("t_dip", [SCAN_T[1], SCAN_T[4], SCAN_T[7]])
@@ -568,6 +581,19 @@ def test_rule_above_node_limit_raises_before_allocating():
 def test_rule_at_node_limit_is_accepted():
     # 1024 x 1021 rounds to 1024 x 1024 nodes, the limit itself
     assert gaussian._check_nodes(1024, 1021) * 1024 == MAX_RULE_NODES
+
+
+def test_gaussian_discord_memory():
+    # The batched scan holds the four forms at 9 x 1360 nodes, 0.39 MB.  The
+    # default rule is built beforehand.
+    gaussian_discord(0.5, 0.5)
+    tracemalloc.start()
+    try:
+        gaussian_discord(0.5, 0.9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_strong_squeezing_quadrature_memory():
