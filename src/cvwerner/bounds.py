@@ -18,8 +18,9 @@ evaluates each of S(rho_B), S(rho), H_eig(A|B) and H(p_AB) once per point,
 the last summed by anti-diagonals of the photon-count table, and checks
 MID = U on those values.  One private helper writes that table, as its
 anti-diagonal entries and diagonal excess; the direct twin of H_eig(A|B)
-takes its rows as slices of those entries, a fixed number at a time, so a
-report holds no n_max x n_max array.  ``bounds_report`` is the only
+takes its rows as slices of those entries, at most ``BLOCK_ENTRIES`` entries
+at a time, so a report holds no n_max x n_max array.  That row sum is also
+the cross-check of :func:`cvwerner.ppt.bounds`.  ``bounds_report`` is the only
 evaluator of U, L and MID.  A dense matrix-based twin of U
 (``upper_bound_dense``, with ``conditional_entropy_dense``) serves as an
 oracle for arbitrary states with diagonal marginals; the dense twin of MID,
@@ -55,8 +56,9 @@ WEIGHT_FLOOR = 1e-16
 # diagonal entries below DIAGONAL_FLOOR are merged into one direction.
 COUPLING_TOL = 1e-18
 DIAGONAL_FLOOR = 1e-18
-# Rows of the photon-count table the direct conditional entropy holds at once.
-ROW_BLOCK = 32
+# Entries of the photon-count table the direct conditional entropy holds at
+# once, as max(1, BLOCK_ENTRIES // n_max) rows.
+BLOCK_ENTRIES = 2**15
 
 
 class TruncationError(ValueError):
@@ -79,23 +81,24 @@ def marginal_entropy(p: float, lam: float, mu: float, n_max: int) -> float:
 
 def _conditional_entropy_direct(p, lam, mu, n_max):
     # Raw conditional spectra p(m, n) / g_m, from the rows of the
-    # photon-count table, ROW_BLOCK rows at a time.  The entries are
-    # non-negative, so x ln x is x ln max(x, 5e-324): the log of x itself
-    # wherever x > 0, and 0 at x = 0.
+    # photon-count table, at most BLOCK_ENTRIES entries at a time (n_max is
+    # below it).  The entries are non-negative, so x ln x is
+    # x ln max(x, 5e-324): the log of x itself wherever x > 0, and 0 at x = 0.
     g = reduced_spectrum(p, lam, mu, n_max)
     _check_square_size(n_max)
     entry, diag = _count_table(p, lam, mu, n_max)
     rows = np.flatnonzero(g > WEIGHT_FLOOR)
     per_row = np.empty(rows.size)
-    for start in range(0, rows.size, ROW_BLOCK):
-        r = rows[start : start + ROW_BLOCK]
+    step = max(1, BLOCK_ENTRIES // n_max)
+    for start in range(0, rows.size, step):
+        r = rows[start : start + step]
         block = sliding_window_view(entry, n_max)[r]
         block[np.arange(r.size), r] += diag[r]
         np.divide(block, g[r, None], out=block)
         x_log_x = np.maximum(block, 5e-324)
         np.log(x_log_x, out=x_log_x)
         np.multiply(x_log_x, block, out=x_log_x)
-        per_row[start : start + ROW_BLOCK] = -(x_log_x.sum(axis=1))
+        per_row[start : start + step] = -(x_log_x.sum(axis=1))
     return float((g[rows] * per_row).sum())
 
 
@@ -123,7 +126,7 @@ def _conditional_tail_bound(p, lam, mu, n_max):
     # S(rho_A|m) <= ln 2 + S_th(mu) for every m, and the missing weight is
     # the geometric tail of g.
     weight_tail = p * lam ** (2 * n_max) + (1.0 - p) * mu ** (2 * n_max)
-    return (np.log(2.0) + thermal_entropy(mu)) * weight_tail
+    return float((np.log(2.0) + thermal_entropy(mu)) * weight_tail)
 
 
 def conditional_entropy_photon_counting(p: float, lam: float, mu: float, n_max: int) -> float:

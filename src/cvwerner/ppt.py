@@ -14,8 +14,8 @@ measurement-induced disturbance.  :func:`bounds` is the one evaluator of
 U, L, MID and H_eig(A|B).
 
 A partial transpose keeps every ``<mn|rho|mn>``, so the direct H_eig(A|B)
-cross-check and H(p_AB) read the Werner state's photon-count table and
-marginal from :mod:`cvwerner.bounds` at ``p = (1 - lam)/2``, ``mu = sqrt(lam)``.
+cross-check and H(p_AB) are the Werner state's row and anti-diagonal sums
+from :mod:`cvwerner.bounds` at ``p = (1 - lam)/2``, ``mu = sqrt(lam)``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _count_table, _joint_photon_entropy, reduced_spectrum
+from .bounds import _conditional_entropy_direct, _joint_photon_entropy
 from .fock import _check_square_size
 from .states import _ppt_point, check_tolerance, check_unit, thermal_entropy
 
@@ -110,27 +110,6 @@ def reduced_entropy(lam: float, tol: float = SERIES_TOL) -> float:
     )
 
 
-def _conditional_entropy_direct(lam, norm, tol):
-    # Photon-counting conditional entropy sum_m p_B(m) S(rho_A|m), summed
-    # over the post-measurement spectra row by row.  They are the rows of
-    # the Werner state's photon-count table at the mapped point.
-    n_terms = _series_length(lam, tol, 8.0 * norm * (1.0 + abs(math.log(norm))) / (1.0 - lam) ** 2)
-    n_terms = min(n_terms, DIRECT_SUM_ROWS)
-    w = _ppt_point(lam)
-    entry, diag = _count_table(w.p, w.lam, w.mu, n_terms)
-    p_b = reduced_spectrum(w.p, w.lam, w.mu, n_terms)
-    direct = 0.0
-    for m in range(n_terms):
-        spec = entry[m : m + n_terms].copy()
-        spec[m] += diag[m]
-        spec /= p_b[m]
-        spec = spec[spec > 0.0]
-        direct += p_b[m] * float(-(spec * np.log(spec)).sum())
-        if p_b[m] < tol * 1e-3:
-            break
-    return float(direct)
-
-
 @dataclass(frozen=True)
 class PptReport:
     """Bound quantities for the positive partial-transpose state."""
@@ -154,8 +133,10 @@ def upper_bound(lam: float) -> float:
 def bounds(lam: float, tol: float = SERIES_TOL) -> PptReport:
     """U = lam ln 2, L = S(rho_B) - S(rho) + ((1+lam)/2) S_th(sqrt(lam)),
     MID = H(p_AB) - S(rho) and H_eig = S(rho) - S(rho_B) + U, each entropy
-    evaluated once.  H_eig is checked against its direct sum and MID against
-    U; a mismatch beyond ``CHECK_TOL`` raises ``SeriesCrossCheckError``."""
+    evaluated once.  H_eig is checked against the direct row sum of
+    :mod:`cvwerner.bounds` over at most ``DIRECT_SUM_ROWS`` rows, and MID
+    against U; a mismatch beyond ``CHECK_TOL`` raises
+    ``SeriesCrossCheckError``."""
     norm = norm_const(lam)
     if lam == 0.0:
         return PptReport(lam, norm, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
@@ -163,14 +144,15 @@ def bounds(lam: float, tol: float = SERIES_TOL) -> PptReport:
     s_b = reduced_entropy(lam, tol)
     upper = lam * math.log(2.0)
     h_eig = s_g - s_b + upper
-    direct = _conditional_entropy_direct(lam, norm, tol)
+    w = _ppt_point(lam)
+    n_rows = _series_length(lam, tol, 8.0 * norm * (1.0 + abs(math.log(norm))) / (1.0 - lam) ** 2)
+    direct = _conditional_entropy_direct(w.p, w.lam, w.mu, min(n_rows, DIRECT_SUM_ROWS))
     if abs(h_eig - direct) > CHECK_TOL:
         raise SeriesCrossCheckError(
             f"analytic conditional entropy {h_eig!r} vs direct sum {direct!r} "
             f"differ by {abs(h_eig - direct):.3e}"
         )
     n_terms = _series_length(lam, tol, 8.0 * norm * (1.0 + abs(math.log(norm))) / (1.0 - lam))
-    w = _ppt_point(lam)
     m = _joint_photon_entropy(w.p, w.lam, w.mu, n_terms) - s_g
     if abs(m - upper) > CHECK_TOL:
         raise SeriesCrossCheckError(f"MID series gives {m!r}, expected {upper!r}")

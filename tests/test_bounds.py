@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -15,7 +16,7 @@ from cvwerner.fock import (
     von_neumann_entropy,
     xlogx,
 )
-from cvwerner.states import WernerParams, choose_cutoff, thermal_entropy, werner
+from cvwerner.states import WernerParams, _ppt_point, choose_cutoff, thermal_entropy, werner
 from helpers_oracles import correlated_block, joint_photon_distribution, mid_dense
 
 
@@ -305,13 +306,36 @@ def test_bounds_report_runs_in_bounded_memory():
     assert rep.mid == pytest.approx(rep.upper, abs=1e-8)
 
 
-# The second point's table underflows to 0 in its last rows and columns.
-@pytest.mark.parametrize("p, lam, mu, n", [(0.2, 0.3, 0.9, None), (0.5, 0.1, 0.1, 200)])
-def test_row_blocked_direct_matches_full_table(p, lam, mu, n):
+# The second point's table underflows to 0 in its last rows and columns;
+# the third spans 16 blocks of rows.
+@pytest.mark.parametrize(
+    "p, lam, mu, n, blocks",
+    [
+        pytest.param(0.2, 0.3, 0.9, None, 1, id="0.2-0.3-0.9-None"),
+        pytest.param(0.5, 0.1, 0.1, 200, 1, id="0.5-0.1-0.1-200"),
+        pytest.param(0.34375, 0.58, 0.98, 701, 16, id="0.34375-0.58-0.98-701"),
+    ],
+)
+def test_row_blocked_direct_matches_full_table(p, lam, mu, n, blocks):
     n = n or _cutoff(p, lam, mu)
-    assert n > 2 * bounds.ROW_BLOCK
     g = bounds.reduced_spectrum(p, lam, mu, n)
     keep = g > bounds.WEIGHT_FLOOR
+    rows_per_block = max(1, bounds.BLOCK_ENTRIES // n)
+    assert math.ceil(keep.sum() / rows_per_block) == blocks
     eta = joint_photon_distribution(p, lam, mu, n)[keep] / g[keep, None]
     full = float((g[keep] * -(xlogx(eta).sum(axis=1))).sum())
     assert abs(bounds._conditional_entropy_direct(p, lam, mu, n) - full) < 1e-14
+
+
+def test_direct_sum_holds_a_bounded_block():
+    # The PPT cross-check's largest sum: the mapped point of lam = 0.996 at
+    # the 6000-row cap.  It peaks at 0.97 MiB; numpy's as_strided makes a
+    # one-off 0.92 MiB allocation once per process, which may fall inside.
+    w = _ppt_point(0.996)
+    tracemalloc.start()
+    try:
+        bounds._conditional_entropy_direct(w.p, w.lam, w.mu, 6000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20

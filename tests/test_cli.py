@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import shlex
@@ -7,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cvwerner import acceptance, bounds, cli
+from cvwerner import acceptance, bounds, cli, exact, gaussian, nongauss, ppt
+from cvwerner.states import WernerParams
 from helpers_oracles import closed_forms_decimal
 
 
@@ -126,6 +128,35 @@ def test_quadrature_error_budget_reports_the_fixed_tolerance(capsys, measure, bu
     code, out, _ = run_cli(capsys, "compute", measure, "--p", "0.5", "--lambda", "0.5")
     assert code == 0
     assert json.loads(out)["error_budget"] == budget
+
+
+@pytest.mark.parametrize(
+    "report",
+    [
+        lambda: bounds.bounds_report(WernerParams(0.5, 0.5, 0.5)),
+        lambda: bounds.bounds_report(WernerParams(0.0, 0.58, 0.0)),
+        lambda: bounds.bounds_report(WernerParams(1.0, 0.0, 0.7), 6),
+        lambda: ppt.bounds(0.0),
+        lambda: ppt.bounds(0.5),
+        lambda: exact.discord_report(0.5, 0.5),
+        lambda: exact.discord_report(0.0, 0.0),
+        lambda: nongauss.discord_gap(0.5, 0.5),
+        lambda: nongauss.discord_gap(1.0, 0.0),
+        lambda: gaussian.gaussian_discord(0.5, 0.5),
+        lambda: gaussian.gaussian_discord(0.0, 0.5),
+    ],
+    ids=[
+        "bounds", "bounds-p0-mu0", "bounds-p1", "ppt-0", "ppt", "discord0", "discord0-0",
+        "gap", "gap-p1", "gaussian-discord", "gaussian-discord-p0",
+    ],
+)
+def test_report_numbers_are_plain_python_numbers(report):
+    # np.float64 subclasses float, so only the exact type tells them apart.
+    rep = report()
+    for field in dataclasses.fields(rep):
+        value = getattr(rep, field.name)
+        if not isinstance(value, str):
+            assert type(value) in (float, int), field.name
 
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")

@@ -6,7 +6,7 @@ import pytest
 
 from cvwerner import bounds, ppt
 from cvwerner.fock import eig_spectrum, partial_trace, von_neumann_entropy
-from cvwerner.states import ppt_werner, thermal_entropy
+from cvwerner.states import _ppt_point, ppt_werner, thermal_entropy
 from helpers_oracles import mid_dense
 
 # frozen oracle values at lam = 0.5 (high-order series evaluation)
@@ -55,7 +55,12 @@ def test_reduced_entropy_monotone():
 def test_conditional_entropy():
     assert ppt.bounds(0.0).conditional_entropy == 0.0
     assert ppt.bounds(0.5).conditional_entropy == pytest.approx(H_COND_05, abs=1e-8)
-    direct = ppt._conditional_entropy_direct(0.5, ppt.norm_const(0.5), ppt.SERIES_TOL)
+    # The direct row sum that ppt.bounds checks against, at its series length.
+    lam, norm = 0.5, ppt.norm_const(0.5)
+    scale = 8.0 * norm * (1.0 + abs(math.log(norm))) / (1.0 - lam) ** 2
+    n = ppt._series_length(lam, ppt.SERIES_TOL, scale)
+    w = _ppt_point(lam)
+    direct = bounds._conditional_entropy_direct(w.p, w.lam, w.mu, min(n, ppt.DIRECT_SUM_ROWS))
     assert direct == pytest.approx(H_COND_05, abs=1e-8)
     for lam in (0.1, 0.4, 0.7, 0.9):
         assert ppt.bounds(lam).conditional_entropy >= 0.0
@@ -118,7 +123,12 @@ def test_report_fields():
 
 
 def test_bounds_evaluates_each_entropy_once(monkeypatch):
-    calls = {"global_entropy": 0, "reduced_entropy": 0, "_series_length": 0}
+    calls = {
+        "global_entropy": 0,
+        "reduced_entropy": 0,
+        "_series_length": 0,
+        "_conditional_entropy_direct": 0,
+    }
     for name in calls:
         original = getattr(ppt, name)
 
@@ -129,7 +139,12 @@ def test_bounds_evaluates_each_entropy_once(monkeypatch):
         monkeypatch.setattr(ppt, name, counted)
     rep = ppt.bounds(0.8)
     # One series length each for S(rho_B), the direct H_eig sum and H(p_AB).
-    assert calls == {"global_entropy": 1, "reduced_entropy": 1, "_series_length": 3}
+    assert calls == {
+        "global_entropy": 1,
+        "reduced_entropy": 1,
+        "_series_length": 3,
+        "_conditional_entropy_direct": 1,
+    }
     assert rep.mid == pytest.approx(rep.upper, abs=1e-8)
 
 
