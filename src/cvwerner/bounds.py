@@ -135,16 +135,17 @@ def conditional_entropy_photon_counting(p: float, lam: float, mu: float, n_max: 
 
     Evaluated twice, from the closed per-m expression and from the raw
     conditional spectra; a mismatch beyond ``IDENTITY_TOL`` raises
-    ``TruncationError``.  At ``mu = 0`` or ``p = 1`` every conditional
-    state is pure and the result is exactly zero.
+    ``TruncationError``.  Where ``mu^2`` is 0 in floating point (``mu``
+    below about 2e-162) or ``p = 1`` every conditional state is pure and
+    the result is exactly zero.
     """
     WernerParams(p, lam, mu)
     _check_count(n_max, 1)
-    if mu == 0.0 or p == 1.0:
+    if mu * mu == 0.0 or p == 1.0:
         return 0.0
     closed = _conditional_entropy_closed(p, lam, mu, n_max)
     direct = _conditional_entropy_direct(p, lam, mu, n_max)
-    if abs(closed - direct) > IDENTITY_TOL:
+    if not abs(closed - direct) <= IDENTITY_TOL:
         raise TruncationError(
             f"closed-form vs direct conditional entropy differ by "
             f"{abs(closed - direct):.3e} (> {IDENTITY_TOL:g}) at n_max={n_max}"
@@ -223,7 +224,7 @@ def global_entropy(p: float, lam: float, mu: float, n_max: int) -> float:
         )
     f, _ = _block_spectrum(p, lam, mu, n_max)
     total = branch_sum + float(f.sum())
-    if abs(total - 1.0) > IDENTITY_TOL:
+    if not abs(total - 1.0) <= IDENTITY_TOL:
         raise TruncationError(
             f"eigenvalue branches sum to {total!r} (off by {total - 1.0:.3e} "
             f"> {IDENTITY_TOL:g}); increase n_max={n_max}"
@@ -280,18 +281,19 @@ def separability_region(p: float, mu: float) -> str:
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """All photon-counting bound quantities at one parameter point."""
+    """All photon-counting bound quantities at one parameter point, in the
+    order the CLI prints them."""
 
     p: float
     lam: float
     mu: float
     n_max: int
-    marginal_entropy: float
-    global_entropy: float
-    conditional_entropy: float
     upper: float
     lower: float
     mid: float
+    marginal_entropy: float
+    global_entropy: float
+    conditional_entropy: float
     region: str
     tail_bound: float
 
@@ -310,7 +312,7 @@ def bounds_report(
     h_eig = conditional_entropy_photon_counting(p, lam, mu, n_max)
     upper = s_b - s_g + h_eig
     m = _joint_photon_entropy(p, lam, mu, n_max) - s_g
-    if abs(m - upper) > IDENTITY_TOL:
+    if not abs(m - upper) <= IDENTITY_TOL:
         raise TruncationError(
             f"MID {m!r} and upper bound {upper!r} differ by {abs(m - upper):.3e} "
             f"(> {IDENTITY_TOL:g}) at n_max={n_max}"
@@ -324,12 +326,12 @@ def bounds_report(
         lam=lam,
         mu=mu,
         n_max=n_max,
-        marginal_entropy=s_b,
-        global_entropy=s_g,
-        conditional_entropy=h_eig,
         upper=upper,
         lower=s_b - s_g + (1.0 - p) * thermal_entropy(mu),
         mid=m,
+        marginal_entropy=s_b,
+        global_entropy=s_g,
+        conditional_entropy=h_eig,
         region=region,
         tail_bound=_conditional_tail_bound(p, lam, mu, n_max),
     )

@@ -16,11 +16,18 @@ and flags given on the command line override them.
 All numeric output carries 12 significant digits, entropies in nats.
 Sweep rows run one after another and are emitted in lexicographic order
 over (p, lambda, mu).
+
+The results of ``discord0``, ``gap``, ``bounds`` and ``ppt-bounds`` are
+the fields of their report dataclass in declaration order, less the
+inputs.  ``bounds`` reports ``n_max`` and ``tail_bound`` as ``cutoff`` and
+``error_budget.conditional_tail_bound`` instead, and adds ``lower_clipped``,
+max(lower, 0), as its last result.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import inspect
 import itertools
 import json
@@ -35,6 +42,9 @@ from .states import DEFAULT_EPS_TAIL, WernerParams, check_tolerance
 NUM_FMT = "%.12g"
 # A sweep asking for more rows than this is rejected before any row is made.
 MAX_SWEEP_ROWS = 100_000
+# The inputs of a point, and the settings a measure may read.
+POINT = ("p", "lam", "mu")
+SETTINGS = ("cutoff", "eps_tail")
 
 
 def _fmt(x):
@@ -72,16 +82,19 @@ def report_json(measure, inputs, results, cutoff, error_budget, wall_time):
 # ---------------------------------------------------------------------------
 
 
-def _m_discord0(p, lam):
-    rep = exact.discord_report(p, lam)
-    results = {
-        "discord": rep.discord,
-        "entropy_global": rep.entropy_global,
-        "entropy_reduced": rep.entropy_reduced,
-        "eig_large": rep.eig_large,
-        "eig_small": rep.eig_small,
+def _fields(report, *skip):
+    """The fields of a report dataclass in declaration order, less the
+    inputs echoed under ``inputs`` and the names in ``skip``."""
+    left_out = {*POINT, *skip}
+    return {
+        f.name: getattr(report, f.name)
+        for f in dataclasses.fields(report)
+        if f.name not in left_out
     }
-    return results, None, {"closed_form": 0.0}
+
+
+def _m_discord0(p, lam):
+    return _fields(exact.discord_report(p, lam)), None, {"closed_form": 0.0}
 
 
 def _m_gaussian_discord(p, lam):
@@ -109,30 +122,12 @@ def _m_delta0(p, lam):
 
 
 def _m_gap(p, lam):
-    rep = nongauss.discord_gap(p, lam)
-    results = {
-        "delta0": rep.delta0,
-        "gap": rep.gap,
-        "gap_normalized": rep.gap_normalized,
-        "ratio_low_squeezing": rep.ratio_low_squeezing,
-        "delta0_approx": rep.delta0_approx,
-        "gap_approx": rep.gap_approx,
-    }
-    return results, None, {"eps_int": gaussian.EPS_INT}
+    return _fields(nongauss.discord_gap(p, lam)), None, {"eps_int": gaussian.EPS_INT}
 
 
 def _m_bounds(p, lam, mu, cutoff=None, eps_tail=DEFAULT_EPS_TAIL):
     rep = bounds.bounds_report(WernerParams(p, lam, mu), cutoff, eps_tail)
-    results = {
-        "upper": rep.upper,
-        "lower": rep.lower,
-        "lower_clipped": max(rep.lower, 0.0),
-        "mid": rep.mid,
-        "marginal_entropy": rep.marginal_entropy,
-        "global_entropy": rep.global_entropy,
-        "conditional_entropy": rep.conditional_entropy,
-        "region": rep.region,
-    }
+    results = {**_fields(rep, "n_max", "tail_bound"), "lower_clipped": max(rep.lower, 0.0)}
     budget = {"eps_tail": eps_tail, "conditional_tail_bound": rep.tail_bound}
     return results, rep.n_max, budget
 
@@ -147,17 +142,7 @@ def _m_region(p, mu):
 
 
 def _m_ppt_bounds(lam, eps_tail=ppt.SERIES_TOL):
-    rep = ppt.bounds(lam, eps_tail)
-    results = {
-        "upper": rep.upper,
-        "lower": rep.lower,
-        "mid": rep.mid,
-        "entropy_global": rep.entropy_global,
-        "entropy_reduced": rep.entropy_reduced,
-        "conditional_entropy": rep.conditional_entropy,
-        "norm_const": rep.norm_const,
-    }
-    return results, None, {"series_tol": eps_tail}
+    return _fields(ppt.bounds(lam, eps_tail)), None, {"series_tol": eps_tail}
 
 
 MEASURES = {
@@ -174,10 +159,6 @@ MEASURES = {
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
-
-
-POINT = ("p", "lam", "mu")
-SETTINGS = ("cutoff", "eps_tail")
 
 
 def _given(args, keys):

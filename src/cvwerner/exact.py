@@ -37,15 +37,16 @@ from .fock import (
 
 @dataclass(frozen=True)
 class DiscordReport:
-    """Scalar results for one (p, lam) point of the vacuum Werner family."""
+    """Scalar results for one (p, lam) point of the vacuum Werner family,
+    in the order the CLI prints them."""
 
     p: float
     lam: float
-    eig_large: float
-    eig_small: float
+    discord: float
     entropy_global: float
     entropy_reduced: float
-    discord: float
+    eig_large: float
+    eig_small: float
 
 
 def eigenvalue_pair(p: float, lam: float):
@@ -91,7 +92,15 @@ def discord_report(p: float, lam: float) -> DiscordReport:
     nu1, nu2 = eigenvalue_pair(p, lam)
     s_global = global_entropy(p, lam)
     s_reduced = reduced_entropy(p, lam)
-    return DiscordReport(p, lam, nu1, nu2, s_global, s_reduced, s_reduced - s_global)
+    return DiscordReport(
+        p=p,
+        lam=lam,
+        discord=s_reduced - s_global,
+        entropy_global=s_global,
+        entropy_reduced=s_reduced,
+        eig_large=nu1,
+        eig_small=nu2,
+    )
 
 
 def discord_numeric(p, lam, n_max=None) -> float:

@@ -306,7 +306,7 @@ def _disc_rule(n_radial, n_angular):
     weights = r * (wg / 2.0)[:, None] * (size * (2.0 * math.pi / n_angular))
     vacuum_mass = float((weights * np.exp(-DISC_X * (x2 + y2))).sum()) * DISC_X / math.pi
     defect = vacuum_mass + math.expm1(-DISC_X)
-    if abs(defect) > EPS_INT:
+    if not abs(defect) <= EPS_INT:
         raise QuadratureError(
             f"vacuum component integrates to {vacuum_mass!r} on the disc "
             f"(defect {defect:.3e} > EPS_INT={EPS_INT:g}), "

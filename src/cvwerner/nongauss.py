@@ -104,18 +104,19 @@ def gap_approx(p: float, lam: float) -> float:
 def low_squeezing_ratio(lam: float) -> float:
     """Quadratic-order ratio of non-Gaussianity to gap at p = 1/2,
     [ln(4/lam^2) + 1] / [ln(8/lam^2) + gamma - 1]; tends to 1 as lam -> 0,
-    which is its value at lam = 0."""
+    which is its value at lam = 0.  The logs are taken as ln 4 - 2 ln lam and
+    ln 8 - 2 ln lam, since lam^2 underflows below about 1.5e-162."""
     check_unit("lam", lam, upper_open=True)
     if lam == 0.0:
         return 1.0
-    return (math.log(4.0 / lam**2) + 1.0) / (
-        math.log(8.0 / lam**2) + EULER_GAMMA - 1.0
-    )
+    log_lam2 = 2.0 * math.log(lam)
+    return (math.log(4.0) - log_lam2 + 1.0) / (math.log(8.0) - log_lam2 + EULER_GAMMA - 1.0)
 
 
 @dataclass(frozen=True)
 class GapReport:
-    """Non-Gaussianity, measurement gap, and their low-squeezing scaling."""
+    """Non-Gaussianity, measurement gap, and their low-squeezing scaling,
+    in the order the CLI prints them."""
 
     p: float
     lam: float

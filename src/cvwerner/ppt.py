@@ -112,16 +112,17 @@ def reduced_entropy(lam: float, tol: float = SERIES_TOL) -> float:
 
 @dataclass(frozen=True)
 class PptReport:
-    """Bound quantities for the positive partial-transpose state."""
+    """Bound quantities for the positive partial-transpose state, in the
+    order the CLI prints them."""
 
     lam: float
-    norm_const: float
-    entropy_global: float
-    entropy_reduced: float
-    conditional_entropy: float
     upper: float
     lower: float
     mid: float
+    entropy_global: float
+    entropy_reduced: float
+    conditional_entropy: float
+    norm_const: float
 
 
 def upper_bound(lam: float) -> float:
@@ -139,7 +140,10 @@ def bounds(lam: float, tol: float = SERIES_TOL) -> PptReport:
     ``SeriesCrossCheckError``."""
     norm = norm_const(lam)
     if lam == 0.0:
-        return PptReport(lam, norm, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        return PptReport(
+            lam=lam, upper=0.0, lower=0.0, mid=0.0, entropy_global=0.0, entropy_reduced=0.0,
+            conditional_entropy=0.0, norm_const=norm,
+        )
     s_g = global_entropy(lam)
     s_b = reduced_entropy(lam, tol)
     upper = lam * math.log(2.0)
@@ -147,22 +151,22 @@ def bounds(lam: float, tol: float = SERIES_TOL) -> PptReport:
     w = _ppt_point(lam)
     n_rows = _series_length(lam, tol, 8.0 * norm * (1.0 + abs(math.log(norm))) / (1.0 - lam) ** 2)
     direct = _conditional_entropy_direct(w.p, w.lam, w.mu, min(n_rows, DIRECT_SUM_ROWS))
-    if abs(h_eig - direct) > CHECK_TOL:
+    if not abs(h_eig - direct) <= CHECK_TOL:
         raise SeriesCrossCheckError(
             f"analytic conditional entropy {h_eig!r} vs direct sum {direct!r} "
             f"differ by {abs(h_eig - direct):.3e}"
         )
     n_terms = _series_length(lam, tol, 8.0 * norm * (1.0 + abs(math.log(norm))) / (1.0 - lam))
     m = _joint_photon_entropy(w.p, w.lam, w.mu, n_terms) - s_g
-    if abs(m - upper) > CHECK_TOL:
+    if not abs(m - upper) <= CHECK_TOL:
         raise SeriesCrossCheckError(f"MID series gives {m!r}, expected {upper!r}")
     return PptReport(
         lam=lam,
-        norm_const=norm,
-        entropy_global=s_g,
-        entropy_reduced=s_b,
-        conditional_entropy=h_eig,
         upper=upper,
         lower=s_b - s_g + (1.0 + lam) / 2.0 * thermal_entropy(math.sqrt(lam)),
         mid=m,
+        entropy_global=s_g,
+        entropy_reduced=s_b,
+        conditional_entropy=h_eig,
+        norm_const=norm,
     )

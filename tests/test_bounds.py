@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -86,6 +87,33 @@ def test_global_entropy_consistency():
 def test_global_entropy_branch_sum_check():
     with pytest.raises(TruncationError):
         bounds.global_entropy(0.5, 0.8, 0.8, 8)
+
+
+@pytest.mark.parametrize(
+    "target, value, message",
+    [
+        ("_conditional_entropy_closed", math.nan, "closed-form vs direct"),
+        ("conditional_entropy_photon_counting", math.nan, "MID"),
+        ("_block_spectrum", (np.array([math.nan]), 1), "branches sum to nan"),
+    ],
+    ids=["closed-vs-direct", "mid-vs-upper", "branch-sum"],
+)
+def test_identity_checks_fail_on_nan(monkeypatch, target, value, message):
+    # A NaN on either side of an identity is a failed check, not a pass.
+    monkeypatch.setattr(bounds, target, lambda *args: value)
+    with pytest.raises(TruncationError, match=message):
+        _report(0.5, 0.5, 0.5, _cutoff(0.5, 0.5, 0.5))
+
+
+@pytest.mark.parametrize("mu", [5e-324, 1e-300, 1e-200, 1e-170])
+def test_bounds_report_where_mu_squared_underflows_is_the_mu_zero_report(mu):
+    # mu^2 is 0 in floating point, so every conditional state is pure.
+    for p in (0.0, 0.5, 1.0):
+        for lam in (0.0, 1e-8, 0.3, 0.5, 0.8, 0.9, 0.98):
+            rep = bounds.bounds_report(WernerParams(p, lam, mu))
+            assert dataclasses.replace(rep, mu=0.0) == bounds.bounds_report(
+                WernerParams(p, lam, 0.0)
+            ), (p, lam)
 
 
 def test_global_entropy_matches_dense_oracle():

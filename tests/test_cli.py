@@ -1,6 +1,9 @@
 import dataclasses
+import inspect
+import itertools
 import json
 import math
+import re
 import shlex
 import tracemalloc
 from pathlib import Path
@@ -584,6 +587,42 @@ def test_gap_at_zero_squeezing_is_strict_json(capsys):
     results = _strict_json(out)["results"]
     assert results["ratio_low_squeezing"] == 1.0
     assert results["gap_normalized"] == 0.0
+
+
+_EDGE_AXES = {
+    "p": (0.0, 1e-300, 0.5, 1.0),
+    "lam": (0.0, 5e-324, 1e-200, 1e-160, 1e-8, 0.5),
+    "mu": (0.0, 5e-324, 1e-200, 1e-160, 1e-8, 0.5),
+}
+
+
+@pytest.mark.parametrize("measure", sorted(cli.MEASURES))
+def test_compute_at_the_edges_of_the_domain(capsys, measure):
+    # Every point gives strict JSON, or exit 3 with one error line; never a
+    # traceback (an uncaught exception, or a RuntimeWarning from the library
+    # under the suite's warning filter) and never a NaN or infinity.
+    names = [k for k in cli.POINT if k in inspect.signature(cli.MEASURES[measure]).parameters]
+    for values in itertools.product(*(_EDGE_AXES[k] for k in names)):
+        argv = ["compute", measure]
+        for name, value in zip(names, values):
+            argv += ["--lambda" if name == "lam" else f"--{name}", repr(value)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code in (0, 3), argv
+        if code == 0:
+            assert err == "", argv
+            _strict_json(out)
+        else:
+            assert out == "" and re.fullmatch(r"error: \S.*\n", err), argv
+        assert not re.search(r"\b(nan|inf|infinity)\b", out + err, re.IGNORECASE), argv
+
+
+def test_sweep_bounds_columns_are_the_report_fields_then_lower_clipped(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "bounds", "--p", "0.5", "--lambda", "0.5", "--mu", "0.5")
+    assert code == 0
+    assert out.splitlines()[0] == (
+        "p,lam,mu,upper_nats,lower_nats,mid_nats,marginal_entropy_nats,global_entropy_nats,"
+        "conditional_entropy_nats,region,lower_clipped_nats"
+    )
 
 
 @pytest.mark.parametrize(

@@ -434,6 +434,12 @@ def test_gaussian_discord_keeps_the_rule_self_check(monkeypatch):
         gaussian_discord(0.5, 0.5)
 
 
+def test_rule_mass_check_fails_on_nan(monkeypatch):
+    monkeypatch.setattr(gaussian, "DISC_X", math.nan)
+    with pytest.raises(QuadratureError, match="defect nan"):
+        gaussian._disc_rule.__wrapped__(4, 4)
+
+
 def test_failed_rule_raises_on_every_call():
     # A rule that fails its self-check is never cached, so it cannot be
     # returned unchecked on a later call.

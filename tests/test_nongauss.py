@@ -112,6 +112,13 @@ def test_low_squeezing_ratio_prediction():
     assert abs(measured - 1.0) < abs(r02.delta0 / r02.gap - 1.0)
 
 
+def test_low_squeezing_ratio_where_lam_squared_underflows():
+    # lam^2 is 0 or subnormal here; the ratio still falls toward 1 with lam.
+    ratios = [low_squeezing_ratio(lam) for lam in (1e-155, 1e-160, 1e-200, 1e-300, 5e-324)]
+    assert all(math.isfinite(r) and r > 1.0 for r in ratios)
+    assert all(a > b for a, b in zip(ratios, ratios[1:]))
+
+
 def test_gap_report_consistency():
     rep = discord_gap(0.5, 0.2)
     assert rep.gap > 0.0

@@ -122,6 +122,18 @@ def test_report_fields():
     assert zero.upper == zero.lower == zero.mid == 0.0
 
 
+@pytest.mark.parametrize(
+    "target, message",
+    [("reduced_entropy", "vs direct sum"), ("_joint_photon_entropy", "MID series")],
+    ids=["h-eig-vs-direct", "mid-vs-upper"],
+)
+def test_cross_checks_fail_on_nan(monkeypatch, target, message):
+    # A NaN H_eig (through S(rho_B)) or MID is a failed check, not a pass.
+    monkeypatch.setattr(ppt, target, lambda *args: math.nan)
+    with pytest.raises(ppt.SeriesCrossCheckError, match=message):
+        ppt.bounds(0.5)
+
+
 def test_bounds_evaluates_each_entropy_once(monkeypatch):
     calls = {
         "global_entropy": 0,
