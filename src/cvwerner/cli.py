@@ -170,8 +170,8 @@ def _measure(name, inputs):
     """The measure ``name``, once ``inputs`` are checked against its
     signature: every required input given and no input it does not read.
     A tail tolerance given is checked here, also where the library would
-    not read it (``--eps-tail`` next to ``--cutoff``, or at ``lam = 0``), so
-    that no output echoes a NaN."""
+    not read it (``--eps-tail`` next to ``--cutoff``), so that no output
+    echoes a NaN."""
     params = inspect.signature(MEASURES[name]).parameters
     missing = [k for k, v in params.items() if v.default is v.empty and k not in inputs]
     unread = [k for k in inputs if k not in params]

@@ -74,11 +74,11 @@ def reduced_entropy(p: float, lam: float) -> float:
     pl2 = p * lam**2
     # 1 - lam^2 as a product, which keeps its relative precision near lam = 1
     one_m_lam2 = (1.0 - lam) * (1.0 + lam)
-    return -float(
-        math.log1p(-pl2)
-        + pl2 * np.log(p * one_m_lam2 / (1.0 - pl2))
-        + 2.0 * pl2 * np.log(lam) / one_m_lam2
-    )
+    log1p_m_pl2 = math.log1p(-pl2)
+    # ln(p (1 - lam^2) / (1 - p lam^2)) as a sum of logs: the product
+    # underflows to 0 at subnormal p
+    log_ratio = np.log(p) + np.log(one_m_lam2) - log1p_m_pl2
+    return -float(log1p_m_pl2 + pl2 * (log_ratio + 2.0 * np.log(lam) / one_m_lam2)) + 0.0
 
 
 def discord(p: float, lam: float) -> float:

@@ -36,8 +36,10 @@ PROBABILITY_FLOOR = -1e-12
 # eig_spectrum checks its decomposition on this many seeded random vectors.
 RESIDUAL_PROBES = 4
 RESIDUAL_SEED = 0
-# The side of every dense square array the package builds: a two-mode matrix
-# of this dimension, or an n_max x n_max table at this cutoff, takes 2.3 GB.
+# The largest dimension of a dense two-mode matrix (2.3 GB), and the largest
+# side of the package's n_max x n_max arrays (``states.thermal``,
+# ``ppt.closed_form_spectrum``).  ``bounds`` builds no such array but holds
+# its cutoff to the same limit.
 MAX_TWO_MODE_DIM = 17_000
 
 class InvalidSpectrumError(ValueError):
@@ -243,7 +245,8 @@ def antidiagonal_entropy(entry, diag) -> float:
     ``min(s, 2(n-1) - s) + 1`` entries, one of which is diagonal when ``s``
     is even, so the sum takes O(n) time and memory.  Entries in
     ``[PROBABILITY_FLOOR, 0)`` count as zero; anything below, and any NaN or
-    infinite entry, raises ``InvalidSpectrumError``."""
+    infinite entry, raises ``InvalidSpectrumError``.  A zero entropy is
+    +0.0."""
     entry = _finite_entries(entry, "probability", PROBABILITY_FLOOR)
     diag = _finite_entries(diag, "probability", PROBABILITY_FLOOR)
     n = len(diag)
@@ -252,7 +255,7 @@ def antidiagonal_entropy(entry, diag) -> float:
     off = np.minimum(s, 2 * (n - 1) - s) + 1.0 - even
     on = np.zeros(2 * n - 1)
     on[::2] = xlogx(diag)
-    return float(-(off * xlogx(entry) + on).sum())
+    return float(-(off * xlogx(entry) + on).sum()) + 0.0
 
 
 def partial_trace(state: TwoModeState, mode: str = "A") -> np.ndarray:

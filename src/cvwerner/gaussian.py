@@ -56,7 +56,9 @@ once over the whole scan, in place, and each ``t``'s integral is one dot
 of its weighted density with its S, with 1/pi and the disc's scale in one
 scalar.  Every node sees the arithmetic a single ``t`` would give it, and
 each dot sums in the same order, so the values do not depend on which
-other ``t`` share the pass.
+other ``t`` share the pass.  At p = 0 or 1 one weight is zero and every
+conditional state pure; the same pass gives exact zeros there, so these
+points take no path of their own.
 The complex outcome algebra, kept as the reference for this real
 integrand, the same integrand formed quantity by quantity, a Monte-Carlo
 estimate of the conditional entropy, the earlier polar grid sized to each
@@ -343,13 +345,10 @@ def _integrate(p, lam, ts, rule):
 
 def _checked_rule(p, lam, n_radial, n_angular):
     """The unit-disc rule of ``n_radial x n_angular`` nodes for the point
-    ``(p, lam)``, after checking the point and the node counts; None at
-    p = 0 or 1, where every conditional state is pure and no rule is built.
-    A rule that fails its own check raises ``QuadratureError``."""
+    ``(p, lam)``, after checking the point and the node counts.  A rule that
+    fails its own check raises ``QuadratureError``."""
     WernerParams(p, lam)
     n_angular = _check_nodes(n_radial, n_angular)
-    if p == 0.0 or p == 1.0:
-        return None
     return _disc_rule(int(n_radial), n_angular)
 
 
@@ -365,14 +364,13 @@ def conditional_entropy(
     Refuses with ``QuadratureError`` when the rule fails to reproduce the
     vacuum component's mass on the disc within ``EPS_INT``.  The angular
     count is rounded up to a multiple of 4.  At p = 0 or 1 every conditional
-    state is pure, and it returns 0 without building a rule.  Node counts
-    that are not integers of at least 1, a rule above ``MAX_RULE_NODES``
-    nodes, and a measurement squeezing ``t`` outside [0, 300] raise
-    ``ValueError``, there too.
+    state is pure, and the integrand is exactly 0 at every node.  Node
+    counts that are not integers of at least 1, a rule above
+    ``MAX_RULE_NODES`` nodes, and a measurement squeezing ``t`` outside
+    [0, 300] raise ``ValueError``.
     """
     _check_measurement(t)
-    rule = _checked_rule(p, lam, n_radial, n_angular)
-    return 0.0 if rule is None else _integrate(p, lam, (t,), rule)[0]
+    return _integrate(p, lam, (t,), _checked_rule(p, lam, n_radial, n_angular))[0]
 
 
 @dataclass(frozen=True)
@@ -402,17 +400,15 @@ def gaussian_discord(p: float, lam: float) -> GaussianDiscordResult:
     ``OptimizationError`` with the scan in its message.  The guard only
     samples h, so it does not prove an end optimal; a dip narrower than the
     scan spacing would pass it.  The inputs are checked once, before the
-    scan; the default rule checked its own mass when it was built.
+    scan; the default rule checked its own mass when it was built.  At
+    p = 0 or 1 the scan gives exact zeros, so the result is the exact
+    discord at ``t = 0``, after the same 9 evaluations.
     No phase is scanned: the state is invariant under opposite phase
     rotations of its two modes, so the conditional entropy of the
     measurement ``xi = t exp(2i phi)`` does not depend on phi.  At strong
     squeezing (``lam`` above about 0.7) heterodyne rather than homodyne is
     the Gaussian-optimal measurement.
     """
-    base = exact.reduced_entropy(p, lam) - exact.global_entropy(p, lam)
-    if p == 0.0 or p == 1.0:
-        return GaussianDiscordResult(base, 0.0, 0.0, 0)
-
     rule = _checked_rule(p, lam, N_RADIAL, N_ANGULAR)
     scan_h = _integrate(p, lam, SCAN_T, rule)
     k = 0 if scan_h[0] <= scan_h[-1] else len(SCAN_T) - 1
@@ -422,4 +418,4 @@ def gaussian_discord(p: float, lam: float) -> GaussianDiscordResult:
             "conditional entropy is not finite, non-negative and least at an "
             f"end of the t scan; scan: {list(zip(SCAN_T, scan_h))}"
         )
-    return GaussianDiscordResult(base + h_min, h_min, SCAN_T[k], len(SCAN_T))
+    return GaussianDiscordResult(exact.discord(p, lam) + h_min, h_min, SCAN_T[k], len(SCAN_T))

@@ -134,12 +134,10 @@ def discord_gap(p: float, lam: float) -> GapReport:
     The gap is the minimized Gaussian conditional entropy itself, from
     :func:`cvwerner.gaussian.gaussian_discord` on its default rule;
     ``gap_normalized`` rescales it by the quadratic-order ratio so that it
-    tracks the non-Gaussianity at low squeezing.
+    tracks the non-Gaussianity at low squeezing.  At p in {0, 1} and at
+    lam = 0 the scan itself gives a gap of exactly 0.
     """
-    if p == 0.0 or p == 1.0 or lam == 0.0:
-        gap = 0.0
-    else:
-        gap = gaussian.gaussian_discord(p, lam).conditional_entropy
+    gap = gaussian.gaussian_discord(p, lam).conditional_entropy
     ratio = low_squeezing_ratio(lam)
     return GapReport(
         p=p,

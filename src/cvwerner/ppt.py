@@ -137,16 +137,12 @@ def bounds(lam: float, tol: float = SERIES_TOL) -> PptReport:
     evaluated once.  H_eig is checked against the direct row sum of
     :mod:`cvwerner.bounds` over at most ``DIRECT_SUM_ROWS`` rows, and MID
     against U; a mismatch beyond ``CHECK_TOL`` raises
-    ``SeriesCrossCheckError``."""
+    ``SeriesCrossCheckError``.  At lam = 0, a product of vacua, the same
+    path gives every entropy and bound as 0."""
     norm = norm_const(lam)
-    if lam == 0.0:
-        return PptReport(
-            lam=lam, upper=0.0, lower=0.0, mid=0.0, entropy_global=0.0, entropy_reduced=0.0,
-            conditional_entropy=0.0, norm_const=norm,
-        )
     s_g = global_entropy(lam)
     s_b = reduced_entropy(lam, tol)
-    upper = lam * math.log(2.0)
+    upper = upper_bound(lam)
     h_eig = s_g - s_b + upper
     w = _ppt_point(lam)
     n_rows = _series_length(lam, tol, 8.0 * norm * (1.0 + abs(math.log(norm))) / (1.0 - lam) ** 2)

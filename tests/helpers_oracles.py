@@ -426,17 +426,19 @@ STRONG_LAM = (0.9, 0.99, 0.999, 0.999999, 1.0 - 1e-9, 1.0 - 1e-12)
 WEAK_SQUEEZING_REL = 2e-15
 
 
-def closed_forms_decimal(p: float, lam: float) -> dict:
-    """The vacuum Werner state's closed forms in 50-digit ``decimal``
-    arithmetic, in their textbook shapes, which cancel at weak squeezing but
-    keep more than 20 digits there: eigenvalues (1 +- sqrt(1 - 4p(1-p)lam^2))/2
+def closed_forms_decimal(p: float, lam: float, prec: int = 50) -> dict:
+    """The vacuum Werner state's closed forms in ``prec``-digit ``decimal``
+    arithmetic, in their textbook shapes, which cancel at weak squeezing:
+    they keep more than 20 digits while ``prec`` exceeds
+    20 + log10(1/(p lam^2)), so the default 50 serves p lam^2 > 1e-30.
+    The forms are the eigenvalues (1 +- sqrt(1 - 4p(1-p)lam^2))/2
     and the global entropy from both, the reduced entropy from the
     geometric photon-number series summed in closed form, the symplectic
     eigenvalue sqrt((1 - (1-2p)^2 lam^2) / (1 - lam^2)) and the Gaussian
     reference entropy (nu+1) ln((nu+1)/2) - (nu-1) ln((nu-1)/2)."""
     WernerParams(p, lam)
     with decimal.localcontext() as ctx:
-        ctx.prec = 50
+        ctx.prec = prec
         one, two = decimal.Decimal(1), decimal.Decimal(2)
         p, lam = decimal.Decimal(p), decimal.Decimal(lam)
 

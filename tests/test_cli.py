@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cvwerner import acceptance, bounds, cli, exact, gaussian, nongauss, ppt
 from cvwerner.states import WernerParams
@@ -589,9 +591,30 @@ def test_gap_at_zero_squeezing_is_strict_json(capsys):
     assert results["gap_normalized"] == 0.0
 
 
+def _negative_zeros(obj, path=""):
+    """The paths of the -0.0 floats in a parsed JSON document."""
+    if isinstance(obj, dict):
+        return [z for k, v in obj.items() for z in _negative_zeros(v, f"{path}.{k}")]
+    if isinstance(obj, float) and obj == 0.0 and math.copysign(1.0, obj) < 0.0:
+        return [path]
+    return []
+
+
+def _inputs(measure):
+    """The point inputs that ``measure`` reads, in ``cli.POINT`` order."""
+    return [k for k in cli.POINT if k in inspect.signature(cli.MEASURES[measure]).parameters]
+
+
+def _compute_argv(measure, point):
+    argv = ["compute", measure]
+    for name, value in point.items():
+        argv += ["--lambda" if name == "lam" else f"--{name}", repr(value)]
+    return argv
+
+
 _EDGE_AXES = {
-    "p": (0.0, 1e-300, 0.5, 1.0),
-    "lam": (0.0, 5e-324, 1e-200, 1e-160, 1e-8, 0.5),
+    "p": (0.0, 5e-324, 1e-300, 0.5, 1.0),
+    "lam": (0.0, 5e-324, 1e-200, 1e-160, 1e-8, 0.5, 0.9),
     "mu": (0.0, 5e-324, 1e-200, 1e-160, 1e-8, 0.5),
 }
 
@@ -600,20 +623,68 @@ _EDGE_AXES = {
 def test_compute_at_the_edges_of_the_domain(capsys, measure):
     # Every point gives strict JSON, or exit 3 with one error line; never a
     # traceback (an uncaught exception, or a RuntimeWarning from the library
-    # under the suite's warning filter) and never a NaN or infinity.
-    names = [k for k in cli.POINT if k in inspect.signature(cli.MEASURES[measure]).parameters]
+    # under the suite's warning filter), never a NaN or infinity and never
+    # a -0.0.
+    names = _inputs(measure)
     for values in itertools.product(*(_EDGE_AXES[k] for k in names)):
-        argv = ["compute", measure]
-        for name, value in zip(names, values):
-            argv += ["--lambda" if name == "lam" else f"--{name}", repr(value)]
+        argv = _compute_argv(measure, dict(zip(names, values)))
         code, out, err = run_cli(capsys, *argv)
         assert code in (0, 3), argv
         if code == 0:
             assert err == "", argv
-            _strict_json(out)
+            assert _negative_zeros(_strict_json(out)) == [], argv
         else:
             assert out == "" and re.fullmatch(r"error: \S.*\n", err), argv
         assert not re.search(r"\b(nan|inf|infinity)\b", out + err, re.IGNORECASE), argv
+
+
+# The edge values each input draws from, besides the interior of its range.
+_PROPERTY_EDGES = {
+    "p": (0.0, 5e-324, 1e-300, 1.0),
+    "lam": (0.0, 5e-324, 1e-200, 1e-8),
+    "mu": (0.0, 5e-324, 1e-200, 1e-8),
+}
+
+
+@pytest.mark.parametrize("measure", sorted(cli.MEASURES))
+@settings(
+    derandomize=True,
+    max_examples=50,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_compute_properties_across_the_domain(capsys, measure, data):
+    # p in [0, 1], lam and mu in [0, 0.9] for bounds and [0, 0.99] for the
+    # rest, each often an edge value; now and then one input is NaN.  A NaN
+    # input, and only a NaN input, exits 3; every other point prints strict
+    # JSON with no -0.0, and the relations that share no algebra hold.
+    names = _inputs(measure)
+    top = 0.9 if measure == "bounds" else 0.99
+    point = {
+        k: data.draw(
+            st.one_of(st.sampled_from(_PROPERTY_EDGES[k]), st.floats(0.0, 1.0 if k == "p" else top)),
+            label=k,
+        )
+        for k in names
+    }
+    nan_at = data.draw(st.integers(0, 4 * len(names)), label="nan_at")
+    if nan_at < len(names):
+        point[names[nan_at]] = math.nan
+    argv = _compute_argv(measure, point)
+    code, out, err = run_cli(capsys, *argv)
+    if any(math.isnan(v) for v in point.values()):
+        assert (code, out) == (3, ""), argv
+        assert re.fullmatch(r"error: \S.*\n", err), argv
+        return
+    assert (code, err) == (0, ""), argv
+    doc = _strict_json(out)
+    assert _negative_zeros(doc) == [], argv
+    results = doc["results"]
+    if measure == "bounds" and point["mu"] == 0.0:
+        assert abs(results["upper"] - exact.discord(point["p"], point["lam"])) <= 1e-8, argv
+    if "delta0" in results:
+        assert results["delta0"] >= 0.0, argv
 
 
 def test_sweep_bounds_columns_are_the_report_fields_then_lower_clipped(capsys):

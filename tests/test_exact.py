@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -148,3 +151,25 @@ def test_closed_forms_keep_relative_precision_at_weak_squeezing(p):
         scale = ref["entropy_reduced"] + ref["entropy_global"]
         assert abs(rep.discord - ref["discord"]) <= WEAK_SQUEEZING_REL * scale, lam
         assert rep.discord > 0.0, lam
+
+
+@pytest.mark.parametrize("p", [5e-324, 1e-310, 1e-300])
+def test_reduced_entropy_at_tiny_p(p):
+    # p (1 - lam^2) / (1 - p lam^2) underflows to 0 at subnormal p, so its
+    # log is taken as a sum of logs.  The reference needs more than 50
+    # digits here, since 1 - p lam^2 differs from 1 in digit 300 or later.
+    # Where p lam^2 is subnormal, it and so the entropy hold only an absolute
+    # precision: the smallest subnormal times about ln(1/p) < 745.
+    for lam in (0.05, 0.5, 0.9, 0.9999, 1.0 - 1e-12):
+        value = exact.reduced_entropy(p, lam)
+        ref = closed_forms_decimal(p, lam, prec=800)["entropy_reduced"]
+        assert 0.0 <= value < math.inf, lam
+        assert abs(value - ref) <= WEAK_SQUEEZING_REL * ref + 1e-320, lam
+        assert math.isfinite(exact.discord(p, lam)), lam
+
+
+@pytest.mark.parametrize("p, lam", [(1.0, 5e-324), (1.0, 1e-200), (1e-300, 1e-200), (0.5, 5e-324)])
+def test_closed_forms_give_no_negative_zero(p, lam):
+    # Where p lam^2 underflows, every entropy is +0.0, never -0.0.
+    for key, value in dataclasses.asdict(exact.discord_report(p, lam)).items():
+        assert math.copysign(1.0, value) == 1.0, key

@@ -97,6 +97,12 @@ def test_antidiagonal_entropy_counts_entries_above_the_floor_as_zero():
     assert fock.antidiagonal_entropy([0.5, noise, 0.3], [0.2, noise]) == clean
 
 
+def test_antidiagonal_entropy_of_a_certain_table_is_plus_zero():
+    # A table with all its mass on one entry has entropy +0.0, not -0.0.
+    for entry, diag in (([0.0, 0.0, 0.0], [1.0, 0.0]), ([0.0], [1.0])):
+        assert fock.antidiagonal_entropy(entry, diag).hex() == (0.0).hex()
+
+
 def test_xlogx_keeps_nan_and_no_other_bit():
     x = np.array([np.nan, -np.inf, -1.0, -0.0, 0.0, 5e-324, 1e-300, 0.5, 1.0, 7.0, np.inf])
     got = fock.xlogx(x)

@@ -38,7 +38,7 @@ from helpers_oracles import (
 @pytest.mark.parametrize("t", [-0.1, 301, math.nan])
 @pytest.mark.parametrize("call", ["quadrature", "pure"])
 def test_measurement_squeezing_range(call, t):
-    # No rule is evaluated at p = 0, but t is still checked.
+    # t is checked at p = 0 too, where every conditional state is pure.
     calls = {
         "quadrature": lambda: conditional_entropy(0.5, 0.5, t),
         "pure": lambda: conditional_entropy(0.0, 0.5, t),
@@ -388,15 +388,30 @@ def test_conditional_entropy_monotone_ladder():
 
 
 def test_quadrature_norm_check_refuses_bad_grid():
-    with pytest.raises(QuadratureError):
-        conditional_entropy(0.5, 0.5, 0.0, n_radial=3, n_angular=2)
+    # The rule is built and checked at p = 0 and 1 too.
+    for p in (0.0, 0.5, 1.0):
+        with pytest.raises(QuadratureError):
+            conditional_entropy(p, 0.5, 0.0, n_radial=3, n_angular=2)
 
 
-def test_gaussian_discord_trivial_points():
+def test_gaussian_discord_trivial_points(monkeypatch):
+    # p = 0 and 1 take the path of every other p: the 9-point scan, whose
+    # values are exact zeros, so the result is the exact discord plus +0.0.
+    seen = []
+    real_integrate = gaussian._integrate
+
+    def recording(p, lam, ts, rule):
+        seen.append(real_integrate(p, lam, ts, rule))
+        return seen[-1]
+
+    monkeypatch.setattr(gaussian, "_integrate", recording)
     for p in (0.0, 1.0):
-        res = gaussian_discord(p, 0.5)
-        assert res.value == pytest.approx(exact.discord(p, 0.5), abs=1e-12)
-        assert res.conditional_entropy == 0.0
+        for lam in (0.0, 5e-324, 0.5, 0.9999):
+            res = gaussian_discord(p, lam)
+            assert seen.pop() == [0.0] * len(SCAN_T)
+            assert res.conditional_entropy.hex() == (0.0).hex(), (p, lam)
+            assert (res.t, res.evaluations) == (0.0, 9), (p, lam)
+            assert res.value.hex() == (exact.discord(p, lam) + 0.0).hex(), (p, lam)
 
 
 def test_gaussian_discord_returns_python_floats():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cvwerner import exact, nongauss
+from cvwerner import exact, gaussian, nongauss
 from cvwerner.nongauss import (
     EULER_GAMMA,
     discord_gap,
@@ -136,6 +136,19 @@ def test_gap_trivial_points():
     assert rep.gap == 0.0 and rep.delta0 == pytest.approx(0.0, abs=1e-14)
     rep = discord_gap(1.0, 0.5)
     assert rep.gap == 0.0 and rep.delta0 == pytest.approx(0.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("p", [0.0, 1e-300, 0.3, 0.5, 1.0])
+def test_gap_at_zero_squeezing_is_taken_from_the_scan(monkeypatch, p):
+    # lam = 0 takes the Gaussian scan like every other point; there the
+    # state is a product and the scan gives +0.0.
+    scans = []
+    real_discord = gaussian.gaussian_discord
+    monkeypatch.setattr(gaussian, "gaussian_discord", lambda *a: scans.append(a) or real_discord(*a))
+    rep = discord_gap(p, 0.0)
+    assert scans == [(p, 0.0)]
+    assert rep.gap.hex() == (0.0).hex()
+    assert rep.gap_normalized.hex() == (0.0).hex()
 
 
 def test_gap_closes_at_extreme_squeezing_while_nongaussianity_diverges():

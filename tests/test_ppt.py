@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -120,6 +121,22 @@ def test_report_fields():
     )
     zero = ppt.bounds(0.0)
     assert zero.upper == zero.lower == zero.mid == 0.0
+
+
+def test_bounds_at_zero_squeezing_takes_the_series_path(monkeypatch):
+    # lam = 0 is the product of two vacua: the series and both cross-checks
+    # run as at every other lam, and every entropy and bound is +0.0.
+    checked = []
+    real_direct = ppt._conditional_entropy_direct
+    monkeypatch.setattr(
+        ppt, "_conditional_entropy_direct", lambda *a: checked.append(a) or real_direct(*a)
+    )
+    rep = ppt.bounds(0.0)
+    assert len(checked) == 1
+    assert rep.norm_const == 0.5
+    fields = dataclasses.asdict(rep)
+    del fields["norm_const"]
+    assert {k: v.hex() for k, v in fields.items()} == {k: (0.0).hex() for k in fields}
 
 
 @pytest.mark.parametrize(
