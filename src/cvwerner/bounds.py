@@ -17,9 +17,11 @@ the k survivors, so the n_max x n_max block is never formed.  A report
 evaluates each of S(rho_B), S(rho), H_eig(A|B) and H(p_AB) once per point,
 the last summed by anti-diagonals of the photon-count table, and checks
 MID = U on those values.  One private helper writes that table, as its
-anti-diagonal entries and diagonal excess; the direct twin of H_eig(A|B)
-takes its rows as slices of those entries, at most ``BLOCK_ENTRIES`` entries
-at a time, so a report holds no n_max x n_max array.  That row sum is also
+anti-diagonal entries and diagonal excess.  The closed form of H_eig(A|B)
+and the block's diagonal read their weights from it, and the direct twin
+of H_eig(A|B) takes its rows as slices of those entries, at most
+``BLOCK_ENTRIES`` entries at a time, so a report holds no n_max x n_max
+array.  That row sum is also
 the cross-check of :func:`cvwerner.ppt.bounds`.  ``bounds_report`` is the only
 evaluator of U, L and MID.  A dense matrix-based twin of U
 (``upper_bound_dense``, with ``conditional_entropy_dense``) serves as an
@@ -38,6 +40,7 @@ from .fock import (
     TwoModeState,
     _check_count,
     _check_square_size,
+    _xlogx,
     antidiagonal_entropy,
     eig_spectrum,
     partial_trace,
@@ -82,10 +85,8 @@ def marginal_entropy(p: float, lam: float, mu: float, n_max: int) -> float:
 def _conditional_entropy_direct(p, lam, mu, n_max):
     # Raw conditional spectra p(m, n) / g_m, from the rows of the
     # photon-count table, at most BLOCK_ENTRIES entries at a time (n_max is
-    # below it).  The entries are non-negative, so x ln x is
-    # x ln max(x, 5e-324): the log of x itself wherever x > 0, and 0 at x = 0.
+    # below it).  The entries are non-negative, so the x ln x kernel serves.
     g = reduced_spectrum(p, lam, mu, n_max)
-    _check_square_size(n_max)
     entry, diag = _count_table(p, lam, mu, n_max)
     rows = np.flatnonzero(g > WEIGHT_FLOOR)
     per_row = np.empty(rows.size)
@@ -95,9 +96,7 @@ def _conditional_entropy_direct(p, lam, mu, n_max):
         block = sliding_window_view(entry, n_max)[r]
         block[np.arange(r.size), r] += diag[r]
         np.divide(block, g[r, None], out=block)
-        x_log_x = np.maximum(block, 5e-324)
-        np.log(x_log_x, out=x_log_x)
-        np.multiply(x_log_x, block, out=x_log_x)
+        x_log_x = _xlogx(block, np.empty_like(block))
         per_row[start : start + step] = -(x_log_x.sum(axis=1))
     return float((g[rows] * per_row).sum())
 
@@ -106,17 +105,20 @@ def _conditional_entropy_closed(p, lam, mu, n_max):
     # Per-m entropy in closed form: the off-diagonal thermal tail is summed
     # analytically, only the count-m term is left explicit.  Only counts
     # with g_m > WEIGHT_FLOOR are evaluated: at large cutoffs g_m underflows
-    # to 0, and the terms below divide by it.
+    # to 0, and the terms below divide by it.  The count table gives
+    # k_m = entry[m] / g_m, eta_mm = p(m, m) / g_m and c_m = entry[0] / g_m.
     g = reduced_spectrum(p, lam, mu, n_max)
     keep = g > WEIGHT_FLOOR
     g = g[keep]
+    entry, diag = _count_table(p, lam, mu, n_max)
+    k = entry[:n_max][keep] / g
+    eta_mm = (diag + entry[::2])[keep] / g
+    log_c = np.log(entry[0] / g)
     m = np.arange(n_max, dtype=float)[keep]
     one = 1.0 - mu**2
-    k = (1.0 - p) * one**2 * mu ** (2 * m) / g
-    eta_mm = (p * (1.0 - lam**2) * lam ** (2 * m) + (1.0 - p) * one**2 * mu ** (4 * m)) / g
-    log_c = np.log((1.0 - p) * one**2 / g)
-    tail = log_c * (1.0 / one - mu ** (2 * m)) + np.log(mu**2) * (
-        m / one + mu**2 / one**2 - 2.0 * m * mu ** (2 * m)
+    mu_2m = mu ** (2 * m)
+    tail = log_c * (1.0 / one - mu_2m) + np.log(mu**2) * (
+        m / one + mu**2 / one**2 - 2.0 * m * mu_2m
     )
     per_m = -k * tail - xlogx(eta_mm)
     return float((g * per_m).sum())
@@ -137,10 +139,11 @@ def conditional_entropy_photon_counting(p: float, lam: float, mu: float, n_max: 
     conditional spectra; a mismatch beyond ``IDENTITY_TOL`` raises
     ``TruncationError``.  Where ``mu^2`` is 0 in floating point (``mu``
     below about 2e-162) or ``p = 1`` every conditional state is pure and
-    the result is exactly zero.
+    the result is exactly zero.  A cutoff above ``MAX_TWO_MODE_DIM``
+    raises ``ValueError``, also there.
     """
     WernerParams(p, lam, mu)
-    _check_count(n_max, 1)
+    _check_square_size(n_max)
     if mu * mu == 0.0 or p == 1.0:
         return 0.0
     closed = _conditional_entropy_closed(p, lam, mu, n_max)
@@ -154,9 +157,10 @@ def conditional_entropy_photon_counting(p: float, lam: float, mu: float, n_max: 
 
 
 def _block_terms(p, lam, mu, n_max):
-    # The correlated block is diag(d) + c v v^T.
-    m = np.arange(n_max, dtype=float)
-    return p * (1.0 - lam**2), lam**m, (1.0 - p) * (1.0 - mu**2) ** 2 * mu ** (4 * m)
+    # The correlated block is diag(d) + c v v^T, with d_m the thermal part
+    # (1-p)(1-mu^2)^2 mu^(4m) of the count table's diagonal.
+    entry, _ = _count_table(p, lam, mu, n_max)
+    return p * (1.0 - lam**2), lam ** np.arange(n_max, dtype=float), entry[::2]
 
 
 def _block_spectrum(p, lam, mu, n_max):
@@ -303,10 +307,13 @@ def bounds_report(
 ) -> BoundsReport:
     """U = S(rho_B) - S(rho) + H_eig(A|B), L = S(rho_B) - S(rho) + (1-p) S_th(mu)
     (signed) and MID = H(p_AB) - S(rho) at one point, each entropy evaluated
-    once; MID = U beyond ``IDENTITY_TOL`` raises ``TruncationError``."""
+    once; MID = U beyond ``IDENTITY_TOL`` raises ``TruncationError``.  A
+    cutoff, given or chosen, above ``MAX_TWO_MODE_DIM`` raises
+    ``ValueError`` before anything is allocated."""
     p, lam, mu = params.p, params.lam, params.mu
     if n_max is None:
         n_max = choose_cutoff(params, eps_tail)
+    _check_square_size(n_max)
     s_b = marginal_entropy(p, lam, mu, n_max)
     s_g = global_entropy(p, lam, mu, n_max)
     h_eig = conditional_entropy_photon_counting(p, lam, mu, n_max)

@@ -189,12 +189,24 @@ class TwoModeState:
         return float(np.real(self._diagonal().sum()))
 
 
+def _xlogx(x, out):
+    """The package's one x ln x kernel: ``x ln max(x, 5e-324)`` of the
+    non-negative array ``x``, written into ``out`` (not ``x`` itself) and
+    returned.  The log is of ``x`` itself wherever ``x > 0``, and ``x = 0``
+    gives a zero."""
+    np.maximum(x, 5e-324, out=out)
+    np.log(out, out=out)
+    return np.multiply(out, x, out=out)
+
+
 def xlogx(x) -> np.ndarray:
     """Elementwise ``x ln x`` with ``0 ln 0 = 0``; entries ``<= 0`` give 0
     and NaN entries NaN."""
     x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(x <= 0.0, 0.0, x * np.log(np.where(x > 0.0, x, 1.0)))
+    out = _xlogx(np.maximum(x, 0.0), np.empty_like(x))
+    # The kernel gives 0 ln 5e-324 = -0.0; adding +0.0 makes every zero +0.0.
+    out += 0.0
+    return out
 
 
 def _finite_entries(values, name, floor=None):

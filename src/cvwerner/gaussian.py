@@ -47,8 +47,9 @@ node of each reflection class is evaluated, weighted by the class size:
 n/4 + 1 of n.
 
 The whole scan is one kernel pass over the rule's nodes.  For each ``t``
-it builds the 4 x 3 coefficients of the four linear forms, log(p u),
-log((1-p) v), log(z2 / z1) and the log-overlap; the scan stacks them form
+one function, ``_linear_forms``, builds the 4 x 3 coefficients of the four
+linear forms, log(p u), log((1-p) v), log(z2 / z1) and the log-overlap,
+forming each quantity they share once; the scan stacks them form
 by form and multiplies them by the basis ``[1, x^2, y^2]`` that the rule
 stores flat, so one product gives all four forms at every node for every
 ``t``.  Each elementwise step (exp, expm1, sqrt, log, log1p) then runs
@@ -60,10 +61,11 @@ other ``t`` share the pass.  At p = 0 or 1 one weight is zero and every
 conditional state pure; the same pass gives exact zeros there, so these
 points take no path of their own.
 The complex outcome algebra, kept as the reference for this real
-integrand, the same integrand formed quantity by quantity, a Monte-Carlo
-estimate of the conditional entropy, the earlier polar grid sized to each
-``lam`` and ``t`` and the earlier 25-point scan of ``t`` refined by golden
-section live with the tests.
+integrand, with the conditional squeezing, frame rates and log-densities
+it is built from, the same integrand formed quantity by quantity, a
+Monte-Carlo estimate of the conditional entropy, the earlier polar grid
+sized to each ``lam`` and ``t`` and the earlier 25-point scan of ``t``
+refined by golden section live with the tests.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import exact
-from .fock import _check_count
+from .fock import _check_count, _xlogx
 from .states import WernerParams
 
 HETERODYNE = 0.0
@@ -106,53 +108,6 @@ class OptimizationError(RuntimeError):
     """The measurement optimizer did not produce a usable minimum."""
 
 
-def _cosh2r(lam: float) -> float:
-    return (1.0 + lam**2) / (1.0 - lam**2)
-
-
-def _sinh2r(lam: float) -> float:
-    return 2.0 * lam / (1.0 - lam**2)
-
-
-def _conditional_squeezing(lam: float, t: float):
-    """Squeezing ``s`` and displacement gains ``z_plus``, ``z_minus`` of the
-    conditional pure state after measurement squeezing ``t``."""
-    c2r = _cosh2r(lam)
-    e2t = math.exp(2.0 * t)
-    z_plus = 1.0 / (c2r + e2t)
-    z_minus = 1.0 / (c2r + 1.0 / e2t)
-    # s = log((1 + e2t c2r) / (c2r + e2t)) / 2, without cancelling near 0
-    s = 0.5 * math.log1p(2.0 * lam**2 / (1.0 - lam**2) * math.expm1(2.0 * t) / (c2r + e2t))
-    return s, z_plus, z_minus
-
-
-def _frame_rates(lam: float, t: float):
-    """Gaussian decay rates of u and v in the squeezed (x, y) frame.
-
-    Written so that no ``1 - tanh(t)`` cancellation occurs: the exact
-    identities ``(1 -+ tanh t) exp(+-t) = sech t`` are used instead.
-    """
-    sech = 1.0 / math.cosh(t)
-    tau = math.tanh(t)
-    ru_x = (1.0 - lam**2) * sech / (1.0 - lam**2 * tau)
-    ru_y = (1.0 - lam**2) * sech / (1.0 + lam**2 * tau)
-    return ru_x, ru_y, sech
-
-
-def _log_density_forms(lam, t):
-    """log u and log v as linear forms ``c - a x^2 - b y^2`` of the squeezed
-    frame, each returned as ``(c, a, b)``."""
-    ru_x, ru_y, rv = _frame_rates(lam, t)
-    tau = math.tanh(t)
-    log_cosh_t = t + math.log1p(math.exp(-2.0 * t)) - math.log(2.0)
-    logpref_u = (
-        math.log1p(-(lam**2))
-        - log_cosh_t
-        - 0.5 * (math.log1p(-(lam**2) * tau) + math.log1p(lam**2 * tau))
-    )
-    return (logpref_u, ru_x, ru_y), (-log_cosh_t, rv, rv)
-
-
 def _linear_forms(p, lam, t, scale):
     """The integrand's four linear forms ``c - a x^2 - b y^2`` at
     ``x^2 = scale x2``, ``y^2 = scale y2`` of the squeezed frame, for any
@@ -164,34 +119,49 @@ def _linear_forms(p, lam, t, scale):
     ``a = exp(t/2) x``, ``b = exp(-t/2) y``, so ``|beta|^2`` and
     ``Re(exp(2i phi) beta^2)`` lose the phase, and the rows are log(p u),
     log((1-p) v), log(z2 / z1) and the log-overlap of the two components.
+    Every coefficient is formed here, and each of ``tanh t``, ``cosh t``,
+    ``exp(+-t)``, ``1 - lam^2``, ``log1p(-lam^2)`` and
+    ``log1p(-+lam^2 tanh t)`` once.  No rate subtracts ``1 - tanh t``: the
+    identities ``(1 -+ tanh t) exp(+-t) = sech t`` stand in for it.
     At p = 0 or 1 one weight is exactly zero: its row and log(z2 / z1)
     start at an infinite constant.
     """
-    (cu, ux, uy), (cv, vx, _) = _log_density_forms(lam, t)
     log_p = math.log(p) if p > 0.0 else -math.inf
     log_1mp = math.log1p(-p) if p < 1.0 else -math.inf
+    lam2, tau, cosh_t = lam**2, math.tanh(t), math.cosh(t)
+    exp_t, exp_mt = math.exp(t), math.exp(-t)
+    one = 1.0 - lam2
+    below, above = 1.0 - lam2 * tau, 1.0 + lam2 * tau
+    log_one = math.log1p(-lam2)
+    log_rates = 0.5 * (math.log1p(-lam2 * tau) + math.log1p(lam2 * tau))
+    # log u = cu - ux x^2 - uy y^2 and log v = -log cosh t - sech t (x^2 + y^2).
+    sech = 1.0 / cosh_t
+    ux, uy = one * sech / below, one * sech / above
+    log_cosh_t = t + math.log1p(math.exp(-2.0 * t)) - math.log(2.0)
+    cu = log_one - log_cosh_t - log_rates
     # log(z2 / z1) = log((1-p) v) - log(p u): log cosh t cancels from the
     # constant, and the rate differences use (1 -+ tanh t) = exp(-+t) sech t.
-    lam2, tau = lam**2, math.tanh(t)
-    sech_sq = 1.0 / math.cosh(t) ** 2
-    d0 = (
-        log_1mp
-        - log_p
-        - math.log1p(-lam2)
-        + 0.5 * (math.log1p(-lam2 * tau) + math.log1p(lam2 * tau))
-    )
-    dx = scale * lam2 * sech_sq * math.exp(-t) / (1.0 - lam2 * tau)
-    dy = scale * lam2 * sech_sq * math.exp(t) / (1.0 + lam2 * tau)
-    s, z_plus, z_minus = _conditional_squeezing(lam, t)
-    s2r_sq = _sinh2r(lam) ** 2
+    sech_sq = 1.0 / cosh_t**2
+    d0 = log_1mp - log_p - log_one + log_rates
+    dx = scale * lam2 * sech_sq * exp_mt / below
+    dy = scale * lam2 * sech_sq * exp_t / above
+    # The conditional pure state: squeezing s and displacement gains z_plus,
+    # z_minus, with s = log((1 + e2t c2r) / (c2r + e2t)) / 2 not cancelling
+    # near 0.
+    c2r = (1.0 + lam2) / one
+    e2t = math.exp(2.0 * t)
+    z_plus = 1.0 / (c2r + e2t)
+    z_minus = 1.0 / (c2r + 1.0 / e2t)
+    s = 0.5 * math.log1p(2.0 * lam2 / one * math.expm1(2.0 * t) / (c2r + e2t))
+    s2r_sq = (2.0 * lam / one) ** 2
     tanh_s = math.tanh(s)
-    ox = scale * s2r_sq * (1.0 - tanh_s) * z_plus**2 * math.exp(t)
-    oy = scale * s2r_sq * (1.0 + tanh_s) * z_minus**2 * math.exp(-t)
+    ox = scale * s2r_sq * (1.0 - tanh_s) * z_plus**2 * exp_t
+    oy = scale * s2r_sq * (1.0 + tanh_s) * z_minus**2 * exp_mt
     log_cosh_s = math.log1p(2.0 * math.sinh(s / 2.0) ** 2)
     return np.array(
         [
             [log_p + cu, -(scale * ux), -(scale * uy)],
-            [log_1mp + cv, -(scale * vx), -(scale * vx)],
+            [log_1mp - log_cosh_t, -(scale * sech), -(scale * sech)],
             [d0, -dx, -dy],
             [-log_cosh_s, -ox, -oy],
         ]
@@ -214,8 +184,8 @@ def _conditional_entropy_terms(forms, basis):
     With ``m = 4 z1 z2 (1 - overlap^2)``, ``1 - overlap^2`` from expm1, the
     small eigenvalue ``nu = (1 - sqrt(1 - m)) / 2`` is formed as
     ``m / (2 (1 + sqrt(1 - m)))``, which keeps its relative precision when
-    ``m`` is small.  ``nu ln nu`` takes the log of ``max(nu, 5e-324)``,
-    which is ``nu`` itself wherever ``nu > 0``, so ``nu = 0`` gives 0.
+    ``m`` is small.  ``nu ln nu`` comes from the package's one x ln x
+    kernel, ``fock._xlogx``, which gives 0 at ``nu = 0``.
     """
     f = (forms @ basis).reshape(4, -1)
     pu, v, e, m = f
@@ -237,9 +207,7 @@ def _conditional_entropy_terms(forms, basis):
     np.multiply(v, 2.0, out=v)
     nu = np.divide(m, v, out=m)
     # S = -nu ln nu - (1 - nu) log1p(-nu)
-    np.maximum(nu, 5e-324, out=e)
-    np.log(e, out=e)
-    np.multiply(e, nu, out=e)
+    _xlogx(nu, e)
     np.negative(nu, out=v)
     np.log1p(v, out=v)
     np.subtract(1.0, nu, out=nu)

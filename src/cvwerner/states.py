@@ -74,14 +74,22 @@ def choose_cutoff(params: WernerParams, eps_tail: float = DEFAULT_EPS_TAIL) -> i
     """Smallest ``n_max >= 2`` whose geometric tail bound is below ``eps_tail``.
 
     The bound covers every mixing probability, so states built at this
-    cutoff have truncated-trace deficit below ``eps_tail``.
+    cutoff have truncated-trace deficit below ``eps_tail``.  The search
+    starts from the bound's exact solution: ``lam^(2n) < eps_tail``, and
+    ``2 x - x^2 < eps_tail`` for ``x = mu^(2n)``, which holds for
+    ``x < eps_tail / (1 + sqrt(1 - eps_tail))`` and for every x once
+    ``eps_tail >= 1``.  Two guard loops then step n to the smallest that
+    passes in floating point, mostly a step or none from the start.
     """
     check_tolerance("eps_tail", eps_tail)
     lam2, mu2 = params.lam**2, params.mu**2
-    q = max(lam2, mu2)
-    if q == 0.0:
-        return 2
-    n = max(2, math.ceil(math.log(eps_tail) / math.log(q)))
+    log_eps = math.log(eps_tail)
+    # The log of the thermal target, which itself may underflow.
+    log_mu_target = log_eps - math.log1p(math.sqrt(max(1.0 - eps_tail, 0.0)))
+    n = 2
+    for q, log_target in ((lam2, log_eps), (mu2, log_mu_target)):
+        if q > 0.0:
+            n = max(n, math.ceil(log_target / math.log(q)))
     while _tail_bound(lam2, mu2, n) >= eps_tail:
         n += 1
     while n > 2 and _tail_bound(lam2, mu2, n - 1) < eps_tail:

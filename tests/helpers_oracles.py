@@ -1,10 +1,11 @@
 """Reference implementations that only the tests call.
 
 Each one is a second route to a quantity the package computes another way:
-the complex outcome algebra, the real integrand of the Gaussian conditional
-entropy formed node by node in the package's earlier arithmetic, a
-Monte-Carlo average, the polar grid sized to
-each ``lam`` and ``t``, the reflection classes of the angular grid and an
+the complex outcome algebra with its conditional squeezing, frame rates
+and log-densities, each in its own helper, the real integrand of the
+Gaussian conditional entropy formed node by node from those helpers in the
+package's earlier arithmetic, a Monte-Carlo average, the polar grid sized
+to each ``lam`` and ``t``, the reflection classes of the angular grid and an
 optimizer that scans ``t`` in steps of 0.5 and always runs golden section
 for the Gaussian conditional entropy and discord, dense photon-count tables
 and matrices for the photon-counting bounds, the covariance matrix behind
@@ -32,7 +33,6 @@ from cvwerner.fock import (
     partial_trace,
     shannon_entropy,
     von_neumann_entropy,
-    xlogx,
 )
 from cvwerner.gaussian import (
     DISC_X,
@@ -42,13 +42,58 @@ from cvwerner.gaussian import (
     _angular_fold,
     _check_measurement,
     _check_nodes,
-    _conditional_squeezing,
-    _frame_rates,
-    _log_density_forms,
-    _sinh2r,
     conditional_entropy,
 )
 from cvwerner.states import WernerParams, werner
+
+
+# The outcome algebra of the Gaussian measurement, quantity by quantity:
+# the package's coefficients before they were formed in one function.
+def _cosh2r(lam: float) -> float:
+    return (1.0 + lam**2) / (1.0 - lam**2)
+
+
+def _sinh2r(lam: float) -> float:
+    return 2.0 * lam / (1.0 - lam**2)
+
+
+def _conditional_squeezing(lam: float, t: float):
+    """Squeezing ``s`` and displacement gains ``z_plus``, ``z_minus`` of the
+    conditional pure state after measurement squeezing ``t``."""
+    c2r = _cosh2r(lam)
+    e2t = math.exp(2.0 * t)
+    z_plus = 1.0 / (c2r + e2t)
+    z_minus = 1.0 / (c2r + 1.0 / e2t)
+    # s = log((1 + e2t c2r) / (c2r + e2t)) / 2, without cancelling near 0
+    s = 0.5 * math.log1p(2.0 * lam**2 / (1.0 - lam**2) * math.expm1(2.0 * t) / (c2r + e2t))
+    return s, z_plus, z_minus
+
+
+def _frame_rates(lam: float, t: float):
+    """Gaussian decay rates of u and v in the squeezed (x, y) frame.
+
+    Written so that no ``1 - tanh(t)`` cancellation occurs: the exact
+    identities ``(1 -+ tanh t) exp(+-t) = sech t`` are used instead.
+    """
+    sech = 1.0 / math.cosh(t)
+    tau = math.tanh(t)
+    ru_x = (1.0 - lam**2) * sech / (1.0 - lam**2 * tau)
+    ru_y = (1.0 - lam**2) * sech / (1.0 + lam**2 * tau)
+    return ru_x, ru_y, sech
+
+
+def _log_density_forms(lam, t):
+    """log u and log v as linear forms ``c - a x^2 - b y^2`` of the squeezed
+    frame, each returned as ``(c, a, b)``."""
+    ru_x, ru_y, rv = _frame_rates(lam, t)
+    tau = math.tanh(t)
+    log_cosh_t = t + math.log1p(math.exp(-2.0 * t)) - math.log(2.0)
+    logpref_u = (
+        math.log1p(-(lam**2))
+        - log_cosh_t
+        - 0.5 * (math.log1p(-(lam**2) * tau) + math.log1p(lam**2 * tau))
+    )
+    return (logpref_u, ru_x, ru_y), (-log_cosh_t, rv, rv)
 
 
 @dataclass(frozen=True)
@@ -164,7 +209,9 @@ def conditional_entropy_terms(p, lam, t, x2, y2, scale=1.0):
     log_cosh_s = math.log1p(2.0 * math.sinh(s / 2.0) ** 2)
     m = -4.0 * e / (1.0 + e) ** 2 * np.expm1(-log_cosh_s - ox * x2 - oy * y2)
     nu = small_eigenvalue(m)
-    entropy = -xlogx(nu) - (1.0 - nu) * np.log1p(-nu)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nu_ln_nu = np.where(nu <= 0.0, 0.0, nu * np.log(nu))
+    entropy = -nu_ln_nu - (1.0 - nu) * np.log1p(-nu)
     return entropy, q
 
 

@@ -159,6 +159,26 @@ def test_mid_identity_and_values():
     assert rep.mid == pytest.approx(rep.upper, abs=1e-8)
 
 
+def test_bounds_report_checks_its_automatic_cutoff_before_allocating():
+    # mu = 1 - 1e-6 picks cutoff 14162078, whose marginal spectrum was once
+    # built before the check: 2.8 s and a 446 MiB peak.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"limit {MAX_TWO_MODE_DIM}"):
+            bounds.bounds_report(WernerParams(0.5, 0.5, 1.0 - 1e-6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("p, mu", [(1.0, 0.5), (0.5, 0.0), (0.5, 0.5)])
+def test_photon_counting_holds_its_cutoff_to_the_limit(p, mu):
+    # The pure cases once returned 0.0 at any cutoff, without a check.
+    with pytest.raises(ValueError, match=f"limit {MAX_TWO_MODE_DIM}"):
+        bounds.conditional_entropy_photon_counting(p, 0.5, mu, MAX_TWO_MODE_DIM + 1)
+
+
 @pytest.mark.parametrize(
     "p, lam, mu, n",
     [(0.0, 0.5, 0.6, None), (1.0, 0.7, 0.4, None), (0.5, 0.5, 0.0, None), (0.0, 0.0, 0.0, None),

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import shlex
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -636,6 +637,59 @@ def test_compute_at_the_edges_of_the_domain(capsys, measure):
         else:
             assert out == "" and re.fullmatch(r"error: \S.*\n", err), argv
         assert not re.search(r"\b(nan|inf|infinity)\b", out + err, re.IGNORECASE), argv
+
+
+# lam and mu toward 1, where cutoffs and series lengths grow without bound.
+_NEAR_ONE_AXES = {
+    "p": (0.0, 0.5, 1.0),
+    "lam": (0.5, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12),
+    "mu": (0.5, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12),
+}
+
+
+@pytest.mark.parametrize("measure", sorted(cli.MEASURES))
+def test_compute_near_lam_and_mu_one_is_quick_and_small(capsys, measure):
+    # Every point gives strict JSON, or exit 3 with one error line that names
+    # the limit it exceeds, in under a second and 10 MiB.  bounds at
+    # mu = 1 - 1e-6 once built its 14162078-entry marginal spectrum before
+    # it checked the cutoff (446 MiB), and nearer 1 the cutoff search alone
+    # stepped for minutes.
+    names = _inputs(measure)
+    for values in itertools.product(*(_NEAR_ONE_AXES[k] for k in names)):
+        argv = _compute_argv(measure, dict(zip(names, values)))
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, *argv)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code in (0, 3), argv
+        if code == 0:
+            assert err == "", argv
+            _strict_json(out)
+        else:
+            assert out == "" and re.fullmatch(r"error: \S.*\blimit\b.*\n", err), (argv, err)
+        assert elapsed < 1.0, argv
+        assert peak < 10 * 2**20, argv
+
+
+def test_compute_bounds_checks_a_given_cutoff_before_allocating(capsys):
+    # The marginal spectrum once came first: 61 MiB at this cutoff, and
+    # about 32 bytes per unit of cutoff beyond it.
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(
+            capsys, "compute", "bounds", "--p", "0.5", "--lambda", "0.5", "--mu", "0.5",
+            "--cutoff", "2000000",
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (3, "")
+    assert "limit 17000" in err
+    assert peak < 2**20
 
 
 # The edge values each input draws from, besides the interior of its range.

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from cvwerner.fock import (
     von_neumann_entropy,
 )
 from cvwerner.states import (
+    DEFAULT_EPS_TAIL,
     WernerParams,
     choose_cutoff,
     ppt_werner,
@@ -224,6 +226,24 @@ def test_choose_cutoff_examples():
     assert n == 21  # the thermal product needs one step past the lam^(2n) rule
     assert n >= 20
     assert choose_cutoff(WernerParams(0.5, 0.9, 0.0), 1e-10) == 110
+
+
+@pytest.mark.parametrize("mu", [1.0 - 1e-7, 1.0 - 1e-9, 1.0 - 1e-12])
+def test_choose_cutoff_near_mu_one_is_the_smallest_and_quick(mu):
+    # The search once started from ln eps / ln mu^2, which ignores the
+    # factor 2 of 2 mu^(2n) - mu^(4n), and stepped about ln 2 / (2 (1 - mu))
+    # times: 2.2 s at 1 - 1e-7, and 3.5e11 steps at 1 - 1e-12.
+    params = WernerParams(0.5, 0.5, mu)
+    start = time.perf_counter()
+    n = choose_cutoff(params)
+    elapsed = time.perf_counter() - start
+
+    def tail(k):
+        mu2 = mu**2
+        return max(0.25**k, 2.0 * mu2**k - mu2 ** (2 * k))
+
+    assert tail(n) < DEFAULT_EPS_TAIL <= tail(n - 1)
+    assert elapsed < 0.1
 
 
 def test_choose_cutoff_controls_trace():
