@@ -156,13 +156,6 @@ def conditional_entropy_photon_counting(p: float, lam: float, mu: float, n_max: 
     return closed
 
 
-def _block_terms(p, lam, mu, n_max):
-    # The correlated block is diag(d) + c v v^T, with d_m the thermal part
-    # (1-p)(1-mu^2)^2 mu^(4m) of the count table's diagonal.
-    entry, _ = _count_table(p, lam, mu, n_max)
-    return p * (1.0 - lam**2), lam ** np.arange(n_max, dtype=float), entry[::2]
-
-
 def _block_spectrum(p, lam, mu, n_max):
     """Spectrum of the correlated block (unordered) and the number k of
     directions diagonalized numerically, without forming the block.
@@ -191,7 +184,9 @@ def _block_spectrum(p, lam, mu, n_max):
     change is far smaller: at most 1.3e-13 against the dense ``eigvalsh``
     of the block, over 504 points with n_max <= 1500.
     """
-    c, v, d = _block_terms(p, lam, mu, n_max)
+    # z z^T = c v v^T, and d is the thermal part of the count table's diagonal.
+    c, v = p * (1.0 - lam**2), lam ** np.arange(n_max, dtype=float)
+    d = _count_table(p, lam, mu, n_max)[0][::2]
     coupled = c * v * v >= COUPLING_TOL
     merged = coupled & (d < DIAGONAL_FLOOR)
     kept = coupled & ~merged

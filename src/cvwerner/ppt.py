@@ -27,7 +27,7 @@ import numpy as np
 
 from .bounds import _conditional_entropy_direct, _joint_photon_entropy
 from .fock import _check_square_size
-from .states import _ppt_point, check_tolerance, check_unit, thermal_entropy
+from .states import _ppt_point, _smallest_below, check_tolerance, check_unit, thermal_entropy
 
 
 # The series need ever more terms as lam -> 1; beyond this many they
@@ -76,12 +76,10 @@ def global_entropy(lam: float) -> float:
 
 
 def _series_length(lam: float, tol: float, scale: float) -> int:
-    # Geometric tail: scale * lam^M / (1 - lam) < tol.
+    # Two terms past the smallest M >= 2 whose geometric tail
+    # scale * lam^M / (1 - lam) is below tol.
     check_tolerance("tol", tol)
-    if lam == 0.0:
-        return 2
-    m = math.log(tol * (1.0 - lam) / scale) / math.log(lam)
-    n_terms = max(4, math.ceil(m) + 2)
+    n_terms = _smallest_below(lambda m: scale * lam**m / (1.0 - lam), tol) + 2
     if n_terms > MAX_SERIES_TERMS:
         raise ValueError(
             f"lam={lam} needs {n_terms} series terms, above the limit {MAX_SERIES_TERMS}"

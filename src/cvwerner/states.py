@@ -63,38 +63,35 @@ class WernerParams:
         return float(np.arctanh(self.lam))
 
 
-def _tail_bound(lam2: float, mu2: float, n: int) -> float:
-    # Worst case over p of the truncated-trace deficit:
-    # the squeezed component loses lam^(2n), the thermal product
-    # 2 mu^(2n) - mu^(4n).
-    return max(lam2**n, 2.0 * mu2**n - mu2 ** (2 * n))
+def _smallest_below(bound, tol: float) -> int:
+    """Smallest ``n >= 2`` with ``bound(n) < tol``, for a ``bound`` that does
+    not grow with n and falls below ``tol`` somewhere: doubling brackets it
+    and bisection finds it, in O(log n) evaluations."""
+    lo, hi = 1, 2
+    while not bound(hi) < tol:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if bound(mid) < tol:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def choose_cutoff(params: WernerParams, eps_tail: float = DEFAULT_EPS_TAIL) -> int:
-    """Smallest ``n_max >= 2`` whose geometric tail bound is below ``eps_tail``.
+    """Smallest ``n_max >= 2`` whose geometric tail bound
+    ``max(lam^(2n), 2 mu^(2n) - mu^(4n))`` is below ``eps_tail``.
 
-    The bound covers every mixing probability, so states built at this
-    cutoff have truncated-trace deficit below ``eps_tail``.  The search
-    starts from the bound's exact solution: ``lam^(2n) < eps_tail``, and
-    ``2 x - x^2 < eps_tail`` for ``x = mu^(2n)``, which holds for
-    ``x < eps_tail / (1 + sqrt(1 - eps_tail))`` and for every x once
-    ``eps_tail >= 1``.  Two guard loops then step n to the smallest that
-    passes in floating point, mostly a step or none from the start.
+    The bound is the worst case over every mixing probability of the
+    truncated-trace deficit: the squeezed component loses ``lam^(2n)``, the
+    thermal product ``2 mu^(2n) - mu^(4n)``.  So states built at this
+    cutoff have deficit below ``eps_tail``.  The bound is evaluated in
+    floating point O(log n) times, at any ``eps_tail``, subnormal included.
     """
     check_tolerance("eps_tail", eps_tail)
     lam2, mu2 = params.lam**2, params.mu**2
-    log_eps = math.log(eps_tail)
-    # The log of the thermal target, which itself may underflow.
-    log_mu_target = log_eps - math.log1p(math.sqrt(max(1.0 - eps_tail, 0.0)))
-    n = 2
-    for q, log_target in ((lam2, log_eps), (mu2, log_mu_target)):
-        if q > 0.0:
-            n = max(n, math.ceil(log_target / math.log(q)))
-    while _tail_bound(lam2, mu2, n) >= eps_tail:
-        n += 1
-    while n > 2 and _tail_bound(lam2, mu2, n - 1) < eps_tail:
-        n -= 1
-    return n
+    return _smallest_below(lambda n: max(lam2**n, 2.0 * mu2**n - mu2 ** (2 * n)), eps_tail)
 
 
 def tmsv_vector(lam: float, n_max: int) -> np.ndarray:

@@ -21,10 +21,8 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from cvwerner import exact
-from cvwerner.bounds import _block_terms, _count_table
 from cvwerner.fock import (
     TwoModeState,
     _check_count,
@@ -403,23 +401,26 @@ def conditional_entropy_mc(
 
 
 def correlated_block(p: float, lam: float, mu: float, n_max: int) -> np.ndarray:
-    """The n_max x n_max matrix whose eigenvalues are the non-analytic part
-    of the global spectrum."""
+    """The n_max x n_max matrix c v v^T + diag((1-p)(1-mu^2)^2 mu^(4m)),
+    c v_m^2 = p(1-lam^2) lam^(2m), whose eigenvalues are the non-analytic
+    part of the global spectrum."""
     WernerParams(p, lam, mu)
     _check_square_size(n_max)
-    c, v, d = _block_terms(p, lam, mu, n_max)
-    block = c * np.outer(v, v)
-    block[np.diag_indices(n_max)] += d
+    m = np.arange(n_max, dtype=float)
+    v = lam**m
+    block = p * (1.0 - lam**2) * np.outer(v, v)
+    block[np.diag_indices(n_max)] += (1.0 - p) * (1.0 - mu**2) ** 2 * mu ** (4.0 * m)
     return block
 
 
 def joint_photon_distribution(p: float, lam: float, mu: float, n_max: int) -> np.ndarray:
-    """Photon-count statistics p(m, n) of the Werner state, in closed form."""
+    """Photon-count statistics of the Werner state, in closed form:
+    p(m, n) = p(1-lam^2) lam^(2m) delta_mn + (1-p)(1-mu^2)^2 mu^(2(m+n))."""
     WernerParams(p, lam, mu)
     _check_square_size(n_max)
-    entry, diag = _count_table(p, lam, mu, n_max)
-    table = sliding_window_view(entry, n_max).copy()
-    table[np.diag_indices(n_max)] += diag
+    m = np.arange(n_max, dtype=float)
+    table = (1.0 - p) * (1.0 - mu**2) ** 2 * mu ** (2.0 * np.add.outer(m, m))
+    table[np.diag_indices(n_max)] += p * (1.0 - lam**2) * lam ** (2.0 * m)
     return table
 
 

@@ -692,12 +692,37 @@ def test_compute_bounds_checks_a_given_cutoff_before_allocating(capsys):
     assert peak < 2**20
 
 
+@pytest.mark.parametrize("lam", ["0.999999", "0.999999999"])
+def test_subnormal_eps_tail_reaches_the_cutoff_limit_quickly(capsys, lam):
+    # The cutoff search once stepped one n at a time here: 0.29 s at
+    # 1 - 1e-6, and minutes at 1 - 1e-9.
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "compute", "bounds", "--p", "0.5", "--lambda", lam, "--mu", "0", "--eps-tail", "5e-324"
+    )
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (3, "")
+    assert "limit 17000" in err
+    assert elapsed < 0.1
+
+
+def test_ppt_bounds_at_a_subnormal_tolerance_is_strict_json(capsys):
+    # The series length once took the log of tol (1 - lam) / scale, which
+    # underflows to 0 here: "error: math domain error".
+    code, out, err = run_cli(capsys, "compute", "ppt-bounds", "--lambda", "0.99", "--eps-tail", "5e-324")
+    assert (code, err) == (0, "")
+    assert _strict_json(out)["results"]["upper"] == pytest.approx(0.99 * math.log(2), abs=1e-10)
+
+
 # The edge values each input draws from, besides the interior of its range.
 _PROPERTY_EDGES = {
     "p": (0.0, 5e-324, 1e-300, 1.0),
     "lam": (0.0, 5e-324, 1e-200, 1e-8),
     "mu": (0.0, 5e-324, 1e-200, 1e-8),
 }
+# The truncation tolerances drawn for the measures that read one, besides
+# log-uniform values on [1e-300, 1e-10].
+_EPS_TAIL_EDGES = (5e-324, 1e-310, 1e-300, 1e-12)
 
 
 @pytest.mark.parametrize("measure", sorted(cli.MEASURES))
@@ -710,9 +735,10 @@ _PROPERTY_EDGES = {
 @given(data=st.data())
 def test_compute_properties_across_the_domain(capsys, measure, data):
     # p in [0, 1], lam and mu in [0, 0.9] for bounds and [0, 0.99] for the
-    # rest, each often an edge value; now and then one input is NaN.  A NaN
-    # input, and only a NaN input, exits 3; every other point prints strict
-    # JSON with no -0.0, and the relations that share no algebra hold.
+    # rest, each often an edge value; now and then one input is NaN.  The
+    # measures with a truncation tolerance draw it too.  A NaN input, and
+    # only a NaN input, exits 3; every other point prints strict JSON with
+    # no -0.0, in under 1 s, and the relations that share no algebra hold.
     names = _inputs(measure)
     top = 0.9 if measure == "bounds" else 0.99
     point = {
@@ -726,12 +752,21 @@ def test_compute_properties_across_the_domain(capsys, measure, data):
     if nan_at < len(names):
         point[names[nan_at]] = math.nan
     argv = _compute_argv(measure, point)
+    if "eps_tail" in inspect.signature(cli.MEASURES[measure]).parameters:
+        eps_tail = data.draw(
+            st.one_of(st.sampled_from(_EPS_TAIL_EDGES), st.floats(-300.0, -10.0).map(lambda e: 10.0**e)),
+            label="eps_tail",
+        )
+        argv += ["--eps-tail", repr(eps_tail)]
+    start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
+    elapsed = time.perf_counter() - start
     if any(math.isnan(v) for v in point.values()):
         assert (code, out) == (3, ""), argv
         assert re.fullmatch(r"error: \S.*\n", err), argv
         return
     assert (code, err) == (0, ""), argv
+    assert elapsed < 1.0, argv
     doc = _strict_json(out)
     assert _negative_zeros(doc) == [], argv
     results = doc["results"]

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -190,6 +192,35 @@ def test_dense_route_agreement():
     state = ppt_werner(0.5, 44)
     assert bounds.upper_bound_dense(state) == pytest.approx(0.5 * math.log(2), abs=1e-6)
     assert mid_dense(state) == pytest.approx(0.5 * math.log(2), abs=1e-6)
+
+
+@pytest.mark.parametrize("tol", [5e-324, 1e-310, 1e-300, 1e-12, 0.5, 1.0, 1e300])
+def test_series_length_is_the_smallest_at_every_tolerance_and_quick(tol):
+    # n - 2 is the smallest M >= 2 with scale lam^M / (1 - lam) < tol, for
+    # the three scales of ppt.bounds; past MAX_SERIES_TERMS the limit error
+    # names that n.
+    for lam in (0.0, 5e-324, 0.5, 0.98, 1.0 - 1e-6, 1.0 - 1e-12, 0.9999999999999999):
+        norm = ppt.norm_const(lam)
+        log_norm = 1.0 + abs(math.log(norm))
+        scales = (
+            2.0 * norm * abs(math.log(1.0 + 1.0 / (1.0 - lam))) / (1.0 - lam),
+            8.0 * norm * log_norm / (1.0 - lam) ** 2,
+            8.0 * norm * log_norm / (1.0 - lam),
+        )
+        for scale in scales:
+            elapsed = math.inf
+            for _ in range(3):
+                start = time.perf_counter()
+                try:
+                    n = ppt._series_length(lam, tol, scale)
+                except ValueError as error:
+                    limit = re.fullmatch(r"lam=\S+ needs (\d+) series terms, above the limit \d+", str(error))
+                    n = int(limit[1])
+                    assert n > ppt.MAX_SERIES_TERMS
+                elapsed = min(elapsed, time.perf_counter() - start)
+            assert scale * lam ** (n - 2) / (1.0 - lam) < tol, (lam, scale, n)
+            assert n == 4 or tol <= scale * lam ** (n - 3) / (1.0 - lam), (lam, scale, n)
+            assert elapsed < 1e-3, (lam, scale)
 
 
 def test_series_length_limit_raises_before_allocating():

@@ -1,3 +1,5 @@
+import itertools
+import math
 import time
 import tracemalloc
 
@@ -230,9 +232,10 @@ def test_choose_cutoff_examples():
 
 @pytest.mark.parametrize("mu", [1.0 - 1e-7, 1.0 - 1e-9, 1.0 - 1e-12])
 def test_choose_cutoff_near_mu_one_is_the_smallest_and_quick(mu):
-    # The search once started from ln eps / ln mu^2, which ignores the
-    # factor 2 of 2 mu^(2n) - mu^(4n), and stepped about ln 2 / (2 (1 - mu))
-    # times: 2.2 s at 1 - 1e-7, and 3.5e11 steps at 1 - 1e-12.
+    # The answer lies about ln 2 / (2 (1 - mu)) past ln eps / ln mu^2, the
+    # rule that ignores the factor 2 of 2 mu^(2n) - mu^(4n).  A search that
+    # stepped from that rule took 2.2 s at 1 - 1e-7, and would take 3.5e11
+    # steps at 1 - 1e-12; bisection takes O(log n) evaluations.
     params = WernerParams(0.5, 0.5, mu)
     start = time.perf_counter()
     n = choose_cutoff(params)
@@ -244,6 +247,27 @@ def test_choose_cutoff_near_mu_one_is_the_smallest_and_quick(mu):
 
     assert tail(n) < DEFAULT_EPS_TAIL <= tail(n - 1)
     assert elapsed < 0.1
+
+
+@pytest.mark.parametrize("eps", [5e-324, 1e-310, 1e-300, 1e-12, 0.5, 1.0, 1e300])
+def test_choose_cutoff_is_the_smallest_at_every_tolerance_and_quick(eps):
+    # T(n) < eps <= T(n - 1), or n = 2, in floating point; at a subnormal
+    # eps and lam or mu near 1, T(n) passes only where q^n underflows.
+    factors = (0.0, 5e-324, 0.5, 0.98, 1.0 - 1e-6, 1.0 - 1e-12, 0.9999999999999999)
+    for lam, mu in itertools.product(factors, factors):
+        lam2, mu2 = lam**2, mu**2
+
+        def tail(k):
+            return max(lam2**k, 2.0 * mu2**k - mu2 ** (2 * k))
+
+        elapsed = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            n = choose_cutoff(WernerParams(0.5, lam, mu), eps)
+            elapsed = min(elapsed, time.perf_counter() - start)
+        assert tail(n) < eps, (lam, mu, n)
+        assert n == 2 or eps <= tail(n - 1), (lam, mu, n)
+        assert elapsed < 1e-3, (lam, mu)
 
 
 def test_choose_cutoff_controls_trace():
